@@ -7,7 +7,6 @@ from .graph import (
     SenseId,
     load_dictionary,
     load_graph,
-    senses_of,
 )
 from .ppr import (
     PprConfig,
@@ -15,8 +14,6 @@ from .ppr import (
     PprVector,
     SeedSet,
     compute_ppr,
-    ppr_for_sense,
-    ppr_for_sense_set,
 )
 from .similarity import RankedVector, insert_oov, sim_sem, to_ranked, weighted_overlap
 from .disambiguation import (
@@ -29,25 +26,19 @@ from .disambiguation import (
 from .text import SummaryText, stem, stopwords, tokenize
 from .rouge import (
     BOS_MARKER,
-    MatchState,
     NGram,
     NGramMultiset,
-    count_match,
     extract_ngrams,
     extract_su4,
-    rouge_score,
 )
 from .scorer import (
     ALL_VARIANTS,
     GrougeConfig,
     ScoreParts,
     ScoreReport,
-    gram_signature,
-    grouge_parts,
     grouge_score,
-    peer_signature,
+    parts_by_family,
     score_batch,
-    sim_ls,
 )
 from .stats import (
     CorrelationReport,
@@ -70,7 +61,6 @@ __all__ = [
     "Dictionary",
     "GrougeConfig",
     "JudgmentTable",
-    "MatchState",
     "NGram",
     "NGramMultiset",
     "ParseError",
@@ -92,25 +82,17 @@ __all__ = [
     "build_word_types",
     "compute_ppr",
     "correlate",
-    "count_match",
     "disambiguate_pair",
     "extract_ngrams",
     "extract_su4",
-    "gram_signature",
-    "grouge_parts",
     "grouge_score",
     "insert_oov",
     "kendall",
     "load_dictionary",
     "load_graph",
+    "parts_by_family",
     "pearson",
-    "peer_signature",
-    "ppr_for_sense",
-    "ppr_for_sense_set",
-    "rouge_score",
     "score_batch",
-    "senses_of",
-    "sim_ls",
     "sim_sem",
     "spearman",
     "stem",

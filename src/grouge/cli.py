@@ -10,7 +10,9 @@ defaults that explicit flags override; unknown keys are rejected.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
+import io
 import json
 import logging
 import os
@@ -365,29 +367,39 @@ def _system_table(
     return JudgmentTable(systems=systems, human=human, auto=auto)
 
 
-def _load_score_means(path: Path) -> dict[str, dict[str, float]]:
-    import csv as _csv
+def system_means(rows: dict[tuple[str, str, str], float]) -> dict[str, dict[str, float]]:
+    """Per variant, each system's (topic, system, variant) scores averaged
+    over every topic in rows.
 
+    Every system must have a row for every topic, so that all systems are
+    compared over the same topic set.
+    """
+    topics = sorted({topic for topic, _, _ in rows})
+    systems = sorted({system for _, system, _ in rows})
+    means: dict[str, dict[str, float]] = {}
+    for variant in sorted({variant for _, _, variant in rows}):
+        per_system = {}
+        for system in systems:
+            values = []
+            for topic in topics:
+                if (topic, system, variant) not in rows:
+                    raise CliError(f"system {system} has no {variant} score for topic {topic}")
+                values.append(rows[(topic, system, variant)])
+            per_system[system] = sum(values) / len(values)
+        means[variant] = per_system
+    return means
+
+
+def _read_score_rows(path: Path) -> dict[tuple[str, str, str], float]:
     rows: dict[tuple[str, str, str], float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
+        reader = csv.DictReader(fh)
         required = {"topic", "system", "variant", "score"}
         if not required.issubset(reader.fieldnames or ()):
             raise CliError(f"{path}: expected columns {sorted(required)}")
         for row in reader:
             rows[(row["topic"], row["system"], row["variant"])] = float(row["score"])
-    means: dict[str, dict[str, float]] = {}
-    topics = sorted({k[0] for k in rows})
-    systems = sorted({k[1] for k in rows})
-    variants = sorted({k[2] for k in rows})
-    for variant in variants:
-        per_system = {}
-        for system in systems:
-            values = [rows[(t, system, variant)] for t in topics if (t, system, variant) in rows]
-            if values:
-                per_system[system] = sum(values) / len(values)
-        means[variant] = per_system
-    return means
+    return rows
 
 
 def run_meta_eval(args) -> int:
@@ -396,7 +408,7 @@ def run_meta_eval(args) -> int:
     join_name, ids, columns = load_judgments(human_path)
     if join_name != args.join:
         log.warning("judgments join column is %r, expected %r", join_name, args.join)
-    means = _load_score_means(scores_path)
+    means = system_means(_read_score_rows(scores_path))
     table = _system_table(means, ids, columns)
     if args.baseline is not None and args.baseline not in table.auto:
         raise UsageError(f"baseline {args.baseline!r} is not a scored variant")
@@ -423,26 +435,17 @@ def run_sweep_beta(args) -> int:
         log.warning("judgments join column is %r, expected %r", join_name, args.join)
     report, _, _ = _run_scoring(args, variants)
 
-    import csv as _csv
-    import io as _io
-
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["beta", "variant", "human_metric", "pearson", "spearman", "kendall"])
-    topics = report.topics()
-    systems_all = report.systems()
     for beta in betas:
-        means: dict[str, dict[str, float]] = {}
-        for variant in variants:
-            per_system: dict[str, float] = {}
-            for system in systems_all:
-                parts = [report.parts[(t, system, variant)] for t in topics]
-                blend = beta if variant_is_semantic(variant) else 1.0
-                # round through the score CSV's 12-significant-digit format
-                # so one sweep row equals the score -> meta-eval composition
-                values = [float(f"{p.blend(blend):.12g}") for p in parts]
-                per_system[system] = sum(values) / len(values) if values else 0.0
-            means[variant] = per_system
+        # round through the score CSV's 12-significant-digit format so one
+        # sweep row equals the score -> meta-eval composition
+        rows = {
+            key: float(f"{p.blend(beta if variant_is_semantic(key[2]) else 1.0):.12g}")
+            for key, p in report.parts.items()
+        }
+        means = system_means(rows)
         table = _system_table(means, ids, columns)
         for variant in variants:
             a = table.auto[variant]

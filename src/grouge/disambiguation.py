@@ -78,10 +78,6 @@ def build_word_types(
     return out
 
 
-def _candidate_senses(word: WordType) -> tuple[SenseId, ...]:
-    return word.senses
-
-
 def align_disambiguate(
     item: Sequence[WordType],
     context: Sequence[WordType],
@@ -95,10 +91,8 @@ def align_disambiguate(
     """
     if not item:
         raise ValueError("item must contain at least one word")
-    context_senses = tuple(
-        dict.fromkeys(s for w in context for s in _candidate_senses(w))
-    )
-    item_senses = [s for w in item for s in _candidate_senses(w)]
+    context_senses = tuple(dict.fromkeys(s for w in context for s in w.senses))
+    item_senses = [s for w in item for s in w.senses]
     engine.prime_senses(list(context_senses) + item_senses)
 
     entries = []

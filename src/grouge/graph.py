@@ -302,7 +302,3 @@ def load_dictionary(
                 ranked.append(sense)
 
     return Dictionary({k: tuple(v) for k, v in entries.items() if v})
-
-
-def senses_of(dictionary: Dictionary, lemma: str, pos: str | None = None) -> list[SenseId]:
-    return dictionary.senses_of(lemma, pos)

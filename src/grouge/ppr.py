@@ -7,8 +7,7 @@ The walk update is
 with W column-stochastic (column j uniform over j's neighbours) and the
 mass of degree-zero columns redistributed to the seed distribution V(0),
 so every iterate stays a probability vector. The iteration count is fixed
-(default 30) so runs are bit-for-bit reproducible; an optional tolerance
-enables early exit for callers that prefer speed over replay equality.
+(default 30) so runs are bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ class PprConfig:
     alpha: float = 0.15
     iterations: int = 30
     truncation: int | None = None
-    tolerance: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -40,8 +38,6 @@ class PprConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.truncation is not None and self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
-        if self.tolerance is not None and self.tolerance <= 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tolerance}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +71,7 @@ class PprVector:
     construction, so they come first, ordered by term.
     """
 
-    __slots__ = ("graph", "idx", "weights", "oov_terms", "oov_weight", "_arrays", "_dense")
+    __slots__ = ("graph", "idx", "weights", "oov_terms", "oov_weight", "_dense")
 
     def __init__(
         self,
@@ -90,7 +86,6 @@ class PprVector:
         self.weights = weights
         self.oov_terms = oov_terms
         self.oov_weight = oov_weight
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._dense: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -122,35 +117,21 @@ class PprVector:
     def sense_weight_sum(self) -> float:
         return float(self.weights.sum())
 
-    def ranked_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(key_ids ascending, aligned ranks) for fast intersection.
+    def dense_rank_table(self) -> np.ndarray:
+        """key id -> rank lookup array (0 marks an absent dimension).
 
         Sense keys are graph node indices; OOV keys are interned past the
-        node range, so the two namespaces cannot collide.
+        node range, so the two namespaces cannot collide. The table ends at
+        the largest key present.
         """
-        arrays = self._arrays
-        if arrays is None:
-            m = len(self.oov_terms)
-            keys = np.empty(m + len(self.idx), dtype=np.int64)
-            ranks = np.empty(len(keys), dtype=np.float64)
-            for j, term in enumerate(self.oov_terms):
-                keys[j] = self.graph.oov_key_id(term)
-                ranks[j] = j + 1
-            keys[m:] = self.idx
-            ranks[m:] = np.arange(m + 1, m + 1 + len(self.idx), dtype=np.float64)
-            order = np.argsort(keys, kind="stable")
-            arrays = (keys[order], ranks[order])
-            self._arrays = arrays
-        return arrays
-
-    def dense_rank_table(self) -> np.ndarray:
-        """key id -> rank lookup array (0 marks an absent dimension)."""
         table = self._dense
         if table is None:
-            keys, ranks = self.ranked_arrays()
-            size = int(keys[-1]) + 1 if len(keys) else 0
+            m = len(self.oov_terms)
+            oov_keys = [self.graph.oov_key_id(term) for term in self.oov_terms]
+            size = max(oov_keys) + 1 if oov_keys else int(self.idx.max(initial=-1)) + 1
             table = np.zeros(size, dtype=np.float64)
-            table[keys] = ranks
+            table[oov_keys] = np.arange(1, m + 1, dtype=np.float64)
+            table[self.idx] = np.arange(m + 1, m + 1 + len(self.idx), dtype=np.float64)
             self._dense = table
         return table
 
@@ -179,11 +160,7 @@ def _run_walk(graph: SemanticGraph, v0: np.ndarray, cfg: PprConfig) -> np.ndarra
     for _ in range(cfg.iterations):
         flow = adj @ (v * inv_deg)
         dangling_mass = v[dangling, :].sum(axis=0) if len(dangling) else 0.0
-        new_v = (1.0 - cfg.alpha) * flow + v0 * ((1.0 - cfg.alpha) * dangling_mass + cfg.alpha)
-        if cfg.tolerance is not None and np.abs(new_v - v).sum() < cfg.tolerance:
-            v = new_v
-            break
-        v = new_v
+        v = (1.0 - cfg.alpha) * flow + v0 * ((1.0 - cfg.alpha) * dangling_mass + cfg.alpha)
     return v
 
 
@@ -422,11 +399,3 @@ def read_cache_file(path) -> dict:
     with open(path, "rb") as fh:
         payload = pickle.load(fh)
     return {"meta": payload.get("meta", {}), "stats": payload.get("stats", {})}
-
-
-def ppr_for_sense(engine: PprEngine, sense: SenseId) -> PprVector:
-    return engine.ppr_for_sense(sense)
-
-
-def ppr_for_sense_set(engine: PprEngine, senses: SeedSet | Iterable[SenseId]) -> PprVector:
-    return engine.ppr_for_sense_set(senses)

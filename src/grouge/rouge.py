@@ -1,10 +1,10 @@
-"""N-gram extraction and recall-oriented lexical scoring.
+"""N-gram extraction and clipped matching.
 
 Variants: contiguous unigrams/bigrams and skip-bigrams with maximum gap 4
 plus sentence-marker unigram pairs (the SU convention). Matching is
 clipped: a gram's matches never exceed the smaller of its model and peer
-occurrence counts. Multiple references aggregate by double summation over
-(model, gram) occurrences.
+occurrence counts. Recall over several references (the ``r*`` variants
+of ``grouge.scorer.grouge_score``) sums these counts over the models.
 """
 
 from __future__ import annotations
@@ -92,39 +92,6 @@ def grams_for(text: SummaryText, variant: str) -> NGramMultiset:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-class MatchState:
-    """Per-pass consumption tracker so clipped matching is occurrence-exact."""
-
-    def __init__(self, peer: NGramMultiset):
-        self._remaining = dict(peer.counts)
-
-    def consume(self, gram: NGram) -> int:
-        left = self._remaining.get(gram, 0)
-        if left > 0:
-            self._remaining[gram] = left - 1
-            return 1
-        return 0
-
-
-def count_match(gram: NGram, peer: NGramMultiset, state: MatchState) -> int:
-    """1 if an unconsumed occurrence of gram remains in the peer, else 0."""
-    return state.consume(gram)
-
-
 def clipped_matches(model: NGramMultiset, peer: NGramMultiset) -> int:
     """Total clipped matches: sum over grams of min(model, peer) counts."""
     return sum(min(c, peer.count(g)) for g, c in model.items())
-
-
-def rouge_score(peer: SummaryText, models: list[SummaryText], variant: str) -> float:
-    """Recall over all models: matched grams / total model grams."""
-    if not models:
-        raise ValueError("at least one model summary is required")
-    peer_grams = grams_for(peer, variant)
-    matched = 0
-    total = 0
-    for model in models:
-        model_grams = grams_for(model, variant)
-        matched += clipped_matches(model_grams, peer_grams)
-        total += model_grams.total
-    return matched / total if total else 0.0

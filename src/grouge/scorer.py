@@ -18,13 +18,14 @@ import io
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .disambiguation import SenseAssignment, build_word_types, disambiguate_pair
-from .graph import Dictionary
+from .graph import Dictionary, SenseId
 from .ppr import PprConfig, PprEngine, PprVector
-from .rouge import NGram, NGramMultiset, MatchState, count_match, grams_for
+from .rouge import NGram, NGramMultiset, clipped_matches, grams_for
 from .similarity import insert_oov, sim_sem
 from .text import SummaryText, tokenize
 
@@ -75,21 +76,17 @@ class ScoreParts:
             return 0.0
         return (beta * self.lexical + (1.0 - beta) * self.semantic) / self.total
 
-    def lexical_recall(self) -> float:
-        return self.lexical / self.total if self.total else 0.0
 
-
-def _signature_from_assignment(
-    assignment: SenseAssignment, engine: PprEngine, oov_enabled: bool
+def _signature(
+    engine: PprEngine, seeds: tuple[SenseId, ...], oov: tuple[str, ...], oov_enabled: bool
 ) -> PprVector | None:
-    """Walk vector for a disambiguated text; None when there is nothing to seed."""
-    senses = assignment.senses()
-    if senses:
-        vec = engine.ppr_for_sense_set(senses)
+    """Walk vector seeded by senses plus OOV dimensions; None when empty."""
+    if seeds:
+        vec = engine.ppr_for_sense_set(seeds)
     else:
         vec = PprVector(engine.graph, np.empty(0, np.int64), np.empty(0, np.float64))
     if oov_enabled:
-        vec = insert_oov(vec, list(assignment.oov_stems()))
+        vec = insert_oov(vec, oov)
     return vec if vec else None
 
 
@@ -97,27 +94,26 @@ class PairScorer:
     """Scoring context for one (model summary, peer summary) pair.
 
     Disambiguation runs once per pair and is shared by every n-gram and
-    every variant scored against it.
+    every variant scored against it. A lexical-only scorer (semantic=False)
+    needs no engine or dictionary.
     """
 
     def __init__(
         self,
         model_text: SummaryText,
         peer_text: SummaryText,
-        engine: PprEngine,
-        dictionary: Dictionary,
+        engine: PprEngine | None,
+        dictionary: Dictionary | None,
         oov_enabled: bool = True,
         semantic: bool = True,
     ):
-        self.model_text = model_text
-        self.peer_text = peer_text
         self.engine = engine
         self.oov_enabled = oov_enabled
         self.semantic = semantic
         self.model_assignment: SenseAssignment | None = None
         self.peer_assignment: SenseAssignment | None = None
         self.peer_signature: PprVector | None = None
-        self._sense_map: dict[str, object] = {}
+        self._sense_map: dict[str, SenseId | None] = {}
         self._sig_cache: dict[tuple, PprVector | None] = {}
         if semantic and model_text.token_count and peer_text.token_count:
             model_wts = build_word_types(model_text, dictionary)
@@ -128,8 +124,11 @@ class PairScorer:
             self._sense_map = {
                 e.word.stem: e.sense for e in self.model_assignment
             }
-            self.peer_signature = _signature_from_assignment(
-                self.peer_assignment, engine, oov_enabled
+            self.peer_signature = _signature(
+                engine,
+                self.peer_assignment.senses(),
+                self.peer_assignment.oov_stems(),
+                oov_enabled,
             )
 
     def _gram_key(self, gram: NGram) -> tuple:
@@ -146,33 +145,23 @@ class PairScorer:
 
     def gram_signature(self, gram: NGram) -> PprVector | None:
         key = self._gram_key(gram)
-        if key in self._sig_cache:
-            return self._sig_cache[key]
-        seeds, oov = key
-        if seeds:
-            vec: PprVector | None = self.engine.ppr_for_sense_set(seeds)
-        else:
-            vec = PprVector(
-                self.engine.graph, np.empty(0, np.int64), np.empty(0, np.float64)
-            )
-        if self.oov_enabled:
-            vec = insert_oov(vec, list(oov))
-        vec = vec if vec else None
-        self._sig_cache[key] = vec
-        return vec
+        if key not in self._sig_cache:
+            self._sig_cache[key] = _signature(self.engine, *key, self.oov_enabled)
+        return self._sig_cache[key]
 
     def gram_overlap(self, gram: NGram) -> float:
         """Semantic term of the blend for one gram against the peer text."""
-        if not self.semantic or self.peer_signature is None:
+        if self.peer_signature is None:
             return 0.0
         sig = self.gram_signature(gram)
         if sig is None:
             return 0.0
         return sim_sem(sig, self.peer_signature)
 
-    def parts(self, family: str) -> ScoreParts:
-        model_grams = grams_for(self.model_text, family)
-        peer_grams = grams_for(self.peer_text, family)
+    def parts(self, model_grams: NGramMultiset, peer_grams: NGramMultiset) -> ScoreParts:
+        """Clipped match, occurrence-weighted overlap and gram count of the
+        model grams against the peer's."""
+        semantic = 0.0
         if self.semantic:
             seed_sets = [
                 seeds
@@ -180,12 +169,9 @@ class PairScorer:
                 if seeds
             ]
             self.engine.prime_seed_sets(seed_sets)
-        lexical = 0.0
-        semantic = 0.0
-        for gram, mc in model_grams.items():
-            lexical += min(mc, peer_grams.count(gram))
-            if self.semantic:
+            for gram, mc in model_grams.items():
                 semantic += mc * self.gram_overlap(gram)
+        lexical = float(clipped_matches(model_grams, peer_grams))
         return ScoreParts(lexical, semantic, float(model_grams.total))
 
     def debug_lines(self) -> list[str]:
@@ -203,84 +189,66 @@ class PairScorer:
         return lines
 
 
-def peer_signature(
+def parts_by_family(
     peer: SummaryText,
-    model: SummaryText,
-    engine: PprEngine,
-    dictionary: Dictionary,
+    models: Sequence[SummaryText],
+    families: Sequence[str],
+    engine: PprEngine | None,
+    dictionary: Dictionary | None,
     oov_enabled: bool = True,
-) -> PprVector | None:
-    """Walk vector of the peer text disambiguated against one model."""
-    pair = PairScorer(model, peer, engine, dictionary, oov_enabled=oov_enabled)
-    return pair.peer_signature
+    semantic: bool = True,
+    gram_sets: Mapping[SummaryText, Mapping[str, NGramMultiset]] | None = None,
+    debug: list[list[str]] | None = None,
+) -> dict[str, ScoreParts]:
+    """Score parts of one peer per gram family, summed over its models.
 
-
-def gram_signature(
-    gram: NGram, model_assignment: SenseAssignment, engine: PprEngine,
-    oov_enabled: bool = True,
-) -> PprVector | None:
-    """Walk vector of one model gram under an existing sense assignment."""
-    seeds = []
-    oov = []
-    sense_map = {e.word.stem: e.sense for e in model_assignment}
-    for term in dict.fromkeys(gram.content_terms()):
-        sense = sense_map.get(term)
-        if sense is None:
-            oov.append(term)
-        else:
-            seeds.append(sense)
-    if seeds:
-        vec: PprVector | None = engine.ppr_for_sense_set(tuple(dict.fromkeys(seeds)))
-    else:
-        vec = PprVector(engine.graph, np.empty(0, np.int64), np.empty(0, np.float64))
-    if oov_enabled:
-        vec = insert_oov(vec, oov)
-    return vec if vec else None
-
-
-def sim_ls(
-    gram: NGram,
-    pair: PairScorer,
-    peer_grams: NGramMultiset,
-    state: MatchState,
-    beta: float,
-) -> float:
-    """Blend of one gram occurrence's clipped match and semantic overlap."""
-    matched = count_match(gram, peer_grams, state)
-    return beta * matched + (1.0 - beta) * pair.gram_overlap(gram)
-
-
-def grouge_parts(
-    peer: SummaryText,
-    models: list[SummaryText],
-    cfg: GrougeConfig,
-    engine: PprEngine,
-    dictionary: Dictionary,
-) -> ScoreParts:
+    gram_sets maps every text to its gram multisets by family; without it
+    they are extracted here. When debug is given, each pair's sense
+    assignment lines are appended to it, one list per model.
+    """
     if not models:
         raise ValueError("at least one model summary is required")
-    family = variant_family(cfg.variant)
-    semantic = variant_is_semantic(cfg.variant)
-    parts = ScoreParts()
+    if gram_sets is None:
+        gram_sets = {
+            text: {family: grams_for(text, family) for family in families}
+            for text in (peer, *models)
+        }
+    peer_grams = gram_sets[peer]
+    out = {family: ScoreParts() for family in families}
     for model in models:
         pair = PairScorer(
-            model, peer, engine, dictionary,
-            oov_enabled=cfg.oov_enabled, semantic=semantic,
+            model, peer, engine, dictionary, oov_enabled=oov_enabled, semantic=semantic
         )
-        parts = parts + pair.parts(family)
-    return parts
+        if debug is not None:
+            debug.append(pair.debug_lines())
+        model_grams = gram_sets[model]
+        for family in families:
+            out[family] = out[family] + pair.parts(model_grams[family], peer_grams[family])
+    return out
 
 
 def grouge_score(
     peer: SummaryText,
     models: list[SummaryText],
     cfg: GrougeConfig,
-    engine: PprEngine,
-    dictionary: Dictionary,
+    engine: PprEngine | None = None,
+    dictionary: Dictionary | None = None,
 ) -> float:
-    """Corpus-level blended score of one peer against its models."""
-    beta = cfg.beta if variant_is_semantic(cfg.variant) else 1.0
-    return grouge_parts(peer, models, cfg, engine, dictionary).blend(beta)
+    """Corpus-level score of one peer against its models.
+
+    A ``g*`` variant blends lexical and semantic parts with cfg.beta and
+    needs an engine and a dictionary; an ``r*`` variant is plain clipped
+    recall and needs neither.
+    """
+    semantic = variant_is_semantic(cfg.variant)
+    if semantic and (engine is None or dictionary is None):
+        raise ValueError(f"variant {cfg.variant} needs an engine and a dictionary")
+    family = variant_family(cfg.variant)
+    parts = parts_by_family(
+        peer, models, (family,), engine, dictionary,
+        oov_enabled=cfg.oov_enabled, semantic=semantic,
+    )
+    return parts[family].blend(cfg.beta if semantic else 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +268,6 @@ class ScoreReport:
 
     def score(self, topic: str, system: str, variant: str) -> float:
         return self.rows[(topic, system, variant)]
-
-    def systems(self) -> list[str]:
-        return sorted({key[1] for key in self.rows})
-
-    def topics(self) -> list[str]:
-        return sorted({key[0] for key in self.rows})
-
-    def system_means(self, variant: str) -> dict[str, float]:
-        """Per-system score averaged over the full topic set."""
-        topics = self.topics()
-        out = {}
-        for system in self.systems():
-            values = [self.rows[(t, system, variant)] for t in topics]
-            out[system] = sum(values) / len(values) if values else 0.0
-        return out
 
     def to_csv_bytes(self) -> bytes:
         buf = io.StringIO()
@@ -347,8 +300,8 @@ def score_batch(
     peers_dir: str | Path,
     models_dir: str | Path,
     cfg: GrougeConfig,
-    engine: PprEngine,
-    dictionary: Dictionary,
+    engine: PprEngine | None,
+    dictionary: Dictionary | None,
     variants: tuple[str, ...] = ALL_VARIANTS,
     jobs: int = 1,
     stemming: bool = True,
@@ -362,8 +315,8 @@ def score_batch(
     the same topic set; unreadable files become error entries and the rest
     of the batch continues.
     """
-    for variant in variants:
-        variant_family(variant)
+    families = sorted({variant_family(v) for v in variants})
+    semantic = any(variant_is_semantic(v) for v in variants)
     report = ScoreReport(variants=tuple(variants), provenance=provenance or {})
 
     peers, peer_scan_errors = _scan_corpus_dir(Path(peers_dir))
@@ -371,16 +324,15 @@ def score_batch(
     report.errors.extend(peer_scan_errors)
     report.errors.extend(model_scan_errors)
 
-    texts: dict[Path, SummaryText] = {}
-
     def read_text(path: Path) -> SummaryText:
-        if path not in texts:
-            texts[path] = tokenize(
-                path.read_text("utf-8"),
-                stemming=stemming,
-                remove_stopwords=remove_stopwords,
-            )
-        return texts[path]
+        return tokenize(
+            path.read_text("utf-8"),
+            stemming=stemming,
+            remove_stopwords=remove_stopwords,
+        )
+
+    def gram_sets_of(text: SummaryText) -> dict[str, NGramMultiset]:
+        return {family: grams_for(text, family) for family in families}
 
     model_topics = sorted({topic for topic, _ in models})
     peer_topics = {topic for topic, _ in peers}
@@ -403,67 +355,52 @@ def score_batch(
             report.flagged.append(f"topic {topic}: all model summaries unreadable, skipped")
 
     systems = sorted({system for _, system in peers})
-    tasks = [(topic, system) for topic in sorted(topic_models) for system in systems]
 
-    def run_task(task: tuple[str, str]) -> tuple[tuple[str, str], dict, dict, list, list, list]:
-        topic, system = task
-        scores: dict[str, float] = {}
-        parts_out: dict[str, ScoreParts] = {}
-        flagged: list[str] = []
-        errors: list[str] = []
-        debug: list[str] = []
-        peer_path = peers.get((topic, system))
-        peer_text: SummaryText | None = None
-        if peer_path is None:
-            flagged.append(f"{topic}.{system}: peer summary missing, scored 0")
-        else:
-            try:
-                peer_text = read_text(peer_path)
-            except (OSError, UnicodeDecodeError) as exc:
-                errors.append(f"{peer_path}: {exc}")
-        if peer_text is None:
-            for variant in variants:
-                scores[variant] = 0.0
-                parts_out[variant] = ScoreParts()
-            return task, scores, parts_out, flagged, errors, debug
+    def score_peer(task) -> tuple[dict[str, ScoreParts], list[str]]:
+        topic, system, peer_text, gram_sets = task
+        pair_lines: list[list[str]] | None = [] if collect_debug else None
+        parts = parts_by_family(
+            peer_text, topic_models[topic], families, engine, dictionary,
+            oov_enabled=cfg.oov_enabled, semantic=semantic, gram_sets=gram_sets,
+            debug=pair_lines,
+        )
+        header = f"# topic={topic} system={system}"
+        return parts, [line for lines in pair_lines or () for line in (header, *lines)]
 
-        families = sorted({variant_family(v) for v in variants})
-        need_semantics = any(variant_is_semantic(v) for v in variants)
-        family_parts: dict[str, ScoreParts] = {f: ScoreParts() for f in families}
-        lex_parts: dict[str, ScoreParts] = {f: ScoreParts() for f in families}
-        for model_text in topic_models[topic]:
-            pair = PairScorer(
-                model_text, peer_text, engine, dictionary,
-                oov_enabled=cfg.oov_enabled, semantic=need_semantics,
-            )
-            if collect_debug:
-                debug.append(f"# topic={topic} system={system}")
-                debug.extend(pair.debug_lines())
-            for family in families:
-                p = pair.parts(family)
-                family_parts[family] = family_parts[family] + p
-                lex_parts[family] = lex_parts[family] + ScoreParts(p.lexical, 0.0, p.total)
-        for variant in variants:
-            family = variant_family(variant)
-            if variant_is_semantic(variant):
-                scores[variant] = family_parts[family].blend(cfg.beta)
-                parts_out[variant] = family_parts[family]
-            else:
-                scores[variant] = lex_parts[family].lexical_recall()
-                parts_out[variant] = lex_parts[family]
-        return task, scores, parts_out, flagged, errors, debug
-
-    if jobs > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_task, tasks))
-    else:
-        results = [run_task(t) for t in tasks]
-
-    for (topic, system), scores, parts_out, flagged, errors, debug in results:
-        for variant, value in scores.items():
-            report.rows[(topic, system, variant)] = value
-            report.parts[(topic, system, variant)] = parts_out[variant]
-        report.flagged.extend(flagged)
-        report.errors.extend(errors)
-        report.debug_lines.extend(debug)
+    # A topic's texts are read and their grams built on this thread before
+    # its peers are dispatched, so only one topic's grams are held at a time.
+    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 and len(systems) > 1 else None
+    try:
+        for topic in sorted(topic_models):
+            gram_sets = {text: gram_sets_of(text) for text in topic_models[topic]}
+            tasks = []
+            for system in systems:
+                peer_path = peers.get((topic, system))
+                if peer_path is None:
+                    report.flagged.append(f"{topic}.{system}: peer summary missing, scored 0")
+                    continue
+                try:
+                    peer_text = read_text(peer_path)
+                except (OSError, UnicodeDecodeError) as exc:
+                    report.errors.append(f"{peer_path}: {exc}")
+                    continue
+                gram_sets[peer_text] = gram_sets_of(peer_text)
+                tasks.append((topic, system, peer_text, gram_sets))
+            scored = dict(zip(
+                (task[1] for task in tasks),
+                pool.map(score_peer, tasks) if pool else map(score_peer, tasks),
+            ))
+            for system in systems:
+                family_parts, debug = scored.get(system, ({}, []))
+                for variant in variants:
+                    p = family_parts.get(variant_family(variant), ScoreParts())
+                    beta = cfg.beta
+                    if not variant_is_semantic(variant):
+                        p, beta = ScoreParts(p.lexical, 0.0, p.total), 1.0
+                    report.rows[(topic, system, variant)] = p.blend(beta)
+                    report.parts[(topic, system, variant)] = p
+                report.debug_lines.extend(debug)
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return report

@@ -92,18 +92,14 @@ def sim_sem(a: PprVector, b: PprVector) -> float:
         raise ValueError("empty signature")
     if a.graph is not b.graph:
         return weighted_overlap(to_ranked(a), to_ranked(b))
-    # Gather one side through the other's dense rank table. The shared keys
-    # come out in ascending key order either way, so the result does not
-    # depend on which side is gathered and the score stays exactly symmetric.
-    if a._dense is None and b._dense is not None:
-        a, b = b, a
-    table = a.dense_rank_table()
-    keys_b, ranks_b = b.ranked_arrays()
-    inside = keys_b < len(table)
-    gathered = table[keys_b[inside]]
-    shared = gathered > 0.0
-    ranks_a_shared = gathered[shared]
-    ranks_b_shared = ranks_b[inside][shared]
+    # Both tables are indexed by key id, so the shared keys come out in
+    # ascending key order from either side and the score is exactly symmetric.
+    table_a, table_b = a.dense_rank_table(), b.dense_rank_table()
+    common = min(len(table_a), len(table_b))
+    ranks_a, ranks_b = table_a[:common], table_b[:common]
+    shared = (ranks_a > 0.0) & (ranks_b > 0.0)
+    ranks_a_shared = ranks_a[shared]
+    ranks_b_shared = ranks_b[shared]
     h = len(ranks_a_shared)
     if h == 0:
         return 0.0

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 COEFFICIENTS = ("pearson", "spearman", "kendall")
 
@@ -162,6 +161,10 @@ def williams_test(r12: float, r13: float, r23: float, n: int) -> WilliamsResult:
     if radicand <= 0.0:
         raise ValueError("correlations are not jointly consistent")
     t = (r12 - r13) * math.sqrt((n - 1) * (1.0 + r23)) / math.sqrt(radicand)
+    # imported here, not at module level: importing scipy.stats takes about
+    # half a second and only this test needs it
+    from scipy import stats as scipy_stats
+
     p = float(scipy_stats.t.sf(t, n - 3))
     return WilliamsResult(r12=r12, r13=r13, r23=r23, n=n, t=t, p=p)
 

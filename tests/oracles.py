@@ -99,6 +99,46 @@ def su4_pairs(tokens: list[str], bos: str, max_gap: int = 4) -> list[tuple[str, 
     return out
 
 
+def consumed_matches(model_grams: list, peer_grams: list) -> list[int]:
+    """Per model occurrence, in order: 1 if an equal peer occurrence is left
+    unconsumed (and is consumed by it), else 0."""
+    remaining = list(peer_grams)
+    out = []
+    for gram in model_grams:
+        if gram in remaining:
+            remaining.remove(gram)
+            out.append(1)
+        else:
+            out.append(0)
+    return out
+
+
+def recall_oracle(peer_sentences: list, model_sentences: list[list], family: str,
+                  bos: str) -> float:
+    """Clipped recall of one peer over several models, from token sentences.
+
+    family is "1" (unigrams), "2" (bigrams) or "su4" (su4_pairs); grams
+    never cross a sentence boundary.
+    """
+
+    def grams(sentences) -> list:
+        out = []
+        for sent in sentences:
+            tokens = list(sent)
+            if family == "1":
+                out += [(t,) for t in tokens]
+            elif family == "2":
+                out += [(tokens[i], tokens[i + 1]) for i in range(len(tokens) - 1)]
+            else:
+                out += su4_pairs(tokens, bos)
+        return out
+
+    peer = grams(peer_sentences)
+    matched = sum(sum(consumed_matches(grams(m), peer)) for m in model_sentences)
+    total = sum(len(grams(m)) for m in model_sentences)
+    return matched / total if total else 0.0
+
+
 def pearson_oracle(x, y) -> float:
     n = len(x)
     mx = sum(x) / n

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from grouge import (
+    BOS_MARKER,
     GrougeConfig,
     PprConfig,
     PprEngine,
@@ -25,7 +26,6 @@ from grouge import (
     kendall,
     load_dictionary,
     load_graph,
-    rouge_score,
     score_batch,
     sim_sem,
     spearman,
@@ -40,6 +40,7 @@ from oracles import (
     brute_force_align,
     dense_ppr,
     kendall_tau_b_oracle,
+    recall_oracle,
     spearman_oracle,
     weighted_overlap_direct,
     williams_oracle,
@@ -172,7 +173,9 @@ def test_c04_rouge_reduction_at_beta_one(small_world):
             assert abs(score - lexical) <= 1e-12
             rows += 1
     assert rows == 2 * 10 * 3  # topics x systems x semantic variants
-    assert rouge_score(tokenize("the cat ran"), [tokenize("the cat sat")], "1") == 2.0 / 3.0
+    assert grouge_score(
+        tokenize("the cat ran"), [tokenize("the cat sat")], GrougeConfig(variant="r1")
+    ) == 2.0 / 3.0
     print(f"\nACCEPTANCE 4 beta=1 reduces to plain recall ({rows} rows): PASS")
 
 
@@ -208,7 +211,7 @@ def test_c06_paraphrase_direction_on_wordnet():
 
     model = tokenize("They strolled around the city")
     peer = tokenize("They took a walk to explore the town")
-    lexical = rouge_score(peer, [model], "1")
+    lexical = recall_oracle(peer.sentences, [model.sentences], "1", BOS_MARKER)
     blended = grouge_score(peer, [model], GrougeConfig(variant="g1", beta=0.5),
                            engine, dictionary)
     assert blended > lexical

@@ -1,7 +1,12 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import grouge
 from grouge.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, main
 
 from synth import build_synthetic_eval
@@ -184,6 +189,25 @@ class TestMetaEvalCommand:
             "--baseline", "bleu", "--out", str(tmp_path / "c.csv"),
         ]) == EX_USAGE
 
+    def test_system_missing_a_topic_row_is_fatal(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            "topic,system,variant,score\n"
+            "d1,A,r1,0.5\nd1,B,r1,0.4\nd1,C,r1,0.3\n"
+            "d2,A,r1,0.6\nd2,C,r1,0.2\n"
+        )
+        human = tmp_path / "human.csv"
+        human.write_text("system,pyramid\nA,0.9\nB,0.5\nC,0.1\n")
+        out = tmp_path / "corr.csv"
+        code = main([
+            "meta-eval", "--scores", str(scores), "--human", str(human),
+            "--resamples", "10", "--out", str(out),
+        ])
+        assert code == EX_FATAL
+        err = capsys.readouterr().err
+        assert "system B" in err and "topic d2" in err
+        assert not out.exists()
+
 
 class TestSweepBeta:
     def test_two_point_grid(self, world, tmp_path):
@@ -353,6 +377,20 @@ class TestCacheWorkflow:
 
     def test_missing_cache_file_fatal(self, tmp_path):
         assert main(["cache-stats", "--cache", str(tmp_path / "none.pkl")]) == EX_FATAL
+
+
+class TestImport:
+    def test_cli_import_does_not_load_scipy_stats(self):
+        code = "import sys, grouge.cli; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(grouge.__file__).parent.parent), env.get("PYTHONPATH", "")]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestVersion:

@@ -196,7 +196,6 @@ class TestEngine:
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.0}, {"alpha": 1.0}, {"iterations": 0}, {"truncation": 0},
-        {"tolerance": 0.0},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

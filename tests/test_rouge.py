@@ -4,21 +4,25 @@ from hypothesis import strategies as st
 
 from grouge import (
     BOS_MARKER,
-    MatchState,
+    GrougeConfig,
     NGram,
-    count_match,
     extract_ngrams,
     extract_su4,
-    rouge_score,
+    grouge_score,
     tokenize,
 )
 from grouge.rouge import clipped_matches, grams_for
 
-from oracles import clipped_match_total, su4_pairs
+from oracles import clipped_match_total, consumed_matches, recall_oracle, su4_pairs
 
 
 def text_of(*sentences: str):
     return tokenize("\n".join(sentences), stemming=False)
+
+
+def recall(peer, models, family: str) -> float:
+    """Lexical recall: the r* variant of grouge_score, without an engine."""
+    return grouge_score(peer, models, GrougeConfig(variant="r" + family))
 
 
 token_lists = st.lists(st.sampled_from("abcdef"), min_size=0, max_size=12)
@@ -87,25 +91,19 @@ class TestExtractSu4:
 
 class TestCountMatch:
     def test_consumption_clips_to_peer_count(self):
+        model = extract_ngrams(text_of("the the"), 1)
         peer = extract_ngrams(text_of("the cat"), 1)
-        state = MatchState(peer)
-        the = NGram(("the",))
-        assert count_match(the, peer, state) == 1
-        assert count_match(the, peer, state) == 0
+        assert consumed_matches(["the", "the"], ["the", "cat"]) == [1, 0]
+        assert clipped_matches(model, peer) == 1
 
     def test_absent_gram_is_zero(self):
         peer = extract_ngrams(text_of("the cat"), 1)
-        state = MatchState(peer)
-        assert count_match(NGram(("dog",)), peer, state) == 0
+        assert clipped_matches(extract_ngrams(text_of("dog"), 1), peer) == 0
 
     def test_hand_count_total(self):
         model = extract_ngrams(text_of("the cat sat"), 1)
         peer = extract_ngrams(text_of("the cat ran"), 1)
-        state = MatchState(peer)
-        total = sum(
-            count_match(g, peer, state) for g, c in model.items() for _ in range(c)
-        )
-        assert total == 2
+        assert clipped_matches(model, peer) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(token_lists, token_lists)
@@ -114,13 +112,12 @@ class TestCountMatch:
         peer_text = text_of(" ".join(p_tokens) or "other")
         model = extract_ngrams(model_text, 1)
         peer = extract_ngrams(peer_text, 1)
-        state = MatchState(peer)
-        consumed = sum(
-            count_match(g, peer, state) for g, c in model.items() for _ in range(c)
-        )
-        assert consumed == clipped_matches(model, peer)
-        assert consumed == clipped_match_total(
-            model_text.tokens, peer_text.tokens
+        clipped = clipped_matches(model, peer)
+        assert clipped == sum(consumed_matches(model_text.tokens, peer_text.tokens))
+        assert clipped == clipped_match_total(model_text.tokens, peer_text.tokens)
+        su4 = clipped_matches(extract_su4(model_text), extract_su4(peer_text))
+        assert su4 == clipped_match_total(
+            su4_pairs(model_text.tokens, BOS_MARKER), su4_pairs(peer_text.tokens, BOS_MARKER)
         )
 
 
@@ -128,31 +125,35 @@ class TestRougeScore:
     def test_identical_texts_score_one(self):
         text = text_of("the cat sat on the mat")
         for variant in ("1", "2", "su4"):
-            assert rouge_score(text, [text], variant) == 1.0
+            assert recall(text, [text], variant) == 1.0
 
     def test_hand_case_two_thirds(self):
         peer = text_of("the cat ran")
         model = text_of("the cat sat")
-        assert rouge_score(peer, [model], "1") == pytest.approx(2 / 3, abs=0)
+        assert recall(peer, [model], "1") == pytest.approx(2 / 3, abs=0)
 
     def test_empty_peer_scores_zero(self):
-        assert rouge_score(text_of(""), [text_of("the cat")], "1") == 0.0
+        assert recall(text_of(""), [text_of("the cat")], "1") == 0.0
 
     def test_requires_models(self):
         with pytest.raises(ValueError):
-            rouge_score(text_of("a"), [], "1")
+            recall(text_of("a"), [], "1")
+
+    def test_semantic_variant_requires_engine_and_dictionary(self):
+        with pytest.raises(ValueError):
+            grouge_score(text_of("a"), [text_of("a")], GrougeConfig(variant="g1"))
 
     def test_superset_peer_scores_one(self):
         models = [text_of("a a b"), text_of("c d")]
         peer = text_of("a a b", "c d", "e f g")
         for variant in ("1", "2", "su4"):
-            assert rouge_score(peer, models, variant) == 1.0
+            assert recall(peer, models, variant) == 1.0
 
     def test_multi_model_double_summation(self):
         peer = text_of("a b")
         models = [text_of("a b"), text_of("c d")]
         # 2 + 0 unigram matches over 2 + 2 model unigrams
-        assert rouge_score(peer, models, "1") == pytest.approx(0.5, abs=0)
+        assert recall(peer, models, "1") == pytest.approx(0.5, abs=0)
 
     @settings(max_examples=100, deadline=None)
     @given(token_lists, token_lists, token_lists)
@@ -161,9 +162,20 @@ class TestRougeScore:
         peer_small = text_of(" ".join(p))
         peer_big = text_of(" ".join(p), " ".join(extra))
         for variant in ("1", "2", "su4"):
-            assert rouge_score(peer_big, [model], variant) >= rouge_score(
+            assert recall(peer_big, [model], variant) >= recall(
                 peer_small, [model], variant
             )
+
+    @settings(max_examples=100, deadline=None)
+    @given(token_lists, token_lists, token_lists)
+    def test_matches_recall_oracle(self, m1, m2, p):
+        models = [text_of(" ".join(m1) or "placeholder"), text_of(" ".join(m2))]
+        peer = text_of(" ".join(p))
+        for variant in ("1", "2", "su4"):
+            expected = recall_oracle(
+                peer.sentences, [m.sentences for m in models], variant, BOS_MARKER
+            )
+            assert recall(peer, models, variant) == expected
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):

@@ -2,22 +2,22 @@ import numpy as np
 import pytest
 
 from grouge import (
+    BOS_MARKER,
     GrougeConfig,
-    MatchState,
     NGram,
+    NGramMultiset,
     PprEngine,
     grouge_score,
-    peer_signature,
-    rouge_score,
     score_batch,
-    sim_ls,
     sim_sem,
     tokenize,
 )
+from grouge.cli import system_means
 from grouge.rouge import grams_for
 from grouge.scorer import PairScorer, variant_family, variant_is_semantic
 
 from conftest import dictionary_from, graph_from_edges, sense
+from oracles import consumed_matches, recall_oracle
 
 
 @pytest.fixture
@@ -41,24 +41,24 @@ def cfg_for(variant="g1", beta=0.5):
 class TestSignatures:
     def test_single_monosemous_peer_equals_sense_vector(self, setting):
         graph, dictionary, engine = setting
-        sig = peer_signature(tokenize("w0"), tokenize("w1"), engine, dictionary)
+        sig = PairScorer(tokenize("w1"), tokenize("w0"), engine, dictionary).peer_signature
         assert sig is engine.ppr_for_sense(sense(1))
 
     def test_all_oov_peer_has_exactly_oov_dimensions(self, setting):
         graph, dictionary, engine = setting
-        sig = peer_signature(tokenize("xq1 xq2"), tokenize("w0"), engine, dictionary)
+        sig = PairScorer(tokenize("w0"), tokenize("xq1 xq2"), engine, dictionary).peer_signature
         assert len(sig) == 2
         assert sig.oov_terms == ("xq1", "xq2")
 
     def test_empty_peer_short_circuits_to_none(self, setting):
         graph, dictionary, engine = setting
-        assert peer_signature(tokenize(""), tokenize("w0"), engine, dictionary) is None
+        assert PairScorer(tokenize("w0"), tokenize(""), engine, dictionary).peer_signature is None
 
     def test_identical_texts_same_signature_in_both_roles(self, setting):
         graph, dictionary, engine = setting
         text = "w0 w1 poly0"
-        a = peer_signature(tokenize(text), tokenize(text), engine, dictionary)
-        b = peer_signature(tokenize(text), tokenize(text), engine, dictionary)
+        a = PairScorer(tokenize(text), tokenize(text), engine, dictionary).peer_signature
+        b = PairScorer(tokenize(text), tokenize(text), engine, dictionary).peer_signature
         assert np.array_equal(a.idx, b.idx)
         assert np.array_equal(a.weights, b.weights)
         assert a.oov_terms == b.oov_terms
@@ -93,8 +93,6 @@ class TestSignatures:
 
     def test_skip_gram_uses_endpoint_terms_and_marker_pairs_use_real_term(self, setting):
         graph, dictionary, engine = setting
-        from grouge import BOS_MARKER
-
         pair = PairScorer(tokenize("w0 w1 w2"), tokenize("w3"), engine, dictionary)
         skip = pair.gram_signature(NGram(("w0", "w2"), kind="skip"))
         assert set(skip.idx.tolist()) == set(
@@ -104,34 +102,37 @@ class TestSignatures:
         assert marker is engine.ppr_for_sense(sense(2))
 
 
+def one_occurrence(gram: NGram) -> NGramMultiset:
+    return NGramMultiset([gram])
+
+
 class TestSimLs:
+    """PairScorer.parts over a single model occurrence is that occurrence's
+    blend of clipped match and overlap."""
+
     def test_beta_one_equals_count_match(self, setting):
         graph, dictionary, engine = setting
         peer = tokenize("w0 w2")
         pair = PairScorer(tokenize("w0 w1"), peer, engine, dictionary)
         peer_grams = grams_for(peer, "1")
-        state = MatchState(peer_grams)
-        assert sim_ls(NGram(("w0",)), pair, peer_grams, state, beta=1.0) == 1.0
-        state = MatchState(peer_grams)
-        assert sim_ls(NGram(("w1",)), pair, peer_grams, state, beta=1.0) == 0.0
+        assert pair.parts(one_occurrence(NGram(("w0",))), peer_grams).blend(1.0) == 1.0
+        assert pair.parts(one_occurrence(NGram(("w1",))), peer_grams).blend(1.0) == 0.0
 
     def test_beta_zero_equals_sim_sem(self, setting):
         graph, dictionary, engine = setting
         peer = tokenize("w0 w2")
         pair = PairScorer(tokenize("w0 w1"), peer, engine, dictionary)
         peer_grams = grams_for(peer, "1")
-        state = MatchState(peer_grams)
         gram = NGram(("w1",))
         expected = sim_sem(pair.gram_signature(gram), pair.peer_signature)
-        assert sim_ls(gram, pair, peer_grams, state, beta=0.0) == expected
+        assert pair.parts(one_occurrence(gram), peer_grams).blend(0.0) == expected
 
     def test_exact_match_with_identical_signature_scores_one(self, setting):
         graph, dictionary, engine = setting
         peer = tokenize("w0")
         pair = PairScorer(tokenize("w0"), peer, engine, dictionary)
         peer_grams = grams_for(peer, "1")
-        state = MatchState(peer_grams)
-        assert sim_ls(NGram(("w0",)), pair, peer_grams, state, beta=0.5) == 1.0
+        assert pair.parts(one_occurrence(NGram(("w0",))), peer_grams).blend(0.5) == 1.0
 
 
 class TestGrougeScore:
@@ -147,13 +148,15 @@ class TestGrougeScore:
         graph, dictionary, engine = setting
         models, peers = self._texts()
         for peer in peers:
-            for g_variant, r_variant in (("g1", "1"), ("g2", "2"), ("gsu4", "su4")):
+            for family in ("1", "2", "su4"):
                 blended = grouge_score(
-                    peer, models, cfg_for(g_variant, beta=1.0), engine, dictionary
+                    peer, models, cfg_for("g" + family, beta=1.0), engine, dictionary
                 )
-                assert blended == pytest.approx(
-                    rouge_score(peer, models, r_variant), abs=1e-12
+                expected = recall_oracle(
+                    peer.sentences, [m.sentences for m in models], family, BOS_MARKER
                 )
+                assert blended == pytest.approx(expected, abs=1e-12)
+                assert grouge_score(peer, models, cfg_for("r" + family)) == expected
 
     def test_identical_peer_scores_one_when_grams_share_text_seeds(self, setting):
         # both tokens map to the same single sense, so every gram vector
@@ -202,7 +205,7 @@ class TestGrougeScore:
         graph, dictionary, engine = setting
         model = tokenize("w0 w2")
         peer = tokenize("w1 w2")
-        lexical = rouge_score(peer, [model], "1")
+        lexical = recall_oracle(peer.sentences, [model.sentences], "1", BOS_MARKER)
         blended = grouge_score(peer, [model], cfg_for("g1", 0.5), engine, dictionary)
         assert blended > lexical
 
@@ -224,20 +227,22 @@ class TestGrougeScore:
         assert with_oov > without
 
     def test_parts_sum_matches_per_occurrence_sim_ls(self, setting):
+        # per model occurrence: beta * (occurrence-consuming match) +
+        # (1 - beta) * overlap, averaged over all model occurrences
         graph, dictionary, engine = setting
         models, peers = self._texts()
         peer = peers[0]
         beta = 0.5
         total = 0.0
         denom = 0.0
+        peer_occurrences = [g for g, c in grams_for(peer, "1").items() for _ in range(c)]
         for model in models:
             pair = PairScorer(model, peer, engine, dictionary)
-            peer_grams = grams_for(peer, "1")
-            state = MatchState(peer_grams)
-            for gram, count in grams_for(model, "1").items():
-                for _ in range(count):
-                    total += sim_ls(gram, pair, peer_grams, state, beta)
-                    denom += 1
+            occurrences = [g for g, c in grams_for(model, "1").items() for _ in range(c)]
+            matched = consumed_matches(occurrences, peer_occurrences)
+            for gram, match in zip(occurrences, matched):
+                total += beta * match + (1.0 - beta) * pair.gram_overlap(gram)
+                denom += 1
         direct = grouge_score(peer, models, cfg_for("g1", beta), engine, dictionary)
         assert direct == pytest.approx(total / denom, abs=1e-12)
 
@@ -357,7 +362,7 @@ class TestScoreBatch:
         (models / "t2.M0.txt").write_text("w0\n")
         report = score_batch(peers, models, cfg_for(), engine, dictionary,
                              variants=("r1",))
-        means = report.system_means("r1")
+        means = system_means(report.rows)["r1"]
         assert set(means) == {"A", "B"}
         expected_a = (report.score("t1", "A", "r1") + report.score("t2", "A", "r1")) / 2
         assert means["A"] == expected_a
@@ -370,3 +375,14 @@ class TestScoreBatch:
         tabbed = [l for l in report.debug_lines if "\t" in l]
         assert tabbed
         assert all(len(line.split("\t")) == 3 for line in tabbed)
+
+    def test_debug_header_opens_every_model_pair(self, tmp_path, setting):
+        graph, dictionary, engine = setting
+        peers, models = self._write_corpus(tmp_path, setting)
+        (models / "t1.M1.txt").write_text("w0 w1\n")
+        report = score_batch(peers, models, cfg_for(), engine, dictionary,
+                             variants=("g1",), collect_debug=True)
+        headers = [l for l in report.debug_lines if l.startswith("# topic=")]
+        assert headers == ["# topic=t1 system=A"] * 2 + ["# topic=t1 system=B"] * 2
+        sides = [l for l in report.debug_lines if l.startswith("# side=")]
+        assert len(sides) == 2 * len(headers)
