@@ -113,18 +113,11 @@ def _parse_betas(text: str) -> list[float]:
 
 def _version_text() -> str:
     lines = [f"grouge {__version__}"]
+    # Only the file's existence is reported: reading a cache file unpickles
+    # it, and printing the version must not run code from the working
+    # directory. `cache-stats` reads an explicitly named file.
     cache_path = Path(os.environ.get("GROUGE_CACHE_FILE", DEFAULT_CACHE_FILE))
-    if cache_path.exists():
-        try:
-            meta = read_cache_file(cache_path)["meta"]
-            lines.append(
-                f"last cache: graph={meta.get('graph_sha256', '?')} "
-                f"dict={meta.get('dict_sha256', '?')} ({cache_path})"
-            )
-        except Exception:
-            lines.append(f"last cache: unreadable ({cache_path})")
-    else:
-        lines.append("last cache: none")
+    lines.append(f"last cache: {cache_path if cache_path.exists() else 'none'}")
     return "\n".join(lines)
 
 
@@ -148,8 +141,8 @@ def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
                      help="drop stopwords (kept by default)")
     sub.add_argument("--no-oov", action="store_true",
                      help="do not inject out-of-vocabulary dimensions")
-    sub.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="parallel workers (default: CPU count)")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility and ignored; scoring runs on one thread")
     sub.add_argument("--cache-capacity", type=int, default=200_000,
                      help="walk-vector cache size; 0 disables caching")
     sub.add_argument("--cache-persist", nargs="?", const=DEFAULT_CACHE_FILE, default=None,
@@ -313,7 +306,6 @@ def _run_scoring(args, variants) -> tuple[ScoreReport, PprEngine | None, dict]:
         engine=engine,
         dictionary=dictionary,
         variants=variants,
-        jobs=max(1, args.jobs),
         stemming=not args.no_stem,
         remove_stopwords=args.remove_stopwords,
         collect_debug=getattr(args, "debug_senses", False),

@@ -87,13 +87,13 @@ def align_disambiguate(
 
     Ties prefer the lower sense rank, then the smaller sense id. When the
     context has no senses at all, every word keeps its rank-1 sense with
-    support 0. OOV words are marked as such.
+    support 0. OOV words are marked as such. Sense vectors missing from the
+    engine's cache are walked one at a time, so callers scoring many words
+    prime them first (see ``PprEngine.prime_senses``).
     """
     if not item:
         raise ValueError("item must contain at least one word")
     context_senses = tuple(dict.fromkeys(s for w in context for s in w.senses))
-    item_senses = [s for w in item for s in w.senses]
-    engine.prime_senses(list(context_senses) + item_senses)
 
     entries = []
     for word in item:

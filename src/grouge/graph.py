@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -106,7 +105,6 @@ class SemanticGraph:
         self.sid_rank[order] = np.arange(n)
 
         self._oov_ids: dict[str, int] = {}
-        self._oov_lock = threading.Lock()
 
     @property
     def node_count(self) -> int:
@@ -152,12 +150,11 @@ class SemanticGraph:
 
     def oov_key_id(self, term: str) -> int:
         """Stable integer id for an out-of-vocabulary term, offset past node ids."""
-        with self._oov_lock:
-            ident = self._oov_ids.get(term)
-            if ident is None:
-                ident = self.node_count + len(self._oov_ids)
-                self._oov_ids[term] = ident
-            return ident
+        ident = self._oov_ids.get(term)
+        if ident is None:
+            ident = self.node_count + len(self._oov_ids)
+            self._oov_ids[term] = ident
+        return ident
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SemanticGraph):

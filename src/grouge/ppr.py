@@ -13,7 +13,6 @@ so every iterate stays a probability vector. The iteration count is fixed
 from __future__ import annotations
 
 import pickle
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -71,7 +70,7 @@ class PprVector:
     construction, so they come first, ordered by term.
     """
 
-    __slots__ = ("graph", "idx", "weights", "oov_terms", "oov_weight", "_dense")
+    __slots__ = ("graph", "idx", "weights", "oov_terms", "oov_weight", "_dense", "_cache")
 
     def __init__(
         self,
@@ -87,6 +86,7 @@ class PprVector:
         self.oov_terms = oov_terms
         self.oov_weight = oov_weight
         self._dense: np.ndarray | None = None
+        self._cache: _LruCache | None = None  # the cache holding this vector
 
     def __len__(self) -> int:
         return len(self.idx) + len(self.oov_terms)
@@ -133,6 +133,8 @@ class PprVector:
             table[oov_keys] = np.arange(1, m + 1, dtype=np.float64)
             table[self.idx] = np.arange(m + 1, m + 1 + len(self.idx), dtype=np.float64)
             self._dense = table
+            if self._cache is not None:
+                self._cache.stored_bytes += table.nbytes
         return table
 
     def rank_of(self, key: SenseId | str) -> int | None:
@@ -142,7 +144,10 @@ class PprVector:
         return None
 
     def nbytes(self) -> int:
-        return self.idx.nbytes + self.weights.nbytes + 64 * len(self.oov_terms)
+        """Bytes held by the arrays of this vector, the rank table included
+        once it is built."""
+        table = 0 if self._dense is None else self._dense.nbytes
+        return self.idx.nbytes + self.weights.nbytes + table + 64 * len(self.oov_terms)
 
 
 def _seed_indices(graph: SemanticGraph, seeds: SeedSet | Iterable[SenseId]) -> np.ndarray:
@@ -190,12 +195,15 @@ def compute_ppr(
 
 
 class _LruCache:
-    """Thread-safe LRU map with hit/miss/eviction counters."""
+    """LRU map of walk vectors with hit/miss/eviction counters.
+
+    stored_bytes is the summed nbytes() of the cached vectors; a vector adds
+    its rank table's bytes itself when it builds the table while cached.
+    """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
-        self._lock = threading.RLock()
+        self._data: OrderedDict[tuple[int, ...], PprVector] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -205,12 +213,7 @@ class _LruCache:
         self.preloaded: set = set()
         self.preloaded_hits = 0
 
-    def get(self, key):
-        # Lock-free read: single OrderedDict calls are atomic under the GIL
-        # and stored values are immutable. Recency is only maintained once
-        # the cache is half full, when eviction order starts to matter;
-        # counters may undercount slightly under races, which is fine for
-        # diagnostics.
+    def get(self, key: tuple[int, ...]) -> PprVector | None:
         value = self._data.get(key)
         if value is None:
             self.misses += 1
@@ -218,35 +221,29 @@ class _LruCache:
         self.hits += 1
         if key in self.preloaded:
             self.preloaded_hits += 1
-        if 2 * len(self._data) >= self.capacity:
-            with self._lock:
-                if key in self._data:
-                    self._data.move_to_end(key)
+        self._data.move_to_end(key)
         return value
 
-    def put(self, key, value, size: int = 0, preloaded: bool = False) -> None:
-        if self.capacity <= 0:
+    def put(self, key: tuple[int, ...], vec: PprVector, preloaded: bool = False) -> None:
+        if self.capacity <= 0 or key in self._data:
             return
-        with self._lock:
-            if key in self._data:
-                return
-            self._data[key] = value
-            self.stored_bytes += size
-            if preloaded:
-                self.preloaded.add(key)
-            while len(self._data) > self.capacity:
-                evicted_key, evicted = self._data.popitem(last=False)
-                self.evictions += 1
-                self.preloaded.discard(evicted_key)
-                if hasattr(evicted, "nbytes"):
-                    self.stored_bytes -= evicted.nbytes()
+        self._data[key] = vec
+        vec._cache = self
+        self.stored_bytes += vec.nbytes()
+        if preloaded:
+            self.preloaded.add(key)
+        while len(self._data) > self.capacity:
+            evicted_key, evicted = self._data.popitem(last=False)
+            self.evictions += 1
+            self.preloaded.discard(evicted_key)
+            self.stored_bytes -= evicted.nbytes()
+            evicted._cache = None
 
     def __len__(self) -> int:
         return len(self._data)
 
-    def items(self):
-        with self._lock:
-            return list(self._data.items())
+    def items(self) -> list[tuple[tuple[int, ...], PprVector]]:
+        return list(self._data.items())
 
 
 @dataclass
@@ -266,10 +263,9 @@ class CacheStats:
 
 
 class PprEngine:
-    """Shared walk-vector provider with an LRU cache keyed by seed set.
+    """Walk-vector provider with an LRU cache keyed by seed set.
 
-    Safe for concurrent use: the cache never exposes partially built
-    vectors, and all outputs are pure functions of (graph, config, seeds).
+    Every output is a pure function of (graph, config, seeds).
     """
 
     def __init__(
@@ -294,7 +290,7 @@ class PprEngine:
         if cached is not None:
             return cached
         vec = compute_ppr(self.graph, [self.graph.sense_at(i) for i in key], self.cfg)
-        self._cache.put(key, vec, vec.nbytes())
+        self._cache.put(key, vec)
         return vec
 
     def ppr_for_sense(self, sense: SenseId) -> PprVector:
@@ -329,7 +325,7 @@ class PprEngine:
             v = _run_walk(self.graph, v0, self.cfg)
             for col, key in enumerate(chunk):
                 vec = _compress(self.graph, v[:, col], self.cfg)
-                self._cache.put(key, vec, vec.nbytes())
+                self._cache.put(key, vec)
 
     def prime_senses(self, senses: Iterable[SenseId]) -> None:
         self.prime_seed_sets([(s,) for s in dict.fromkeys(senses)])
@@ -337,9 +333,6 @@ class PprEngine:
     # -- sense-pair similarity memo ------------------------------------
 
     def sense_similarity(self, a: SenseId, b: SenseId) -> float:
-        # Plain dict memo: reads and single-key writes are atomic under the
-        # GIL and the stored floats are pure functions of the key, so no
-        # lock is needed on this very hot path.
         from .similarity import sim_sem
 
         ia, ib = self.graph.node_index(a), self.graph.node_index(b)
@@ -390,7 +383,7 @@ class PprEngine:
             return False
         for key, idx, weights in payload["entries"]:
             vec = PprVector(self.graph, idx, weights)
-            self._cache.put(key, vec, vec.nbytes(), preloaded=True)
+            self._cache.put(key, vec, preloaded=True)
         return True
 
 

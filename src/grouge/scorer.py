@@ -14,15 +14,15 @@ total model gram count, so beta = 1 reduces exactly to plain recall.
 from __future__ import annotations
 
 import csv
+import functools
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .disambiguation import SenseAssignment, build_word_types, disambiguate_pair
+from .disambiguation import SenseAssignment, WordType, build_word_types, disambiguate_pair
 from .graph import Dictionary, SenseId
 from .ppr import PprConfig, PprEngine, PprVector
 from .rouge import NGram, NGramMultiset, clipped_matches, grams_for
@@ -95,7 +95,11 @@ class PairScorer:
 
     Disambiguation runs once per pair and is shared by every n-gram and
     every variant scored against it. A lexical-only scorer (semantic=False)
-    needs no engine or dictionary.
+    needs no engine or dictionary. word_types maps each text to its
+    ``build_word_types`` list; without it both are built here.
+
+    Walk vectors are looked up in the engine's cache and walked one at a
+    time on a miss; ``parts_by_family`` primes them in batches first.
     """
 
     def __init__(
@@ -106,30 +110,36 @@ class PairScorer:
         dictionary: Dictionary | None,
         oov_enabled: bool = True,
         semantic: bool = True,
+        word_types: Mapping[SummaryText, list[WordType]] | None = None,
     ):
         self.engine = engine
         self.oov_enabled = oov_enabled
         self.semantic = semantic
         self.model_assignment: SenseAssignment | None = None
         self.peer_assignment: SenseAssignment | None = None
-        self.peer_signature: PprVector | None = None
+        self._peer_key: tuple[tuple[SenseId, ...], tuple[str, ...]] = ((), ())
         self._sense_map: dict[str, SenseId | None] = {}
         self._sig_cache: dict[tuple, PprVector | None] = {}
         if semantic and model_text.token_count and peer_text.token_count:
-            model_wts = build_word_types(model_text, dictionary)
-            peer_wts = build_word_types(peer_text, dictionary)
+            if word_types is None:
+                word_types = {
+                    text: build_word_types(text, dictionary) for text in (model_text, peer_text)
+                }
             self.model_assignment, self.peer_assignment = disambiguate_pair(
-                model_wts, peer_wts, engine
+                word_types[model_text], word_types[peer_text], engine
             )
             self._sense_map = {
                 e.word.stem: e.sense for e in self.model_assignment
             }
-            self.peer_signature = _signature(
-                engine,
-                self.peer_assignment.senses(),
-                self.peer_assignment.oov_stems(),
-                oov_enabled,
-            )
+            self._peer_key = (self.peer_assignment.senses(), self.peer_assignment.oov_stems())
+
+    @functools.cached_property
+    def peer_signature(self) -> PprVector | None:
+        """Walk vector of the peer's assigned senses plus its OOV stems;
+        None when the pair was not disambiguated or the vector is empty."""
+        if self.peer_assignment is None:
+            return None
+        return _signature(self.engine, *self._peer_key, self.oov_enabled)
 
     def _gram_key(self, gram: NGram) -> tuple:
         terms = tuple(dict.fromkeys(gram.content_terms()))
@@ -142,6 +152,13 @@ class PairScorer:
             else:
                 seeds.append(sense)
         return tuple(dict.fromkeys(seeds)), tuple(oov)
+
+    def seed_sets(self, gram_multisets: Iterable[NGramMultiset]) -> list[tuple[SenseId, ...]]:
+        """Seed sets of every walk vector that scoring gram_multisets
+        against the peer looks up: the peer signature's and each gram's."""
+        keys = [self._peer_key]
+        keys += (self._gram_key(gram) for grams in gram_multisets for gram, _ in grams.items())
+        return [seeds for seeds, _ in keys if seeds]
 
     def gram_signature(self, gram: NGram) -> PprVector | None:
         key = self._gram_key(gram)
@@ -163,12 +180,6 @@ class PairScorer:
         model grams against the peer's."""
         semantic = 0.0
         if self.semantic:
-            seed_sets = [
-                seeds
-                for seeds, _ in {self._gram_key(g): None for g, _ in model_grams.items()}
-                if seeds
-            ]
-            self.engine.prime_seed_sets(seed_sets)
             for gram, mc in model_grams.items():
                 semantic += mc * self.gram_overlap(gram)
         lexical = float(clipped_matches(model_grams, peer_grams))
@@ -205,6 +216,13 @@ def parts_by_family(
     gram_sets maps every text to its gram multisets by family; without it
     they are extracted here. When debug is given, each pair's sense
     assignment lines are appended to it, one list per model.
+
+    This is where walks are planned. Every candidate sense of the peer and
+    its models is walked in one batch before the pairs are disambiguated,
+    and every peer-signature and gram seed set of those pairs in a second
+    batch before they are scored, so scoring itself only reads the engine's
+    cache. Planning per peer bounds the batch width, and with it the
+    memory a walk holds.
     """
     if not models:
         raise ValueError("at least one model summary is required")
@@ -213,12 +231,26 @@ def parts_by_family(
             text: {family: grams_for(text, family) for family in families}
             for text in (peer, *models)
         }
+    word_types = None
+    if semantic and peer.token_count:
+        word_types = {
+            text: build_word_types(text, dictionary)
+            for text in (peer, *models) if text.token_count
+        }
+        engine.prime_senses(s for words in word_types.values() for w in words for s in w.senses)
+    pairs = [
+        PairScorer(model, peer, engine, dictionary, oov_enabled, semantic, word_types)
+        for model in models
+    ]
+    if semantic:
+        engine.prime_seed_sets([
+            seeds
+            for model, pair in zip(models, pairs)
+            for seeds in pair.seed_sets(gram_sets[model][family] for family in families)
+        ])
     peer_grams = gram_sets[peer]
     out = {family: ScoreParts() for family in families}
-    for model in models:
-        pair = PairScorer(
-            model, peer, engine, dictionary, oov_enabled=oov_enabled, semantic=semantic
-        )
+    for model, pair in zip(models, pairs):
         if debug is not None:
             debug.append(pair.debug_lines())
         model_grams = gram_sets[model]
@@ -303,7 +335,6 @@ def score_batch(
     engine: PprEngine | None,
     dictionary: Dictionary | None,
     variants: tuple[str, ...] = ALL_VARIANTS,
-    jobs: int = 1,
     stemming: bool = True,
     remove_stopwords: bool = False,
     collect_debug: bool = False,
@@ -313,7 +344,8 @@ def score_batch(
 
     Missing peer summaries score 0 and are flagged so every system covers
     the same topic set; unreadable files become error entries and the rest
-    of the batch continues.
+    of the batch continues. Peers are scored one after another on the
+    calling thread, and one topic's texts and grams are held at a time.
     """
     families = sorted({variant_family(v) for v in variants})
     semantic = any(variant_is_semantic(v) for v in variants)
@@ -356,8 +388,19 @@ def score_batch(
 
     systems = sorted({system for _, system in peers})
 
-    def score_peer(task) -> tuple[dict[str, ScoreParts], list[str]]:
-        topic, system, peer_text, gram_sets = task
+    def score_peer(
+        topic: str, system: str, model_grams: dict[SummaryText, dict[str, NGramMultiset]]
+    ) -> tuple[dict[str, ScoreParts], list[str]]:
+        peer_path = peers.get((topic, system))
+        if peer_path is None:
+            report.flagged.append(f"{topic}.{system}: peer summary missing, scored 0")
+            return {}, []
+        try:
+            peer_text = read_text(peer_path)
+        except (OSError, UnicodeDecodeError) as exc:
+            report.errors.append(f"{peer_path}: {exc}")
+            return {}, []
+        gram_sets = {**model_grams, peer_text: gram_sets_of(peer_text)}
         pair_lines: list[list[str]] | None = [] if collect_debug else None
         parts = parts_by_family(
             peer_text, topic_models[topic], families, engine, dictionary,
@@ -367,40 +410,16 @@ def score_batch(
         header = f"# topic={topic} system={system}"
         return parts, [line for lines in pair_lines or () for line in (header, *lines)]
 
-    # A topic's texts are read and their grams built on this thread before
-    # its peers are dispatched, so only one topic's grams are held at a time.
-    pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 and len(systems) > 1 else None
-    try:
-        for topic in sorted(topic_models):
-            gram_sets = {text: gram_sets_of(text) for text in topic_models[topic]}
-            tasks = []
-            for system in systems:
-                peer_path = peers.get((topic, system))
-                if peer_path is None:
-                    report.flagged.append(f"{topic}.{system}: peer summary missing, scored 0")
-                    continue
-                try:
-                    peer_text = read_text(peer_path)
-                except (OSError, UnicodeDecodeError) as exc:
-                    report.errors.append(f"{peer_path}: {exc}")
-                    continue
-                gram_sets[peer_text] = gram_sets_of(peer_text)
-                tasks.append((topic, system, peer_text, gram_sets))
-            scored = dict(zip(
-                (task[1] for task in tasks),
-                pool.map(score_peer, tasks) if pool else map(score_peer, tasks),
-            ))
-            for system in systems:
-                family_parts, debug = scored.get(system, ({}, []))
-                for variant in variants:
-                    p = family_parts.get(variant_family(variant), ScoreParts())
-                    beta = cfg.beta
-                    if not variant_is_semantic(variant):
-                        p, beta = ScoreParts(p.lexical, 0.0, p.total), 1.0
-                    report.rows[(topic, system, variant)] = p.blend(beta)
-                    report.parts[(topic, system, variant)] = p
-                report.debug_lines.extend(debug)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for topic in sorted(topic_models):
+        model_grams = {text: gram_sets_of(text) for text in topic_models[topic]}
+        for system in systems:
+            family_parts, debug = score_peer(topic, system, model_grams)
+            for variant in variants:
+                p = family_parts.get(variant_family(variant), ScoreParts())
+                beta = cfg.beta
+                if not variant_is_semantic(variant):
+                    p, beta = ScoreParts(p.lexical, 0.0, p.total), 1.0
+                report.rows[(topic, system, variant)] = p.blend(beta)
+                report.parts[(topic, system, variant)] = p
+            report.debug_lines.extend(debug)
     return report

@@ -11,7 +11,7 @@ never changes a score.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -22,18 +22,11 @@ from .ppr import PprVector
 
 DimensionKey = SenseId | str
 
-_norm_lock = threading.Lock()
-_norm_cache: dict[int, float] = {}
 
-
+@functools.cache
 def _normalizer(h: int) -> float:
     """sum of 1/(2i) for i in 1..h, cached per h."""
-    value = _norm_cache.get(h)  # dict reads are atomic; lock only to insert
-    if value is None:
-        value = float(np.sum(1.0 / (2.0 * np.arange(1, h + 1, dtype=np.float64))))
-        with _norm_lock:
-            _norm_cache[h] = value
-    return value
+    return float(np.sum(1.0 / (2.0 * np.arange(1, h + 1, dtype=np.float64))))
 
 
 def _key_text(key: DimensionKey) -> str:

@@ -12,6 +12,8 @@ import time
 import numpy as np
 import pytest
 
+import grouge.ppr
+import grouge.scorer
 from grouge import (
     BOS_MARKER,
     GrougeConfig,
@@ -164,7 +166,7 @@ def test_c04_rouge_reduction_at_beta_one(small_world):
     report = score_batch(
         small_world["peers"], small_world["models"],
         GrougeConfig(beta=1.0), engine, dictionary,
-        variants=("g1", "g2", "gsu4", "r1", "r2", "rsu4"), jobs=1,
+        variants=("g1", "g2", "gsu4", "r1", "r2", "rsu4"),
     )
     rows = 0
     for (topic, system, variant), score in report.rows.items():
@@ -186,7 +188,7 @@ def test_c05_scores_affine_in_beta(small_world):
         beta: score_batch(
             small_world["peers"], small_world["models"],
             GrougeConfig(beta=beta), engine, dictionary,
-            variants=("g1", "g2", "gsu4"), jobs=1,
+            variants=("g1", "g2", "gsu4"),
         )
         for beta in (0.0, 0.5, 1.0)
     }
@@ -325,7 +327,7 @@ def test_c10_end_to_end_determinism_and_throughput(big_world):
     start = time.monotonic()
     timed = score_batch(
         big_world["peers"], big_world["models"], GrougeConfig(), engine, dictionary,
-        variants=("g1", "g2", "gsu4"), jobs=4,
+        variants=("g1", "g2", "gsu4"),
     )
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -334,8 +336,37 @@ def test_c10_end_to_end_determinism_and_throughput(big_world):
 
     other = score_batch(
         big_world["peers"], big_world["models"], GrougeConfig(), PprEngine(graph),
-        dictionary, variants=("g1", "g2", "gsu4"), jobs=1,
+        dictionary, variants=("g1", "g2", "gsu4"),
     )
     assert timed.to_csv_bytes() == other.to_csv_bytes()
-    print(f"\nACCEPTANCE 10 e2e 50x4x3 on 10k nodes (jobs=4 in {elapsed:.1f}s, "
-          "byte-identical across jobs): PASS")
+    print(f"\nACCEPTANCE 10 e2e 50x4x3 on 10k nodes ({elapsed:.1f}s, "
+          "byte-identical across runs): PASS")
+
+
+def test_walk_plan_walks_each_seed_set_once_in_two_passes_per_peer(big_world, monkeypatch):
+    """parts_by_family walks every sense, peer-signature and gram vector of
+    a peer in at most two batched passes, and nothing is walked twice."""
+    graph, dictionary = load_world(big_world)
+    passes: list[int] = []
+    run_walk = grouge.ppr._run_walk
+    parts_by_family = grouge.scorer.parts_by_family
+
+    def counted_walk(*args):
+        passes[-1] += 1
+        return run_walk(*args)
+
+    def planned(*args, **kwargs):
+        passes.append(0)
+        return parts_by_family(*args, **kwargs)
+
+    monkeypatch.setattr(grouge.ppr, "_run_walk", counted_walk)
+    monkeypatch.setattr(grouge.scorer, "parts_by_family", planned)
+    engine = PprEngine(graph)
+    score_batch(
+        big_world["peers"], big_world["models"], GrougeConfig(), engine, dictionary,
+        variants=("g1", "g2", "gsu4"),
+    )
+    assert len(passes) == 50
+    assert 0 < max(passes) <= 2
+    stats = engine.stats()
+    assert stats.misses == stats.size

@@ -1,5 +1,6 @@
 import csv
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -399,3 +400,19 @@ class TestVersion:
         out = capsys.readouterr().out
         assert "grouge 0.1.0" in out
         assert "last cache" in out
+
+    def test_version_does_not_unpickle_cache_file(self, tmp_path, monkeypatch, capsys):
+        class Planted:
+            def __reduce__(self):
+                return (open, (str(marker), "w"))
+
+        marker = tmp_path / "marker"
+        payload = pickle.dumps(Planted())
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GROUGE_CACHE_FILE", raising=False)
+        (tmp_path / "grouge-cache.pkl").write_bytes(payload)
+        assert main(["--version"]) == EX_OK
+        assert "last cache: grouge-cache.pkl" in capsys.readouterr().out
+        assert not marker.exists()
+        pickle.loads(payload).close()  # the planted file does run code when unpickled
+        assert marker.exists()

@@ -174,6 +174,24 @@ class TestEngine:
         assert stats.size == 2
         assert stats.evictions == 1
 
+    def test_memory_follows_rank_tables_built_while_cached(self, path_graph):
+        engine = PprEngine(path_graph, cache_capacity=2)
+        first = engine.ppr_for_sense(sense(1))
+        base = first.idx.nbytes + first.weights.nbytes
+        assert engine.stats().memory_bytes == base
+        table = first.dense_rank_table()  # built while cached: counted
+        assert engine.stats().memory_bytes == base + table.nbytes
+        second = engine.ppr_for_sense(sense(2))
+        engine.ppr_for_sense(sense(1))  # most recent again
+        third = engine.ppr_for_sense(sense(3))  # evicts the second vector
+        assert engine.stats().evictions == 1
+        second.dense_rank_table()  # built after eviction: not counted
+        third.dense_rank_table()
+        assert engine.stats().memory_bytes == sum(
+            vec.idx.nbytes + vec.weights.nbytes + vec.dense_rank_table().nbytes
+            for vec in (first, third)
+        )
+
     def test_save_and_load_cache_roundtrip(self, tmp_path, path_graph):
         engine = PprEngine(path_graph)
         vec = engine.ppr_for_sense(sense(3))

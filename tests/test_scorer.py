@@ -331,18 +331,22 @@ class TestScoreBatch:
             outputs.append(report.to_csv_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_jobs_do_not_change_output(self, tmp_path, setting):
+    def test_cache_memory_counts_rank_tables_of_cached_vectors(self, tmp_path, setting):
         graph, dictionary, _ = setting
         peers, models = self._write_corpus(tmp_path, setting)
         (models / "t2.M0.txt").write_text("w1 w3 poly0\n")
         (peers / "t2.A.txt").write_text("w1 w2\n")
-        (peers / "t2.B.txt").write_text("poly0 xrr1\n")
-        outputs = []
-        for jobs in (1, 4):
-            engine = PprEngine(graph)
-            report = score_batch(peers, models, cfg_for(), engine, dictionary, jobs=jobs)
-            outputs.append(report.to_csv_bytes())
-        assert outputs[0] == outputs[1]
+        (peers / "t2.B.txt").write_text("poly0 w3\n")
+        engine = PprEngine(graph, cache_capacity=4)
+        score_batch(peers, models, cfg_for(), engine, dictionary)
+        stats = engine.stats()
+        assert stats.evictions > 0
+        cached = [vec for _, vec in engine._cache.items()]
+        tables = [vec._dense.nbytes for vec in cached if vec._dense is not None]
+        assert tables
+        assert stats.memory_bytes == sum(
+            vec.idx.nbytes + vec.weights.nbytes for vec in cached
+        ) + sum(tables)
 
     def test_csv_shape_and_precision(self, tmp_path, setting):
         graph, dictionary, engine = setting
