@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .fileio import write_atomic
 from .graph import Dictionary, SemanticGraph, load_dictionary, load_graph
 from .ppr import PprConfig, PprEngine, read_cache_file
 from .scorer import (
@@ -321,8 +322,9 @@ def run_score(args) -> int:
     report, _, provenance = _run_scoring(args, variants)
     out = Path(args.out)
     report.write_csv(out)
-    out.with_suffix(out.suffix + ".meta.json").write_text(
-        json.dumps(provenance, indent=2, sort_keys=True) + "\n", "utf-8"
+    write_atomic(
+        out.with_suffix(out.suffix + ".meta.json"),
+        (json.dumps(provenance, indent=2, sort_keys=True) + "\n").encode("utf-8"),
     )
     if args.debug_senses:
         for line in report.debug_lines:
@@ -331,7 +333,7 @@ def run_score(args) -> int:
         log.warning("%s", note)
     if report.errors:
         sidecar = out.with_suffix(out.suffix + ".errors.log")
-        sidecar.write_text("".join(e + "\n" for e in report.errors), "utf-8")
+        write_atomic(sidecar, "".join(e + "\n" for e in report.errors).encode("utf-8"))
         log.error("%d file error(s), details in %s", len(report.errors), sidecar)
         return EX_PARTIAL
     return EX_OK
@@ -447,7 +449,7 @@ def run_sweep_beta(args) -> int:
                     f"{beta:g}", variant, human_name,
                     f"{pearson(a, h):.12g}", f"{spearman(a, h):.12g}", f"{kendall(a, h):.12g}",
                 ])
-    Path(args.out).write_text(buf.getvalue(), "utf-8")
+    write_atomic(args.out, buf.getvalue().encode("utf-8"))
     if report.errors:
         return EX_PARTIAL
     return EX_OK

@@ -92,17 +92,19 @@ class SemanticGraph:
         else:
             self.adjacency = sparse.csr_matrix((n, n), dtype=np.float64)
         self.degree = np.asarray(self.adjacency.sum(axis=1)).ravel()
-        with np.errstate(divide="ignore"):
-            inv = 1.0 / self.degree
-        inv[self.degree == 0] = 0.0
-        self.inv_degree = inv
         self.dangling = np.flatnonzero(self.degree == 0)
+        # Column-stochastic walk matrix P[i, j] = 1/deg(j), sharing the
+        # adjacency's structure; a dangling column has no entries.
+        adj = self.adjacency
+        inv = 1.0 / np.where(self.degree == 0, 1.0, self.degree)
+        self.transition = sparse.csr_matrix(
+            (adj.data * inv[adj.indices], adj.indices, adj.indptr), shape=(n, n)
+        )
 
-        # Position of each node in ascending SenseId order; used to break
-        # equal-weight ties deterministically.
-        order = sorted(range(n), key=lambda i: self._senses[i].canonical)
-        self.sid_rank = np.empty(n, dtype=np.int64)
-        self.sid_rank[order] = np.arange(n)
+        # Node indices in ascending SenseId order; used to break equal-weight
+        # ties deterministically.
+        canonical = np.array([s.canonical for s in self._senses], dtype="U10")
+        self.sid_order = np.argsort(canonical, kind="stable").astype(np.int64)
 
         self._oov_ids: dict[str, int] = {}
 

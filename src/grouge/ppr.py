@@ -2,12 +2,22 @@
 
 The walk update is
 
-    V(t) = (1 - alpha) * W @ V(t-1) + alpha * V(0)
+    V(t) = (1 - alpha) * P @ V(t-1) + c(t) * V(0),
+    c(t) = (1 - alpha) * (dangling mass of V(t-1)) + alpha
 
-with W column-stochastic (column j uniform over j's neighbours) and the
-mass of degree-zero columns redistributed to the seed distribution V(0),
-so every iterate stays a probability vector. The iteration count is fixed
-(default 30) so runs are bit-for-bit reproducible.
+with P the column-stochastic transition matrix (column j uniform over j's
+neighbours) and the mass of degree-zero columns returned to the seed
+distribution V(0), so every iterate stays a probability vector. The
+iteration count is fixed (default 30) so runs are bit-for-bit reproducible.
+
+P is built once per graph (``SemanticGraph.transition``) and V(0) is
+nonzero only at the seed entries, so an iteration is one sparse product,
+one scaling and an update of the seed entries alone. This gives the same
+bits as applying the adjacency to a degree-scaled copy of V and adding
+c * V(0) everywhere: the adjacency's entries are all 1.0, so each product
+1.0 * (v * 1/deg) equals (1/deg) * v exactly and the sparse product sums
+the same terms in the same order; adding the 0.0 that c * V(0) holds off
+the seeds leaves a non-negative entry unchanged.
 """
 
 from __future__ import annotations
@@ -19,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from .fileio import atomic_output
 from .graph import SemanticGraph, SenseId
 
 _BATCH_COLUMNS = 256
@@ -118,7 +129,7 @@ class PprVector:
         return float(self.weights.sum())
 
     def dense_rank_table(self) -> np.ndarray:
-        """key id -> rank lookup array (0 marks an absent dimension).
+        """key id -> int32 rank lookup array (0 marks an absent dimension).
 
         Sense keys are graph node indices; OOV keys are interned past the
         node range, so the two namespaces cannot collide. The table ends at
@@ -129,9 +140,9 @@ class PprVector:
             m = len(self.oov_terms)
             oov_keys = [self.graph.oov_key_id(term) for term in self.oov_terms]
             size = max(oov_keys) + 1 if oov_keys else int(self.idx.max(initial=-1)) + 1
-            table = np.zeros(size, dtype=np.float64)
-            table[oov_keys] = np.arange(1, m + 1, dtype=np.float64)
-            table[self.idx] = np.arange(m + 1, m + 1 + len(self.idx), dtype=np.float64)
+            table = np.zeros(size, dtype=np.int32)
+            table[oov_keys] = np.arange(1, m + 1, dtype=np.int32)
+            table[self.idx] = np.arange(m + 1, m + 1 + len(self.idx), dtype=np.int32)
             self._dense = table
             if self._cache is not None:
                 self._cache.stored_bytes += table.nbytes
@@ -158,27 +169,43 @@ def _seed_indices(graph: SemanticGraph, seeds: SeedSet | Iterable[SenseId]) -> n
 
 def _run_walk(graph: SemanticGraph, v0: np.ndarray, cfg: PprConfig) -> np.ndarray:
     """Apply the walk update to every column of v0 simultaneously."""
-    adj = graph.adjacency
-    inv_deg = graph.inv_degree[:, None]
-    dangling = graph.dangling
-    v = v0.copy()
+    trans, dangling = graph.transition, graph.dangling
+    keep = 1.0 - cfg.alpha
+    rows, cols = np.nonzero(v0)
+    seeds = v0[rows, cols]
+    restart = seeds * cfg.alpha
+    v = v0
     for _ in range(cfg.iterations):
-        flow = adj @ (v * inv_deg)
-        dangling_mass = v[dangling, :].sum(axis=0) if len(dangling) else 0.0
-        v = (1.0 - cfg.alpha) * flow + v0 * ((1.0 - cfg.alpha) * dangling_mass + cfg.alpha)
+        if len(dangling):
+            restart = seeds * (keep * v[dangling, :].sum(axis=0) + cfg.alpha)[cols]
+        v = trans @ v
+        v *= keep
+        v[rows, cols] += restart
     return v
 
 
 def _compress(graph: SemanticGraph, column: np.ndarray, cfg: PprConfig) -> PprVector:
-    nz = np.flatnonzero(column > 0.0)
-    w = column[nz]
-    order = np.lexsort((graph.sid_rank[nz], -w))
-    idx = nz[order].astype(np.int64)
-    w = w[order]
-    if cfg.truncation is not None and len(idx) > cfg.truncation:
-        idx = idx[: cfg.truncation]
-        w = w[: cfg.truncation]
-    return PprVector(graph, idx, w)
+    """The column's positive entries in rank order: descending weight, ties
+    by ascending SenseId.
+
+    Entries are laid out in SenseId order and sorted by weight with the fast
+    unstable sort; only the entries in runs of equal weight are then put
+    back in ascending position, which is ascending SenseId.
+    """
+    n = len(column)
+    by_sid = column[graph.sid_order]
+    order = np.argsort(-by_sid)
+    ranked = by_sid[order]
+    ranked = ranked[: np.count_nonzero(ranked > 0.0)]
+    same = ranked[1:] == ranked[:-1]
+    if same.any():
+        tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
+        run = np.cumsum(np.r_[True, ~same[tied[1:] - 1]])
+        # One int64 key per tied entry, (run, position): sorting it orders
+        # each run by position and leaves the runs where they are.
+        order[tied] = np.sort(run * n + order[tied]) % n
+    top = len(ranked) if cfg.truncation is None else min(len(ranked), cfg.truncation)
+    return PprVector(graph, graph.sid_order[order[:top]], ranked[:top].copy())
 
 
 def compute_ppr(
@@ -305,8 +332,11 @@ class PprEngine:
         """Compute any uncached vectors for the given seed sets in batches.
 
         One walk pass over the adjacency serves many columns at once, which
-        is far cheaper than per-seed passes on large graphs.
+        is far cheaper than per-seed passes on large graphs. A cache that
+        keeps nothing (capacity 0) walks nothing here.
         """
+        if self._cache.capacity <= 0:
+            return
         keys: list[tuple[int, ...]] = []
         seen: set[tuple[int, ...]] = set()
         for seeds in seed_sets:
@@ -371,7 +401,7 @@ class PprEngine:
             "stats": self.stats().as_dict(),
             "entries": entries,
         }
-        with open(path, "wb") as fh:
+        with atomic_output(path) as fh:
             pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
 
     def load_cache(self, path, expect_meta: dict) -> bool:

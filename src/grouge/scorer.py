@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .disambiguation import SenseAssignment, WordType, build_word_types, disambiguate_pair
+from .fileio import write_atomic
 from .graph import Dictionary, SenseId
 from .ppr import PprConfig, PprEngine, PprVector
 from .rouge import NGram, NGramMultiset, clipped_matches, grams_for
@@ -310,7 +311,7 @@ class ScoreReport:
         return buf.getvalue().encode("utf-8")
 
     def write_csv(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_csv_bytes())
+        write_atomic(path, self.to_csv_bytes())
 
 
 def _scan_corpus_dir(directory: Path) -> tuple[dict[tuple[str, str], Path], list[str]]:

@@ -90,7 +90,7 @@ def sim_sem(a: PprVector, b: PprVector) -> float:
     table_a, table_b = a.dense_rank_table(), b.dense_rank_table()
     common = min(len(table_a), len(table_b))
     ranks_a, ranks_b = table_a[:common], table_b[:common]
-    shared = (ranks_a > 0.0) & (ranks_b > 0.0)
+    shared = (ranks_a > 0) & (ranks_b > 0)
     ranks_a_shared = ranks_a[shared]
     ranks_b_shared = ranks_b[shared]
     h = len(ranks_a_shared)

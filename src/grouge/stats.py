@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .fileio import write_atomic
+
 COEFFICIENTS = ("pearson", "spearman", "kendall")
 
 
@@ -239,7 +241,7 @@ class CorrelationReport:
         return buf.getvalue().encode("utf-8")
 
     def write_csv(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_csv_bytes())
+        write_atomic(path, self.to_csv_bytes())
 
 
 def correlate(

@@ -37,6 +37,44 @@ def dense_ppr(
     return v
 
 
+def walk_reference(graph, v0: np.ndarray, alpha: float = 0.15, iterations: int = 30) -> np.ndarray:
+    """The walk kernel written term by term: scale every column by 1/degree,
+    apply the adjacency, and add the restart times V(0) at every entry.
+
+    Sums the same terms in the same order as the library kernel, so the
+    two must agree bit for bit.
+    """
+    adj = graph.adjacency
+    degree = np.asarray(adj.sum(axis=1)).ravel()
+    with np.errstate(divide="ignore"):
+        inv_deg = 1.0 / degree
+    inv_deg[degree == 0] = 0.0
+    inv_deg = inv_deg[:, None]
+    dangling = np.flatnonzero(degree == 0)
+    v = v0.copy()
+    for _ in range(iterations):
+        flow = adj @ (v * inv_deg)
+        dangling_mass = v[dangling, :].sum(axis=0) if len(dangling) else 0.0
+        v = (1.0 - alpha) * flow + v0 * ((1.0 - alpha) * dangling_mass + alpha)
+    return v
+
+
+def compress_reference(graph, column: np.ndarray, truncation: int | None = None):
+    """(node indices, weights) of a column's positive entries, ranked by
+    descending weight with ties by ascending SenseId text, by one lexsort."""
+    n = graph.node_count
+    order = sorted(range(n), key=lambda i: graph.sense_at(i).canonical)
+    sid_rank = np.empty(n, dtype=np.int64)
+    sid_rank[order] = np.arange(n)
+    nz = np.flatnonzero(column > 0.0)
+    w = column[nz]
+    ranked = np.lexsort((sid_rank[nz], -w))
+    idx, w = nz[ranked].astype(np.int64), w[ranked]
+    if truncation is not None:
+        idx, w = idx[:truncation], w[:truncation]
+    return idx, w
+
+
 def weighted_overlap_direct(w1: dict, w2: dict) -> float:
     """Direct evaluation of the rank-harmonic overlap from weight maps."""
 

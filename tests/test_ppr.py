@@ -1,10 +1,15 @@
+import pickle
+
 import numpy as np
 import pytest
 
+import grouge.ppr
 from grouge import PprConfig, PprEngine, SeedSet, compute_ppr, load_graph
+from grouge.ppr import _compress, _run_walk
 
 from conftest import graph_from_edges, sense
-from oracles import dense_ppr
+from oracles import compress_reference, dense_ppr, walk_reference
+from synth import write_graph
 
 
 def exact_two_node_iterate(iterations: int, alpha: float = 0.15) -> tuple[float, float]:
@@ -124,6 +129,100 @@ class TestOracleEquivalence:
             assert np.max(np.abs(got - expected)) <= 1e-12
 
 
+def labelled_graph(edges, n, rng, isolated=()):
+    """Graph on nodes 0..n-1 whose SenseIds are a random relabelling with
+    mixed parts of speech, so node index order and SenseId order differ."""
+    labels = rng.permutation(n) + 1
+    pos = "nvar"
+
+    def sid(i):
+        return f"{labels[i]:08d}-{pos[labels[i] % 4]}"
+
+    lines = [f"u:{sid(i)} v:{sid(j)}" for i, j in edges]
+    lines += [f"u:{sid(i)} v:{sid(i)}" for i in isolated]
+    return load_graph(lines)
+
+
+def ring_graphs(rng):
+    for n in (5, 8, 13, 30, 64):
+        yield labelled_graph([(i, (i + 1) % n) for i in range(n)], n, rng)
+
+
+def star_graphs(rng):
+    for leaves in (3, 6, 20, 50):
+        yield labelled_graph([(0, i) for i in range(1, leaves + 1)], leaves + 1, rng)
+
+
+def random_graphs(rng):
+    for _ in range(8):
+        n = int(rng.integers(6, 40))
+        linked = n - int(rng.integers(1, 4))  # the rest start isolated
+        edges = [
+            (i, j) for i in range(linked) for j in range(i + 1, linked) if rng.random() < 0.15
+        ] or [(0, 1)]
+        touched = {u for e in edges for u in e}
+        yield labelled_graph(edges, n, rng, [i for i in range(n) if i not in touched])
+
+
+def seed_sets(graph, rng, count):
+    n = graph.node_count
+    sets = [[int(i)] for i in rng.choice(n, size=min(n, count), replace=False)]
+    sets += [rng.choice(n, size=min(n, k), replace=False).tolist() for k in (2, 3, 5)]
+    return sets
+
+
+class TestKernelOracle:
+    """The walk and compress kernels against term-by-term reference
+    copies: every column, index array and weight array bit-identical."""
+
+    def check(self, graph, sets):
+        columns = tied = 0
+        for width in range(1, 6):
+            for start in range(0, len(sets), width):
+                batch = sets[start : start + width]
+                v0 = np.zeros((graph.node_count, len(batch)))
+                for col, seeds in enumerate(batch):
+                    v0[seeds, col] = 1.0 / len(seeds)
+                got = _run_walk(graph, v0, PprConfig())
+                assert np.array_equal(got, walk_reference(graph, v0))
+                for col in range(len(batch)):
+                    column = got[:, col]
+                    positive = column[column > 0.0]
+                    tied += len(np.unique(positive)) < len(positive)
+                    columns += 1
+                    for truncation in (None, 3):
+                        vec = _compress(graph, column, PprConfig(truncation=truncation))
+                        idx, weights = compress_reference(graph, column, truncation)
+                        assert vec.idx.dtype == idx.dtype
+                        assert np.array_equal(vec.idx, idx)
+                        assert np.array_equal(vec.weights, weights)
+        return columns, tied
+
+    def test_ring_graphs_with_mirror_ties(self):
+        rng = np.random.default_rng(5)
+        counts = [self.check(g, seed_sets(g, rng, 10)) for g in ring_graphs(rng)]
+        assert sum(t for _, t in counts) > 0.8 * sum(c for c, _ in counts)
+
+    def test_star_graphs_with_tied_leaves(self):
+        rng = np.random.default_rng(6)
+        counts = [self.check(g, seed_sets(g, rng, 10)) for g in star_graphs(rng)]
+        assert sum(t for _, t in counts) > 0.8 * sum(c for c, _ in counts)
+
+    def test_random_graphs_with_dangling_nodes(self):
+        rng = np.random.default_rng(7)
+        graphs = list(random_graphs(rng))
+        assert all(len(g.dangling) for g in graphs)
+        for g in graphs:
+            self.check(g, seed_sets(g, rng, 10))
+
+    def test_acceptance_world(self, tmp_path):
+        path = tmp_path / "relations.txt"
+        write_graph(path, 10_000, extra_edges=10_000, seed=202)
+        graph = load_graph(path)
+        columns, _ = self.check(graph, seed_sets(graph, np.random.default_rng(8), 3))
+        assert columns == 5 * 6
+
+
 class TestEngine:
     def test_cache_returns_identical_vector(self, path_graph):
         engine = PprEngine(path_graph)
@@ -180,6 +279,7 @@ class TestEngine:
         base = first.idx.nbytes + first.weights.nbytes
         assert engine.stats().memory_bytes == base
         table = first.dense_rank_table()  # built while cached: counted
+        assert table.dtype == np.int32
         assert engine.stats().memory_bytes == base + table.nbytes
         second = engine.ppr_for_sense(sense(2))
         engine.ppr_for_sense(sense(1))  # most recent again
@@ -209,6 +309,41 @@ class TestEngine:
         mismatched = PprEngine(path_graph)
         assert not mismatched.load_cache(cache_file, {"graph_sha256": "zzz"})
         assert mismatched.stats().size == 0
+
+    def test_capacity_zero_priming_walks_nothing(self, path_graph, monkeypatch):
+        walks = []
+        run_walk = grouge.ppr._run_walk
+
+        def counted_walk(*args):
+            walks.append(args[1].shape[1])
+            return run_walk(*args)
+
+        monkeypatch.setattr(grouge.ppr, "_run_walk", counted_walk)
+        engine = PprEngine(path_graph, cache_capacity=0)
+        engine.prime_seed_sets([[sense(1)], [sense(2)], [sense(1), sense(5)]])
+        engine.prime_senses([sense(3), sense(4)])
+        assert walks == []
+        vec = engine.ppr_for_sense(sense(2))  # a lookup still walks its own vector
+        assert walks == [1]
+        assert np.array_equal(vec.idx, compute_ppr(path_graph, [sense(2)]).idx)
+
+    def test_failed_save_keeps_previous_cache_file(self, tmp_path, path_graph, monkeypatch):
+        engine = PprEngine(path_graph)
+        engine.ppr_for_sense(sense(3))
+        cache_file = tmp_path / "cache.pkl"
+        engine.save_cache(cache_file, {"graph_sha256": "abc"})
+        before = cache_file.read_bytes()
+        engine.ppr_for_sense(sense(4))
+
+        def failing_dump(obj, fh, protocol=None):
+            fh.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pickle, "dump", failing_dump)
+        with pytest.raises(OSError, match="disk full"):
+            engine.save_cache(cache_file, {"graph_sha256": "abc"})
+        assert cache_file.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.pkl"]
 
 
 class TestConfigValidation:

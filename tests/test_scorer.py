@@ -8,6 +8,8 @@ from grouge import (
     NGramMultiset,
     PprEngine,
     grouge_score,
+    load_dictionary,
+    load_graph,
     score_batch,
     sim_sem,
     tokenize,
@@ -18,6 +20,7 @@ from grouge.scorer import PairScorer, variant_family, variant_is_semantic
 
 from conftest import dictionary_from, graph_from_edges, sense
 from oracles import consumed_matches, recall_oracle
+from synth import build_synthetic_eval
 
 
 @pytest.fixture
@@ -348,6 +351,20 @@ class TestScoreBatch:
             vec.idx.nbytes + vec.weights.nbytes for vec in cached
         ) + sum(tables)
 
+    def test_capacity_zero_writes_the_same_bytes(self, tmp_path):
+        world = build_synthetic_eval(
+            tmp_path, n_nodes=300, n_words=40, n_systems=3, n_models=2, seed=5
+        )
+        graph = load_graph(world["graph"])
+        dictionary = load_dictionary(world["dict"], graph)
+        outputs = []
+        for engine in (PprEngine(graph), PprEngine(graph, cache_capacity=0)):
+            report = score_batch(world["peers"], world["models"], cfg_for(), engine,
+                                 dictionary, variants=("g1", "g2"))
+            outputs.append(report.to_csv_bytes())
+        assert engine.stats().size == 0
+        assert outputs[0] == outputs[1]
+
     def test_csv_shape_and_precision(self, tmp_path, setting):
         graph, dictionary, engine = setting
         peers, models = self._write_corpus(tmp_path, setting)
@@ -356,6 +373,7 @@ class TestScoreBatch:
         out = tmp_path / "report.csv"
         report.write_csv(out)
         lines = out.read_text().splitlines()
+        assert [p.name for p in tmp_path.iterdir() if p.is_file()] == ["report.csv"]
         assert lines[0] == "topic,system,variant,score"
         assert len(lines) == 1 + 2 * 2
         assert lines[1].startswith("t1,A,g1,")
