@@ -76,15 +76,15 @@ class SemanticGraph:
     treats column j as a uniform distribution over j's neighbours.
     """
 
-    def __init__(self, senses: list[SenseId], edges: set[tuple[int, int]]):
+    def __init__(self, senses: list[SenseId], pairs: np.ndarray):
+        """pairs: (m, 2) int64 node-index pairs (u < v), sorted and unique."""
         self._senses = list(senses)
         self._index = {s: i for i, s in enumerate(self._senses)}
         if len(self._index) != len(self._senses):
             raise ValueError("duplicate sense ids in node list")
         n = len(self._senses)
 
-        if edges:
-            pairs = np.array(sorted(edges), dtype=np.int64)
+        if len(pairs):
             rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
             cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
             data = np.ones(len(rows), dtype=np.float64)
@@ -187,16 +187,11 @@ def load_graph(relations_source: str | Path | IO[str] | Iterable[str]) -> Semant
     self-loops dropped (their endpoints are still registered as nodes).
     """
     senses: list[SenseId] = []
-    index: dict[SenseId, int] = {}
-    edges: set[tuple[int, int]] = set()
-
-    def intern(sense: SenseId) -> int:
-        idx = index.get(sense)
-        if idx is None:
-            idx = len(senses)
-            index[sense] = idx
-            senses.append(sense)
-        return idx
+    # Distinct token text -> node index. The sense-id pattern is anchored and
+    # a SenseId keeps its offset text, so distinct tokens are distinct
+    # senses and each one is parsed once.
+    index: dict[str, int] = {}
+    ends: list[int] = []  # u0, v0, u1, v1, ...
 
     for lineno, raw in enumerate(_as_lines(relations_source), start=1):
         line = raw.strip()
@@ -211,19 +206,25 @@ def load_graph(relations_source: str | Path | IO[str] | Iterable[str]) -> Semant
         for required in ("u", "v"):
             if required not in fields:
                 raise ParseError(f"line {lineno}: missing key {required!r}")
-        try:
-            u = SenseId.parse(fields["u"])
-            v = SenseId.parse(fields["v"])
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
-        ui, vi = intern(u), intern(v)
-        if ui == vi:
-            continue
-        edges.add((min(ui, vi), max(ui, vi)))
+        for token in (fields["u"], fields["v"]):
+            idx = index.get(token)
+            if idx is None:
+                try:
+                    sense = SenseId.parse(token)
+                except ValueError as exc:
+                    raise ParseError(f"line {lineno}: {exc}") from None
+                idx = index[token] = len(senses)
+                senses.append(sense)
+            ends.append(idx)
 
-    if not edges:
+    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # self-loops only register nodes
+    if not len(pairs):
         raise ParseError("no edges loaded")
-    return SemanticGraph(senses, edges)
+    # the deduplicated (min, max) pairs in ascending order, keyed by u*n + v
+    n = len(senses)
+    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+    return SemanticGraph(senses, np.stack([keys // n, keys % n], axis=1))
 
 
 class Dictionary:

@@ -8,6 +8,7 @@ the difference of two dependent correlations sharing one variable.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -35,31 +36,84 @@ def _check_pair(x: np.ndarray, y: np.ndarray) -> None:
         raise ValueError(f"need at least 3 points, got {len(x)}")
 
 
+def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson coefficient of each row of x with the same row of y."""
+    dx = x - np.mean(x, axis=1, keepdims=True)
+    dy = y - np.mean(y, axis=1, keepdims=True)
+    scale = np.sqrt(np.sum(dx * dx, axis=1) * np.sum(dy * dy, axis=1))
+    if np.any(scale == 0.0):  # a zero variance, or a product that underflows
+        raise ValueError("zero variance")
+    return np.sum(dx * dy, axis=1) / scale
+
+
+def _average_ranks_rows(x: np.ndarray) -> np.ndarray:
+    """Fractional ranks (1-based) within each row; ties get the mean of
+    their positions."""
+    rows, n = x.shape
+    order = np.argsort(x, axis=1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=1)
+    position = np.broadcast_to(np.arange(n), (rows, n))
+    starts_run = np.ones((rows, n), dtype=bool)
+    starts_run[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ends_run = np.ones((rows, n), dtype=bool)
+    ends_run[:, :-1] = starts_run[:, 1:]
+    first = np.maximum.accumulate(np.where(starts_run, position, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends_run, position, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty_like(x)
+    np.put_along_axis(ranks, order, (first + last + 2) / 2.0, axis=1)
+    return ranks
+
+
+# Pair entries per block of resample rows in _kendall_rows; bounds its
+# (rows x pairs) temporaries to a few tens of MB whatever n is.
+_KENDALL_BLOCK = 1 << 20
+
+
+def _kendall_rows(x: np.ndarray, y: np.ndarray, idx: np.ndarray, variant: str) -> np.ndarray:
+    """Kendall coefficient of (x[idx[r]], y[idx[r]]) for each row r of idx.
+
+    Every pair of resampled positions is looked up in one table over the
+    original rows, so a resample costs one gather and integer counts.
+    """
+    n = idx.shape[1]
+    dx = np.sign(x[:, None] - x[None, :])
+    dy = np.sign(y[:, None] - y[None, :])
+    product = dx * dy
+    # bit 0: concordant, 1: discordant, 2: tied in x, 3: tied in y
+    code = ((product > 0) + 2 * (product < 0) + 4 * (dx == 0) + 8 * (dy == 0)).astype(np.uint8)
+    code = code.ravel()
+    first, second = np.triu_indices(n, k=1)
+    pairs = len(first)
+    counts = np.empty((4, len(idx)), dtype=np.int64)
+    step = max(1, _KENDALL_BLOCK // pairs)
+    for lo in range(0, len(idx), step):
+        block = idx[lo : lo + step]
+        codes = code[block[:, first] * n + block[:, second]]
+        for bit in range(4):
+            counts[bit, lo : lo + step] = np.count_nonzero(codes & (1 << bit), axis=1)
+    concordant, discordant, ties_x, ties_y = counts
+    if variant == "a":
+        return (concordant - discordant) / pairs
+    denom = (pairs - ties_x) * (pairs - ties_y)
+    if np.any(denom == 0):
+        raise ValueError("zero variance")
+    return (concordant - discordant) / np.sqrt(denom)
+
+
+def _check_variant(variant: str) -> None:
+    if variant not in ("a", "b"):
+        raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     x, y = _as_array(x), _as_array(y)
     _check_pair(x, y)
-    dx = x - np.mean(x)
-    dy = y - np.mean(y)
-    vx = float(np.sum(dx * dx))
-    vy = float(np.sum(dy * dy))
-    if vx == 0.0 or vy == 0.0:
-        raise ValueError("zero variance")
-    return float(np.sum(dx * dy)) / math.sqrt(vx * vy)
+    return float(_pearson_rows(x[None, :], y[None, :])[0])
 
 
 def average_ranks(x: Sequence[float]) -> np.ndarray:
     """Fractional ranks (1-based); ties get the mean of their positions."""
-    x = _as_array(x)
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j + 2) / 2.0  # mean of 1-based i+1..j+1
-        i = j + 1
-    return ranks
+    return _average_ranks_rows(_as_array(x)[None, :])[0]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
@@ -71,29 +125,39 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 def kendall(x: Sequence[float], y: Sequence[float], variant: str = "b") -> float:
     """Kendall rank correlation; tau-b (tie-corrected) by default, tau-a
     via variant="a"."""
-    if variant not in ("a", "b"):
-        raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
+    _check_variant(variant)
     x, y = _as_array(x), _as_array(y)
     _check_pair(x, y)
-    n = len(x)
-    iu = np.triu_indices(n, k=1)
-    dx = np.sign(x[:, None] - x[None, :])[iu]
-    dy = np.sign(y[:, None] - y[None, :])[iu]
-    product = dx * dy
-    concordant = int(np.sum(product > 0))
-    discordant = int(np.sum(product < 0))
-    pairs = n * (n - 1) // 2
-    if variant == "a":
-        return (concordant - discordant) / pairs
-    ties_x = int(np.sum(dx == 0))
-    ties_y = int(np.sum(dy == 0))
-    denom = (pairs - ties_x) * (pairs - ties_y)
-    if denom == 0:
-        raise ValueError("zero variance")
-    return (concordant - discordant) / math.sqrt(denom)
+    return float(_kendall_rows(x, y, np.arange(len(x))[None, :], variant)[0])
 
 
-_COEFF_FUNCS = {"pearson": pearson, "spearman": spearman, "kendall": kendall}
+def _coefficient_rows(
+    coefficient: str, x: np.ndarray, y: np.ndarray, idx: np.ndarray, kendall_variant: str
+) -> np.ndarray:
+    """The coefficient of (x[idx[r]], y[idx[r]]) for each row r of idx."""
+    if coefficient == "kendall":
+        return _kendall_rows(x, y, idx, kendall_variant)
+    bx, by = x[idx], y[idx]
+    if coefficient == "spearman":
+        bx, by = _average_ranks_rows(bx), _average_ranks_rows(by)
+    return _pearson_rows(bx, by)
+
+
+@functools.lru_cache(maxsize=4)
+def _resample_rows(seed: int, n: int, resamples: int) -> np.ndarray:
+    """Row i holds the first n indices drawn from child stream i of the
+    seed. Shared by every column pair, so it is read-only."""
+    children = np.random.SeedSequence(seed).spawn(resamples)
+    rows = np.empty((resamples, n), dtype=np.int64)
+    for i, child in enumerate(children):
+        rows[i] = np.random.default_rng(child).integers(0, n, size=n)
+    rows.flags.writeable = False
+    return rows
+
+
+def _constant(m: np.ndarray) -> np.ndarray:
+    """Whether each row (the last axis) holds a single value."""
+    return np.all(m == m[..., :1], axis=-1)
 
 
 def bootstrap_ci(
@@ -103,37 +167,50 @@ def bootstrap_ci(
     resamples: int = 1000,
     confidence: float = 0.95,
     seed: int = 42,
+    kendall_variant: str = "b",
 ) -> tuple[float, float]:
     """Seeded percentile bootstrap interval for a correlation coefficient.
 
     Rows are resampled with replacement; a resample with a constant column
     is redrawn (total retries capped at 10x resamples). Each resample uses
     its own child stream of the seed, so output is identical for identical
-    seeds regardless of evaluation order.
+    seeds regardless of evaluation order. The first draw of every stream
+    is made once per (seed, n, resamples) and shared by all column pairs;
+    only a pair's degenerate resamples are redrawn, each by replaying its
+    own stream. Kendall intervals use kendall_variant.
     """
-    if coefficient not in _COEFF_FUNCS:
+    if coefficient not in COEFFICIENTS:
         raise ValueError(f"unknown coefficient {coefficient!r}")
+    _check_variant(kendall_variant)
     x, y = _as_array(x), _as_array(y)
     _check_pair(x, y)
     if len(x) < 4:
         raise ValueError(f"need at least 4 rows, got {len(x)}")
-    func = _COEFF_FUNCS[coefficient]
     n = len(x)
-    retries_left = 10 * resamples
-    values = np.empty(resamples, dtype=np.float64)
-    children = np.random.SeedSequence(seed).spawn(resamples)
-    for i in range(resamples):
-        rng = np.random.default_rng(children[i])
-        while True:
-            idx = rng.integers(0, n, size=n)
-            bx, by = x[idx], y[idx]
-            if np.all(bx == bx[0]) or np.all(by == by[0]):
+    idx = _resample_rows(seed, n, resamples)
+    stop = resamples  # rows before a retry-cap failure, or all of them
+    degenerate = np.flatnonzero(_constant(x[idx]) | _constant(y[idx]))
+    if len(degenerate):
+        idx = idx.copy()
+        retries_left = 10 * resamples
+        for i in degenerate:
+            # child i of the seed, replayed past its shared first draw
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(int(i),)))
+            row = rng.integers(0, n, size=n)
+            while _constant(x[row]) or _constant(y[row]):
                 retries_left -= 1
                 if retries_left < 0:
-                    raise ValueError("bootstrap exceeded retry cap on degenerate resamples")
-                continue
-            values[i] = func(bx, by)
-            break
+                    break
+                row = rng.integers(0, n, size=n)
+            if retries_left < 0:
+                stop = int(i)
+                break
+            idx[i] = row
+    # rows before a failure are still evaluated: one with zero variance
+    # raises first, as it would one resample at a time
+    values = _coefficient_rows(coefficient, x, y, idx[:stop], kendall_variant)
+    if stop < resamples:
+        raise ValueError("bootstrap exceeded retry cap on degenerate resamples")
     tail = 100.0 * (1.0 - confidence) / 2.0
     lo, hi = np.percentile(values, [tail, 100.0 - tail])
     return float(lo), float(hi)
@@ -163,11 +240,11 @@ def williams_test(r12: float, r13: float, r23: float, n: int) -> WilliamsResult:
     if radicand <= 0.0:
         raise ValueError("correlations are not jointly consistent")
     t = (r12 - r13) * math.sqrt((n - 1) * (1.0 + r23)) / math.sqrt(radicand)
-    # imported here, not at module level: importing scipy.stats takes about
-    # half a second and only this test needs it
-    from scipy import stats as scipy_stats
+    # imported here, not at module level: only this test needs it, and
+    # stdtr (the Student t distribution function) spares loading scipy.stats
+    from scipy.special import stdtr
 
-    p = float(scipy_stats.t.sf(t, n - 3))
+    p = float(stdtr(n - 3, -t))
     return WilliamsResult(r12=r12, r13=r13, r23=r23, n=n, t=t, p=p)
 
 
@@ -286,7 +363,9 @@ def correlate(
                 spearman=spearman(a, h),
                 spearman_ci=bootstrap_ci(a, h, "spearman", resamples, confidence, seed),
                 kendall=row_kendall,
-                kendall_ci=bootstrap_ci(a, h, "kendall", resamples, confidence, seed),
+                kendall_ci=bootstrap_ci(
+                    a, h, "kendall", resamples, confidence, seed, kendall_variant
+                ),
                 williams_p=williams_p,
                 significant=significant,
             ))

@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from grouge import Dictionary, SemanticGraph, SenseId, load_dictionary, load_graph
+
+# `pytest --hypothesis-profile=ci`: the same, larger example set on every
+# run, for the tests that take their example count from the profile.
+settings.register_profile("ci", derandomize=True, max_examples=400)
 
 
 def sid(i: int, pos: str = "n") -> str:

@@ -241,3 +241,133 @@ def williams_oracle(r12: float, r13: float, r23: float, n: int):
         tail = mp.betainc(df / 2, mp.mpf(1) / 2, 0, x, regularized=True) / 2
         p = tail if t >= 0 else 1 - tail
         return float(t), float(p)
+
+
+# The correlation coefficients and the bootstrap as they were written one
+# resample at a time, with numpy; the row-wise library code must reproduce
+# them bit for bit.
+
+
+def pearson_reference(x: np.ndarray, y: np.ndarray) -> float:
+    dx = x - np.mean(x)
+    dy = y - np.mean(y)
+    vx = float(np.sum(dx * dx))
+    vy = float(np.sum(dy * dy))
+    if vx == 0.0 or vy == 0.0:
+        raise ValueError("zero variance")
+    return float(np.sum(dx * dy)) / math.sqrt(vx * vy)
+
+
+def average_ranks_reference(x: np.ndarray) -> np.ndarray:
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=np.float64)
+    i = 0
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j + 2) / 2.0
+        i = j + 1
+    return ranks
+
+
+def spearman_reference(x: np.ndarray, y: np.ndarray) -> float:
+    return pearson_reference(average_ranks_reference(x), average_ranks_reference(y))
+
+
+def kendall_reference(x: np.ndarray, y: np.ndarray, variant: str = "b") -> float:
+    n = len(x)
+    iu = np.triu_indices(n, k=1)
+    dx = np.sign(x[:, None] - x[None, :])[iu]
+    dy = np.sign(y[:, None] - y[None, :])[iu]
+    product = dx * dy
+    concordant = int(np.sum(product > 0))
+    discordant = int(np.sum(product < 0))
+    pairs = n * (n - 1) // 2
+    if variant == "a":
+        return (concordant - discordant) / pairs
+    ties_x = int(np.sum(dx == 0))
+    ties_y = int(np.sum(dy == 0))
+    denom = (pairs - ties_x) * (pairs - ties_y)
+    if denom == 0:
+        raise ValueError("zero variance")
+    return (concordant - discordant) / math.sqrt(denom)
+
+
+def bootstrap_ci_reference(x, y, coefficient="pearson", resamples=1000, confidence=0.95,
+                           seed=42, kendall_variant="b") -> tuple[float, float]:
+    """One resample at a time: child stream i of the seed draws resample i,
+    redrawing while a column is constant (at most 10x resamples redraws in
+    all), and the coefficient is computed on each resample in turn."""
+    funcs = {
+        "pearson": pearson_reference,
+        "spearman": spearman_reference,
+        "kendall": lambda a, b: kendall_reference(a, b, kendall_variant),
+    }
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    func = funcs[coefficient]
+    n = len(x)
+    retries_left = 10 * resamples
+    values = np.empty(resamples, dtype=np.float64)
+    children = np.random.SeedSequence(seed).spawn(resamples)
+    for i in range(resamples):
+        rng = np.random.default_rng(children[i])
+        while True:
+            idx = rng.integers(0, n, size=n)
+            bx, by = x[idx], y[idx]
+            if np.all(bx == bx[0]) or np.all(by == by[0]):
+                retries_left -= 1
+                if retries_left < 0:
+                    raise ValueError("bootstrap exceeded retry cap on degenerate resamples")
+                continue
+            values[i] = func(bx, by)
+            break
+    tail = 100.0 * (1.0 - confidence) / 2.0
+    lo, hi = np.percentile(values, [tail, 100.0 - tail])
+    return float(lo), float(hi)
+
+
+def load_graph_reference(lines):
+    """The relation-file loader as it was: every endpoint token parsed into a
+    SenseId, interned by SenseId, edges kept as a set of (min, max) tuples
+    and sorted in Python."""
+    from grouge.graph import ParseError, SemanticGraph, SenseId
+
+    senses: list = []
+    index: dict = {}
+    edges: set = set()
+
+    def intern(sense) -> int:
+        idx = index.get(sense)
+        if idx is None:
+            idx = len(senses)
+            index[sense] = idx
+            senses.append(sense)
+        return idx
+
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields: dict = {}
+        for token in line.split():
+            key, sep, value = token.partition(":")
+            if not sep:
+                raise ParseError(f"line {lineno}: malformed token {token!r}")
+            fields.setdefault(key, value)
+        for required in ("u", "v"):
+            if required not in fields:
+                raise ParseError(f"line {lineno}: missing key {required!r}")
+        try:
+            u = SenseId.parse(fields["u"])
+            v = SenseId.parse(fields["v"])
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        ui, vi = intern(u), intern(v)
+        if ui == vi:
+            continue
+        edges.add((min(ui, vi), max(ui, vi)))
+
+    if not edges:
+        raise ParseError("no edges loaded")
+    return SemanticGraph(senses, np.array(sorted(edges), dtype=np.int64))

@@ -184,6 +184,43 @@ class TestMetaEvalCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_kendall_interval_follows_kendall_variant(self, world, score_csv, tmp_path):
+        rows = {}
+        for variant in ("a", "b"):
+            out = tmp_path / f"{variant}.csv"
+            assert main([
+                "meta-eval", "--scores", str(score_csv), "--human", str(world["judgments"]),
+                "--resamples", "200", "--kendall-variant", variant, "--out", str(out),
+            ]) == EX_OK
+            rows[variant] = read_csv(out)
+        kendall_columns = {"kendall", "kendall_ci_lo", "kendall_ci_hi"}
+        for a, b in zip(rows["a"], rows["b"]):
+            assert {k: v for k, v in a.items() if k not in kendall_columns} == {
+                k: v for k, v in b.items() if k not in kendall_columns
+            }
+        # resamples repeat systems, and tau-a counts a tied pair as zero
+        # where tau-b drops it, so the intervals differ
+        assert any(a["kendall_ci_hi"] != b["kendall_ci_hi"] for a, b in zip(rows["a"], rows["b"]))
+
+    def test_williams_test_does_not_load_scipy_stats(self, world, score_csv, tmp_path):
+        out = tmp_path / "corr.csv"
+        code = (
+            "import sys; from grouge.cli import main; "
+            f"rc = main(sys.argv[1:]); print(rc, 'scipy.stats' in sys.modules)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(grouge.__file__).parent.parent), env.get("PYTHONPATH", "")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, "meta-eval", "--scores", str(score_csv),
+             "--human", str(world["judgments"]), "--baseline", "r1", "--resamples", "20",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert result.stdout.split() == [str(EX_OK), "False"]
+        assert any(row["williams_p"] for row in read_csv(out))
+
     def test_unknown_baseline_is_usage_error(self, world, score_csv, tmp_path):
         assert main([
             "meta-eval", "--scores", str(score_csv), "--human", str(world["judgments"]),

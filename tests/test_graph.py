@@ -1,8 +1,13 @@
+import random
+
+import numpy as np
 import pytest
 
 from grouge import ParseError, SenseId, load_dictionary, load_graph
 
-from conftest import dictionary_from, graph_from_edges, sense
+from conftest import dictionary_from, graph_from_edges, sense, sid
+from oracles import load_graph_reference
+from synth import write_graph
 
 
 class TestSenseId:
@@ -63,6 +68,66 @@ class TestLoadGraph:
     def test_empty_graph_rejected(self):
         with pytest.raises(ParseError, match="no edges loaded"):
             load_graph(["# nothing"])
+
+
+def assert_same_graph(graph, expected):
+    assert list(graph.senses()) == list(expected.senses())
+    for name in ("adjacency", "transition"):
+        a, b = getattr(graph, name), getattr(expected, name)
+        assert a.shape == b.shape, name
+        for part in ("indptr", "indices", "data"):
+            x, y = getattr(a, part), getattr(b, part)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (name, part)
+    assert graph.sid_order.dtype == expected.sid_order.dtype
+    assert np.array_equal(graph.sid_order, expected.sid_order)
+
+
+class TestLoaderOracle:
+    """load_graph parses each distinct token once and builds the edge array
+    with numpy; the graph must equal the one the per-line loader built."""
+
+    def test_conftest_graphs(self, two_node_graph, path_graph):
+        edges, isolated = [(5, 1), (1, 5), (3, 2)], [9, 1]
+        lines = [f"u:{sid(i)} v:{sid(j)}" for i, j in edges]
+        lines += [f"u:{sid(i)} v:{sid(i)}" for i in isolated]
+        assert_same_graph(graph_from_edges(edges, isolated), load_graph_reference(lines))
+        assert_same_graph(two_node_graph, load_graph_reference([f"u:{sid(1)} v:{sid(2)}"]))
+        assert_same_graph(path_graph, load_graph_reference(
+            [f"u:{sid(i)} v:{sid(i + 1)}" for i in range(1, 5)]
+        ))
+
+    def test_acceptance_graph(self, tmp_path):
+        path = tmp_path / "relations.txt"
+        write_graph(path, 10_000, extra_edges=10_000, seed=202)
+        lines = path.read_text("utf-8").splitlines()
+        assert_same_graph(load_graph(path), load_graph_reference(lines))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_shuffled_duplicate_reversed_and_self_loop_lines(self, seed):
+        rng = random.Random(seed)
+        nodes = [f"{rng.randrange(10**8):08d}-{rng.choice('nvar')}" for _ in range(40)]
+        lines = ["# comment", ""]
+        for _ in range(120):
+            u, v = rng.choice(nodes), rng.choice(nodes)
+            extra = rng.choice(["", " t:hyper", " w:0.5 u:00000000-n"])
+            lines.append(f"v:{v} u:{u}{extra}" if rng.random() < 0.3 else f"u:{u} v:{v}{extra}")
+        assert_same_graph(load_graph(lines), load_graph_reference(lines))
+
+    @pytest.mark.parametrize("lines", [
+        ["u:00000001-n v:00000002-n", "u:0000001-n v:00000002-n"],
+        ["u:00000001-n v:00000002-n", "u:00000002-n v:00000003-x"],
+        ["u:00000001-n v:00000002-n", "u:00000009-n v:bad"],
+        ["u:00000001-n v:00000002-n", "u:00000001-n w:1.0"],
+        ["u:00000001-n v:00000002-n", "u:00000001-n v"],
+        ["u:00000001-n v:00000001-n"],
+        ["# nothing"],
+    ])
+    def test_parse_errors_match(self, lines):
+        with pytest.raises(ParseError) as new:
+            load_graph(lines)
+        with pytest.raises(ParseError) as old:
+            load_graph_reference(lines)
+        assert str(new.value) == str(old.value)
 
 
 class TestGraphInvariants:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grouge.stats
 from grouge import (
     JudgmentTable,
     bootstrap_ci,
@@ -14,9 +15,24 @@ from grouge import (
     spearman,
     williams_test,
 )
-from grouge.stats import average_ranks, load_judgments
+from grouge.stats import (
+    CorrelationReport,
+    CorrelationRow,
+    _average_ranks_rows,
+    average_ranks,
+    load_judgments,
+)
 
-from oracles import kendall_tau_b_oracle, spearman_oracle, williams_oracle
+from oracles import (
+    average_ranks_oracle,
+    bootstrap_ci_reference,
+    kendall_reference,
+    kendall_tau_b_oracle,
+    pearson_reference,
+    spearman_oracle,
+    spearman_reference,
+    williams_oracle,
+)
 
 int_vectors = st.lists(st.integers(min_value=0, max_value=9), min_size=3, max_size=50)
 
@@ -78,6 +94,18 @@ class TestSpearman:
         if n < 3 or len(set(x)) < 2 or len(set(y)) < 2:
             return
         assert spearman(x, y) == spearman_oracle(x, y)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(int_vectors, st.lists(st.floats(allow_nan=False), min_size=1, max_size=50)))
+    def test_average_ranks_match_oracle(self, x):
+        assert average_ranks(x).tolist() == average_ranks_oracle(x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 30), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_row_wise_ranks_match_oracle_per_row(self, rows, n, levels, seed):
+        m = np.random.default_rng(seed).integers(0, levels, size=(rows, n)).astype(float)
+        ranks = _average_ranks_rows(m)
+        assert [r.tolist() for r in ranks] == [average_ranks_oracle(r.tolist()) for r in m]
 
     @settings(max_examples=100, deadline=None)
     @given(int_vectors)
@@ -172,6 +200,153 @@ class TestBootstrap:
         assert -1.0 <= lo <= hi <= 1.0
 
 
+@st.composite
+def bootstrap_columns(draw):
+    """Two columns of n rows, each continuous, integer-tied or near-constant
+    (a few rows off one value, or none: constant)."""
+    n = draw(st.integers(min_value=4, max_value=80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def column() -> np.ndarray:
+        kind = draw(st.sampled_from(("continuous", "tied", "near-constant")))
+        if kind == "continuous":
+            return rng.normal(size=n) * 10.0 ** draw(st.integers(-3, 3))
+        if kind == "tied":
+            return rng.integers(0, draw(st.integers(2, 5)), size=n).astype(float)
+        col = np.full(n, 0.25)
+        col[rng.choice(n, size=draw(st.integers(0, 2)), replace=False)] = 0.75
+        return col
+
+    return column(), column()
+
+
+class TestBootstrapOracle:
+    """The row-wise bootstrap against the per-resample loop it replaced
+    (oracles.bootstrap_ci_reference): the same interval bits, or the same
+    ValueError. Example counts follow the Hypothesis profile (conftest)."""
+
+    @staticmethod
+    def _outcome(func, x, y, *args, **kwargs):
+        try:
+            return func(x, y, *args, **kwargs)
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    @settings(deadline=None)
+    @given(
+        bootstrap_columns(),
+        st.integers(min_value=1, max_value=300),
+        st.sampled_from([("pearson", "b"), ("spearman", "b"), ("kendall", "b"), ("kendall", "a")]),
+        st.sampled_from([0.5, 0.9, 0.95, 0.99]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_resample_reference(self, columns, resamples, coefficient, confidence, seed):
+        x, y = columns
+        name, variant = coefficient
+        args = (name, resamples, confidence, seed)
+        assert self._outcome(bootstrap_ci, x, y, *args, kendall_variant=variant) == self._outcome(
+            bootstrap_ci_reference, x, y, *args, kendall_variant=variant
+        )
+
+    def test_redrawn_rows_match_reference(self):
+        # one row off a constant: about a third of the resamples are redrawn
+        x = np.array([1.0] * 7 + [2.0])
+        y = np.arange(8.0)
+        for name in ("pearson", "spearman", "kendall"):
+            got = bootstrap_ci(x, y, name, 500, 0.95, 3)
+            assert got == bootstrap_ci_reference(x, y, name, 500, 0.95, 3)
+
+    def test_constant_column_exceeds_retry_cap(self):
+        x, y = np.full(6, 0.5), np.arange(6.0)
+        for name in ("pearson", "spearman", "kendall"):
+            with pytest.raises(ValueError, match="retry cap"):
+                bootstrap_ci(x, y, name, resamples=20, seed=1)
+            with pytest.raises(ValueError, match="retry cap"):
+                bootstrap_ci_reference(x, y, name, resamples=20, seed=1)
+
+    def test_retry_cap_boundary(self):
+        # each column is off a constant in one row, so about 57% of the
+        # draws of 4 rows are redrawn; one resample allows 10 redraws
+        x = np.array([0.0, 0.0, 0.0, 1.0])
+        y = np.array([0.0, 0.0, 1.0, 0.0])
+        seed_for_redraws: dict[int, int] = {}
+        for seed in range(20_000):
+            rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+            redraws = 0
+            while True:
+                idx = rng.integers(0, 4, size=4)
+                if np.ptp(x[idx]) > 0 and np.ptp(y[idx]) > 0:
+                    break
+                redraws += 1
+            seed_for_redraws.setdefault(redraws, seed)
+            if 10 in seed_for_redraws and 11 in seed_for_redraws:
+                break
+        at_cap = seed_for_redraws[10]
+        assert bootstrap_ci(x, y, "pearson", 1, 0.95, at_cap) == bootstrap_ci_reference(
+            x, y, "pearson", 1, 0.95, at_cap
+        )
+        for func in (bootstrap_ci, bootstrap_ci_reference):
+            with pytest.raises(ValueError, match="retry cap"):
+                func(x, y, "pearson", 1, 0.95, seed_for_redraws[11])
+
+    def test_kendall_blocks_cover_every_row(self, monkeypatch):
+        # 45 pairs at n = 10: blocks of 7 rows, the last one partial
+        monkeypatch.setattr(grouge.stats, "_KENDALL_BLOCK", 7 * 45)
+        rng = np.random.default_rng(12)
+        x = rng.integers(0, 4, size=10).astype(float)
+        y = rng.integers(0, 4, size=10).astype(float)
+        for variant in ("a", "b"):
+            assert bootstrap_ci(x, y, "kendall", 100, 0.9, 5, kendall_variant=variant) == (
+                bootstrap_ci_reference(x, y, "kendall", 100, 0.9, 5, kendall_variant=variant)
+            )
+
+    def test_variance_product_underflow_is_zero_variance(self):
+        # both variances are positive but their product underflows to zero
+        x = np.array([1e-100, 2e-100, 3e-100, 4e-100])
+        with pytest.raises(ValueError, match="zero variance"):
+            pearson(x, x)
+
+    def test_tied_kendall_interval_follows_variant(self):
+        x = np.array([1, 1, 2, 2, 2, 3, 3, 4, 4, 4, 5, 5], dtype=float)
+        y = np.array([1, 2, 1, 3, 3, 2, 4, 3, 5, 5, 4, 5], dtype=float)
+        table = JudgmentTable(systems=[f"s{i}" for i in range(12)], human={"h": y}, auto={"m": x})
+        intervals = {}
+        for variant in ("a", "b"):
+            row = correlate(table, resamples=300, seed=42, kendall_variant=variant).rows[0]
+            assert row.kendall == kendall(x, y, variant)
+            assert row.kendall_ci == bootstrap_ci_reference(
+                x, y, "kendall", 300, 0.95, 42, kendall_variant=variant
+            )
+            intervals[variant] = row.kendall_ci
+        assert intervals["a"] != intervals["b"]
+
+    def test_c09_report_equals_reference_report(self):
+        # the 51-row table of acceptance criterion 9
+        rng = np.random.default_rng(2024)
+        n = 51
+        quality = np.sort(rng.uniform(0.0, 1.0, size=n))
+        human = quality + rng.normal(0, 0.05, n)
+        metric = quality + rng.normal(0, 0.08, n)
+        table = JudgmentTable(
+            systems=[f"s{i:02d}" for i in range(n)], human={"pyramid": human}, auto={"metric": metric}
+        )
+        for variant in ("a", "b"):
+            expected = CorrelationReport(rows=[CorrelationRow(
+                auto_metric="metric", human_metric="pyramid", n=n,
+                pearson=pearson_reference(metric, human),
+                pearson_ci=bootstrap_ci_reference(metric, human, "pearson", seed=42),
+                spearman=spearman_reference(metric, human),
+                spearman_ci=bootstrap_ci_reference(metric, human, "spearman", seed=42),
+                kendall=kendall_reference(metric, human, variant),
+                kendall_ci=bootstrap_ci_reference(
+                    metric, human, "kendall", seed=42, kendall_variant=variant
+                ),
+                williams_p=None, significant=None,
+            )])
+            got = correlate(table, resamples=1000, seed=42, kendall_variant=variant)
+            assert got.to_csv_bytes() == expected.to_csv_bytes()
+
+
 class TestWilliams:
     def test_equal_correlations_give_zero_t_half_p(self):
         res = williams_test(0.8, 0.8, 0.5, 30)
@@ -204,6 +379,23 @@ class TestWilliams:
         t_exp, p_exp = williams_oracle(r12, r13, r23, n)
         assert res.t == pytest.approx(t_exp, abs=1e-9)
         assert res.p == pytest.approx(p_exp, abs=1e-9)
+
+    def test_p_value_equals_scipy_stats_t_sf(self):
+        from scipy import stats as scipy_stats
+
+        rng = np.random.default_rng(6)
+        checked = 0
+        for _ in range(400):
+            r12, r13 = rng.uniform(-0.95, 0.95, size=2)
+            r23 = rng.uniform(-0.5, 0.95)
+            n = int(rng.integers(4, 300))
+            try:
+                res = williams_test(float(r12), float(r13), float(r23), n)
+            except ValueError:
+                continue
+            assert res.p == float(scipy_stats.t.sf(res.t, n - 3))
+            checked += 1
+        assert checked > 300
 
     def test_validation(self):
         with pytest.raises(ValueError):
