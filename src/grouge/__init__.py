@@ -12,10 +12,9 @@ from .ppr import (
     PprConfig,
     PprEngine,
     PprVector,
-    SeedSet,
     compute_ppr,
 )
-from .similarity import RankedVector, insert_oov, sim_sem, to_ranked, weighted_overlap
+from .similarity import insert_oov, sim_sem
 from .disambiguation import (
     SenseAssignment,
     WordType,
@@ -67,10 +66,8 @@ __all__ = [
     "PprConfig",
     "PprEngine",
     "PprVector",
-    "RankedVector",
     "ScoreParts",
     "ScoreReport",
-    "SeedSet",
     "SemanticGraph",
     "SenseAssignment",
     "SenseId",
@@ -97,8 +94,6 @@ __all__ = [
     "spearman",
     "stem",
     "stopwords",
-    "to_ranked",
     "tokenize",
-    "weighted_overlap",
     "williams_test",
 ]

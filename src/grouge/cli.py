@@ -297,7 +297,6 @@ def _run_scoring(args, variants) -> tuple[ScoreReport, PprEngine | None, dict]:
     cfg = GrougeConfig(
         variant=next((v for v in variants if variant_is_semantic(v)), "g1"),
         beta=args.beta,
-        ppr=PprConfig(alpha=args.alpha, iterations=args.iterations, truncation=args.truncation),
         oov_enabled=not args.no_oov,
     )
     report = score_batch(

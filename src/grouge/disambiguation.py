@@ -49,12 +49,6 @@ class SenseAssignment:
     def oov_stems(self) -> tuple[str, ...]:
         return tuple(dict.fromkeys(e.word.stem for e in self.entries if e.sense is None))
 
-    def sense_for(self, stem: str) -> SenseId | None:
-        for entry in self.entries:
-            if entry.word.stem == stem:
-                return entry.sense
-        return None
-
 
 def build_word_types(
     text: SummaryText,

@@ -73,7 +73,9 @@ class SemanticGraph:
     """Immutable undirected sense graph with dense integer indexing.
 
     Edges are stored symmetrically in CSR form; the random-walk kernel
-    treats column j as a uniform distribution over j's neighbours.
+    treats column j as a uniform distribution over j's neighbours. Nothing
+    changes after construction, so what a run computes on the graph never
+    depends on what it computed before.
     """
 
     def __init__(self, senses: list[SenseId], pairs: np.ndarray):
@@ -105,8 +107,6 @@ class SemanticGraph:
         # ties deterministically.
         canonical = np.array([s.canonical for s in self._senses], dtype="U10")
         self.sid_order = np.argsort(canonical, kind="stable").astype(np.int64)
-
-        self._oov_ids: dict[str, int] = {}
 
     @property
     def node_count(self) -> int:
@@ -149,14 +149,6 @@ class SemanticGraph:
         out = [(self._senses[i], self._senses[j]) for i, j in pairs]
         out.sort(key=lambda e: (e[0].canonical, e[1].canonical))
         return out
-
-    def oov_key_id(self, term: str) -> int:
-        """Stable integer id for an out-of-vocabulary term, offset past node ids."""
-        ident = self._oov_ids.get(term)
-        if ident is None:
-            ident = self.node_count + len(self._oov_ids)
-            self._oov_ids[term] = ident
-        return ident
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SemanticGraph):

@@ -33,6 +33,7 @@ from .fileio import atomic_output
 from .graph import SemanticGraph, SenseId
 
 _BATCH_COLUMNS = 256
+_SIM_MEMO_CAPACITY = 1 << 20  # sense pairs whose similarity the engine keeps
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,29 +49,6 @@ class PprConfig:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
         if self.truncation is not None and self.truncation < 1:
             raise ValueError(f"truncation must be >= 1, got {self.truncation}")
-
-
-@dataclass(frozen=True)
-class SeedSet:
-    """Duplicate-free, order-preserving set of seed senses."""
-
-    senses: tuple[SenseId, ...]
-
-    def __post_init__(self) -> None:
-        deduped = tuple(dict.fromkeys(self.senses))
-        object.__setattr__(self, "senses", deduped)
-        if not deduped:
-            raise ValueError("empty seed set")
-
-    @classmethod
-    def of(cls, senses: Iterable[SenseId]) -> "SeedSet":
-        return cls(tuple(senses))
-
-    def __len__(self) -> int:
-        return len(self.senses)
-
-    def __iter__(self) -> Iterator[SenseId]:
-        return iter(self.senses)
 
 
 class PprVector:
@@ -119,40 +97,22 @@ class PprVector:
             out.append((key, w))
         return out
 
-    def weight_of(self, key: SenseId | str) -> float:
-        if isinstance(key, str):
-            return self.oov_weight if key in self.oov_terms else 0.0
-        pos = np.flatnonzero(self.idx == self.graph.node_index(key))
-        return float(self.weights[pos[0]]) if len(pos) else 0.0
-
-    def sense_weight_sum(self) -> float:
-        return float(self.weights.sum())
-
     def dense_rank_table(self) -> np.ndarray:
-        """key id -> int32 rank lookup array (0 marks an absent dimension).
+        """Node index -> int32 rank among the senses, 1..len(idx); 0 marks
+        an absent sense.
 
-        Sense keys are graph node indices; OOV keys are interned past the
-        node range, so the two namespaces cannot collide. The table ends at
-        the largest key present.
+        OOV dimensions are not in the table (``sim_sem`` matches them by
+        term). The table ends at the largest node index present. It is built
+        on first use and kept with the vector.
         """
         table = self._dense
         if table is None:
-            m = len(self.oov_terms)
-            oov_keys = [self.graph.oov_key_id(term) for term in self.oov_terms]
-            size = max(oov_keys) + 1 if oov_keys else int(self.idx.max(initial=-1)) + 1
-            table = np.zeros(size, dtype=np.int32)
-            table[oov_keys] = np.arange(1, m + 1, dtype=np.int32)
-            table[self.idx] = np.arange(m + 1, m + 1 + len(self.idx), dtype=np.int32)
+            table = np.zeros(int(self.idx.max(initial=-1)) + 1, dtype=np.int32)
+            table[self.idx] = np.arange(1, len(self.idx) + 1, dtype=np.int32)
             self._dense = table
             if self._cache is not None:
                 self._cache.stored_bytes += table.nbytes
         return table
-
-    def rank_of(self, key: SenseId | str) -> int | None:
-        for r, (k, _) in enumerate(self.items(), start=1):
-            if k == key:
-                return r
-        return None
 
     def nbytes(self) -> int:
         """Bytes held by the arrays of this vector, the rank table included
@@ -161,10 +121,12 @@ class PprVector:
         return self.idx.nbytes + self.weights.nbytes + table + 64 * len(self.oov_terms)
 
 
-def _seed_indices(graph: SemanticGraph, seeds: SeedSet | Iterable[SenseId]) -> np.ndarray:
-    if not isinstance(seeds, SeedSet):
-        seeds = SeedSet.of(seeds)
-    return np.array([graph.node_index(s) for s in seeds], dtype=np.int64)
+def _seed_key(graph: SemanticGraph, seeds: Iterable[SenseId]) -> tuple[int, ...]:
+    """A seed set's distinct node indices, ascending: its walk and cache key."""
+    key = tuple(sorted({graph.node_index(s) for s in seeds}))
+    if not key:
+        raise ValueError("empty seed set")
+    return key
 
 
 def _run_walk(graph: SemanticGraph, v0: np.ndarray, cfg: PprConfig) -> np.ndarray:
@@ -208,17 +170,25 @@ def _compress(graph: SemanticGraph, column: np.ndarray, cfg: PprConfig) -> PprVe
     return PprVector(graph, graph.sid_order[order[:top]], ranked[:top].copy())
 
 
+def _walk(
+    graph: SemanticGraph, keys: Sequence[tuple[int, ...]], cfg: PprConfig
+) -> list[PprVector]:
+    """One walk pass, one column per seed key, each starting uniform over
+    its seeds; the vectors come back in key order."""
+    v0 = np.zeros((graph.node_count, len(keys)), dtype=np.float64)
+    for col, key in enumerate(keys):
+        v0[list(key), col] = 1.0 / len(key)
+    v = _run_walk(graph, v0, cfg)
+    return [_compress(graph, v[:, col], cfg) for col in range(len(keys))]
+
+
 def compute_ppr(
     graph: SemanticGraph,
-    seeds: SeedSet | Iterable[SenseId],
+    seeds: Iterable[SenseId],
     cfg: PprConfig = PprConfig(),
 ) -> PprVector:
     """Run the walk from a uniform distribution over the seed set."""
-    seed_idx = _seed_indices(graph, seeds)
-    v0 = np.zeros((graph.node_count, 1), dtype=np.float64)
-    v0[seed_idx, 0] = 1.0 / len(seed_idx)
-    v = _run_walk(graph, v0, cfg)
-    return _compress(graph, v[:, 0], cfg)
+    return _walk(graph, [_seed_key(graph, seeds)], cfg)[0]
 
 
 class _LruCache:
@@ -300,30 +270,26 @@ class PprEngine:
         graph: SemanticGraph,
         cfg: PprConfig = PprConfig(),
         cache_capacity: int = 200_000,
-        sim_cache_capacity: int = 1 << 20,
     ):
         self.graph = graph
         self.cfg = cfg
         self._cache = _LruCache(cache_capacity)
         self._sim_memo: dict[tuple[int, int], float] = {}
-        self._sim_memo_cap = sim_cache_capacity
 
     # -- vector access ------------------------------------------------
 
-    def vector_for_seeds(self, seeds: SeedSet | Iterable[SenseId]) -> PprVector:
-        seed_idx = _seed_indices(self.graph, seeds)
-        key = tuple(sorted(set(seed_idx.tolist())))
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        vec = compute_ppr(self.graph, [self.graph.sense_at(i) for i in key], self.cfg)
-        self._cache.put(key, vec)
+    def vector_for_seeds(self, seeds: Iterable[SenseId]) -> PprVector:
+        key = _seed_key(self.graph, seeds)
+        vec = self._cache.get(key)
+        if vec is None:
+            vec = _walk(self.graph, [key], self.cfg)[0]
+            self._cache.put(key, vec)
         return vec
 
     def ppr_for_sense(self, sense: SenseId) -> PprVector:
         return self.vector_for_seeds((sense,))
 
-    def ppr_for_sense_set(self, senses: SeedSet | Iterable[SenseId]) -> PprVector:
+    def ppr_for_sense_set(self, senses: Iterable[SenseId]) -> PprVector:
         return self.vector_for_seeds(senses)
 
     # -- batch priming --------------------------------------------------
@@ -337,24 +303,11 @@ class PprEngine:
         """
         if self._cache.capacity <= 0:
             return
-        keys: list[tuple[int, ...]] = []
-        seen: set[tuple[int, ...]] = set()
-        for seeds in seed_sets:
-            idx = _seed_indices(self.graph, seeds)
-            key = tuple(sorted(set(idx.tolist())))
-            if key in seen:
-                continue
-            seen.add(key)
-            if self._cache.get(key) is None:
-                keys.append(key)
+        distinct = dict.fromkeys(_seed_key(self.graph, seeds) for seeds in seed_sets)
+        keys = [key for key in distinct if self._cache.get(key) is None]
         for start in range(0, len(keys), _BATCH_COLUMNS):
             chunk = keys[start : start + _BATCH_COLUMNS]
-            v0 = np.zeros((self.graph.node_count, len(chunk)), dtype=np.float64)
-            for col, key in enumerate(chunk):
-                v0[list(key), col] = 1.0 / len(key)
-            v = _run_walk(self.graph, v0, self.cfg)
-            for col, key in enumerate(chunk):
-                vec = _compress(self.graph, v[:, col], self.cfg)
+            for key, vec in zip(chunk, _walk(self.graph, chunk, self.cfg)):
                 self._cache.put(key, vec)
 
     def prime_senses(self, senses: Iterable[SenseId]) -> None:
@@ -371,7 +324,7 @@ class PprEngine:
         if cached is not None:
             return cached
         value = sim_sem(self.ppr_for_sense(a), self.ppr_for_sense(b))
-        if len(self._sim_memo) < self._sim_memo_cap:
+        if len(self._sim_memo) < _SIM_MEMO_CAPACITY:
             self._sim_memo[key] = value
         return value
 

@@ -25,7 +25,7 @@ import numpy as np
 from .disambiguation import SenseAssignment, WordType, build_word_types, disambiguate_pair
 from .fileio import write_atomic
 from .graph import Dictionary, SenseId
-from .ppr import PprConfig, PprEngine, PprVector
+from .ppr import PprEngine, PprVector
 from .rouge import NGram, NGramMultiset, clipped_matches, grams_for
 from .similarity import insert_oov, sim_sem
 from .text import SummaryText, tokenize
@@ -48,7 +48,6 @@ def variant_is_semantic(variant: str) -> bool:
 class GrougeConfig:
     variant: str = "g1"
     beta: float = 0.5
-    ppr: PprConfig = PprConfig()
     oov_enabled: bool = True
 
     def __post_init__(self) -> None:

@@ -91,6 +91,21 @@ def weighted_overlap_direct(w1: dict, w2: dict) -> float:
     return num / den
 
 
+def vector_from_weights(graph, weights: dict):
+    """A PprVector holding a {SenseId: weight} map, in rank order: descending
+    weight, ties by ascending sense id."""
+    from grouge import PprVector
+
+    ordered = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0].canonical))
+    idx = np.array([graph.node_index(key) for key, _ in ordered], dtype=np.int64)
+    return PprVector(graph, idx, np.array([w for _, w in ordered], dtype=np.float64))
+
+
+def weight_in(vector, key) -> float:
+    """key's weight as vector.items() lists it; 0.0 when it is absent."""
+    return next((w for k, w in vector.items() if k == key), 0.0)
+
+
 def brute_force_align(item, context, pair_sim) -> list:
     """Exhaustive alignment over all sense pairings.
 

@@ -19,7 +19,6 @@ from grouge import (
     GrougeConfig,
     PprConfig,
     PprEngine,
-    RankedVector,
     align_disambiguate,
     bootstrap_ci,
     compute_ppr,
@@ -32,7 +31,6 @@ from grouge import (
     sim_sem,
     spearman,
     tokenize,
-    weighted_overlap,
     williams_test,
 )
 from grouge.stats import JudgmentTable
@@ -44,6 +42,8 @@ from oracles import (
     kendall_tau_b_oracle,
     recall_oracle,
     spearman_oracle,
+    vector_from_weights,
+    weight_in,
     weighted_overlap_direct,
     williams_oracle,
 )
@@ -103,7 +103,7 @@ def test_c01_ppr_matches_dense_oracle_on_100_random_graphs():
 
         for iterations in range(1, 31):
             iterate = compute_ppr(graph, seeds, PprConfig(iterations=iterations))
-            assert abs(iterate.sense_weight_sum() - 1.0) <= 1e-9
+            assert abs(float(iterate.weights.sum()) - 1.0) <= 1e-9
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"\nACCEPTANCE 1 PPR dense-oracle equivalence (100 graphs, {elapsed:.2f}s): PASS")
@@ -116,10 +116,10 @@ def test_c02_two_node_fixed_point():
     # this bipartite pair, so the criterion is checked at convergence.
     vector = compute_ppr(graph, [sense(1)], PprConfig(iterations=120))
     expected_a = 0.15 / (1.0 - 0.85**2)
-    assert vector.weight_of(sense(1)) == pytest.approx(expected_a, abs=1e-6)
-    assert vector.weight_of(sense(2)) == pytest.approx(1.0 - expected_a, abs=1e-6)
-    assert vector.weight_of(sense(1)) == pytest.approx(0.540541, abs=1e-6)
-    assert vector.weight_of(sense(2)) == pytest.approx(0.459459, abs=1e-6)
+    assert weight_in(vector, sense(1)) == pytest.approx(expected_a, abs=1e-6)
+    assert weight_in(vector, sense(2)) == pytest.approx(1.0 - expected_a, abs=1e-6)
+    assert weight_in(vector, sense(1)) == pytest.approx(0.540541, abs=1e-6)
+    assert weight_in(vector, sense(2)) == pytest.approx(0.459459, abs=1e-6)
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
     print(f"\nACCEPTANCE 2 two-node fixed point ({elapsed:.3f}s): PASS")
@@ -127,34 +127,36 @@ def test_c02_two_node_fixed_point():
 
 def test_c03_weighted_overlap_cases_and_oracle():
     start = time.monotonic()
-    identity = RankedVector.from_weights({"a": 0.5, "b": 0.3, "c": 0.2})
-    assert weighted_overlap(identity, identity) == 1.0
-    assert weighted_overlap(
-        RankedVector.from_weights({"a": 1.0}), RankedVector.from_weights({"b": 1.0})
-    ) == 0.0
-    assert weighted_overlap(
-        RankedVector.from_weights({"s1": 0.6, "s2": 0.4}),
-        RankedVector.from_weights({"s1": 0.3, "s2": 0.7}),
+    graph = load_graph([f"u:{sense(i)} v:{sense(i + 1)}" for i in range(40)])
+
+    def vector(weights):
+        return vector_from_weights(graph, weights)
+
+    identity = vector({sense(1): 0.5, sense(2): 0.3, sense(3): 0.2})
+    assert sim_sem(identity, identity) == 1.0
+    assert sim_sem(vector({sense(1): 1.0}), vector({sense(2): 1.0})) == 0.0
+    assert sim_sem(
+        vector({sense(1): 0.6, sense(2): 0.4}),
+        vector({sense(1): 0.3, sense(2): 0.7}),
     ) == pytest.approx(8.0 / 9.0, abs=1e-12)
 
     rng = np.random.default_rng(99)
-    pool = [f"k{i:02d}" for i in range(40)]
+    pool = [sense(i) for i in range(40)]
     for _ in range(1000):
         def draw():
             size = int(rng.integers(1, 16))
-            keys = rng.choice(pool, size=size, replace=False)
-            return {k: float(rng.uniform(0.01, 1.0)) for k in keys}
+            keys = rng.choice(len(pool), size=size, replace=False)
+            return {pool[k]: float(rng.uniform(0.01, 1.0)) for k in keys}
 
         w1, w2 = draw(), draw()
-        v1 = RankedVector.from_weights(w1)
-        v2 = RankedVector.from_weights(w2)
-        score = weighted_overlap(v1, v2)
+        v1, v2 = vector(w1), vector(w2)
+        score = sim_sem(v1, v2)
         assert score == pytest.approx(weighted_overlap_direct(w1, w2), abs=1e-12)
         assert 0.0 <= score <= 1.0
-        assert score == weighted_overlap(v2, v1)
+        assert score == sim_sem(v2, v1)
         scale = float(rng.uniform(0.1, 10.0))
-        scaled = RankedVector.from_weights({k: w * scale for k, w in w1.items()})
-        assert weighted_overlap(scaled, v2) == score
+        scaled = vector({k: w * scale for k, w in w1.items()})
+        assert sim_sem(scaled, v2) == score
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     print(f"\nACCEPTANCE 3 weighted overlap vs direct oracle ({elapsed:.2f}s): PASS")

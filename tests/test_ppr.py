@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 import grouge.ppr
-from grouge import PprConfig, PprEngine, SeedSet, compute_ppr, load_graph
+from grouge import PprConfig, PprEngine, compute_ppr, load_graph
 from grouge.ppr import _compress, _run_walk
 
 from conftest import graph_from_edges, sense
-from oracles import compress_reference, dense_ppr, walk_reference
+from oracles import compress_reference, dense_ppr, walk_reference, weight_in
 from synth import write_graph
 
 
@@ -24,15 +24,15 @@ class TestComputePpr:
     def test_two_node_thirty_iterations_matches_recurrence(self, two_node_graph):
         v = compute_ppr(two_node_graph, [sense(1)], PprConfig())
         a30, b30 = exact_two_node_iterate(30)
-        assert v.weight_of(sense(1)) == pytest.approx(a30, abs=1e-15)
-        assert v.weight_of(sense(2)) == pytest.approx(b30, abs=1e-15)
+        assert weight_in(v, sense(1)) == pytest.approx(a30, abs=1e-15)
+        assert weight_in(v, sense(2)) == pytest.approx(b30, abs=1e-15)
 
     def test_two_node_fixed_point_at_convergence(self, two_node_graph):
         # 0.15 / (1 - 0.85^2) and its complement; the default 30 iterations
         # sit ~3.5e-3 away on this bipartite graph, so run longer.
         v = compute_ppr(two_node_graph, [sense(1)], PprConfig(iterations=120))
-        assert v.weight_of(sense(1)) == pytest.approx(0.15 / (1 - 0.85**2), abs=1e-6)
-        assert v.weight_of(sense(2)) == pytest.approx(1 - 0.15 / (1 - 0.85**2), abs=1e-6)
+        assert weight_in(v, sense(1)) == pytest.approx(0.15 / (1 - 0.85**2), abs=1e-6)
+        assert weight_in(v, sense(2)) == pytest.approx(1 - 0.15 / (1 - 0.85**2), abs=1e-6)
 
     def test_complete_graph_all_seeds_uniform_every_iteration(self):
         g = graph_from_edges([(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
@@ -40,18 +40,18 @@ class TestComputePpr:
         for iterations in (1, 3, 30):
             v = compute_ppr(g, seeds, PprConfig(iterations=iterations))
             for s in seeds:
-                assert v.weight_of(s) == pytest.approx(0.25, abs=1e-15)
+                assert weight_in(v, s) == pytest.approx(0.25, abs=1e-15)
 
     def test_isolated_seed_keeps_all_mass(self):
         g = graph_from_edges([(1, 2)], isolated=[9])
         v = compute_ppr(g, [sense(9)])
-        assert v.weight_of(sense(9)) == 1.0
+        assert weight_in(v, sense(9)) == 1.0
         assert len(v) == 1
 
     def test_two_seeds_on_symmetric_pair_uniform(self, two_node_graph):
         v = compute_ppr(two_node_graph, [sense(1), sense(2)])
-        assert v.weight_of(sense(1)) == pytest.approx(0.5, abs=1e-12)
-        assert v.weight_of(sense(2)) == pytest.approx(0.5, abs=1e-12)
+        assert weight_in(v, sense(1)) == pytest.approx(0.5, abs=1e-12)
+        assert weight_in(v, sense(2)) == pytest.approx(0.5, abs=1e-12)
 
     def test_unknown_seed_named_in_error(self, two_node_graph):
         with pytest.raises(ValueError, match="00000042-n"):
@@ -65,14 +65,14 @@ class TestComputePpr:
         g = graph_from_edges([(1, 2), (2, 3)], isolated=[7])
         for iterations in range(1, 31):
             v = compute_ppr(g, [sense(1), sense(7)], PprConfig(iterations=iterations))
-            assert v.sense_weight_sum() == pytest.approx(1.0, abs=1e-9)
+            assert float(v.weights.sum()) == pytest.approx(1.0, abs=1e-9)
 
     def test_restart_floor_on_seeds(self, path_graph):
         seeds = [sense(1), sense(3)]
         for iterations in range(1, 31):
             v = compute_ppr(path_graph, seeds, PprConfig(iterations=iterations))
             for s in seeds:
-                assert v.weight_of(s) >= 0.15 / 2
+                assert weight_in(v, s) >= 0.15 / 2
 
     def test_monotone_locality_on_path(self, path_graph):
         # Mass is non-increasing with distance from the seed's neighbour on.
@@ -80,7 +80,7 @@ class TestComputePpr:
         # receives the seed's entire outflow (degree-1 column), which the
         # dense oracle confirms, so monotonicity is asserted from distance 1.
         v = compute_ppr(path_graph, [sense(1)])
-        weights = [v.weight_of(sense(i)) for i in range(1, 6)]
+        weights = [weight_in(v, sense(i)) for i in range(1, 6)]
         assert all(a >= b for a, b in zip(weights[1:], weights[2:]))
         oracle = dense_ppr(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [0])
         assert np.max(np.abs(np.array(weights) - oracle)) <= 1e-12
@@ -100,7 +100,7 @@ class TestComputePpr:
         cut = compute_ppr(path_graph, [sense(1)], PprConfig(truncation=2))
         assert len(cut) == 2
         assert list(cut.items()) == list(full.items())[:2]
-        assert cut.sense_weight_sum() < 1.0
+        assert float(cut.weights.sum()) < 1.0
 
 
 class TestOracleEquivalence:
@@ -354,7 +354,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PprConfig(**kwargs)
 
-    def test_seed_set_dedupes_and_rejects_empty(self):
-        assert len(SeedSet.of([sense(1), sense(1), sense(2)])) == 2
-        with pytest.raises(ValueError):
-            SeedSet.of([])
+    def test_seed_set_dedupes_and_rejects_empty(self, path_graph):
+        engine = PprEngine(path_graph)
+        deduped = engine.ppr_for_sense_set([sense(1), sense(1), sense(2)])
+        assert deduped is engine.ppr_for_sense_set([sense(2), sense(1)])
+        assert engine.stats().size == 1
+        with pytest.raises(ValueError, match="empty seed set"):
+            engine.ppr_for_sense_set([])

@@ -1,79 +1,76 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grouge import (
-    PprEngine,
-    RankedVector,
-    compute_ppr,
-    insert_oov,
-    sim_sem,
-    to_ranked,
-    weighted_overlap,
-)
+from grouge import PprEngine, PprVector, compute_ppr, insert_oov, sim_sem
 
 from conftest import graph_from_edges, sense
-from oracles import weighted_overlap_direct
+from oracles import vector_from_weights, weighted_overlap_direct
+
+# Nodes 0..30, so every key the weight maps below draw is a sense.
+KEY_GRAPH = graph_from_edges([(i, i + 1) for i in range(30)])
 
 
-def weight_maps(max_dims: int = 12):
-    keys = st.integers(min_value=0, max_value=30).map(lambda i: f"d{i:02d}")
+def weight_maps(max_dims: int = 12, min_dims: int = 1):
+    keys = st.integers(min_value=0, max_value=30).map(sense)
     weights = st.floats(min_value=1e-6, max_value=1.0, allow_nan=False)
-    return st.dictionaries(keys, weights, min_size=1, max_size=max_dims)
+    return st.dictionaries(keys, weights, min_size=min_dims, max_size=max_dims)
+
+
+def overlap(w1: dict, w2: dict) -> float:
+    return sim_sem(vector_from_weights(KEY_GRAPH, w1), vector_from_weights(KEY_GRAPH, w2))
+
+
+def empty_vector(graph) -> PprVector:
+    return PprVector(graph, np.empty(0, np.int64), np.empty(0, np.float64))
+
+
+def with_oov(weights: dict, terms: list[str]) -> tuple[PprVector, dict]:
+    """A vector from a weight map plus OOV terms, and the weight map the
+    direct oracle ranks for it."""
+    vec = insert_oov(vector_from_weights(KEY_GRAPH, weights), terms)
+    return vec, {**weights, **dict.fromkeys(vec.oov_terms, vec.oov_weight)}
 
 
 class TestWeightedOverlap:
     def test_identity_is_exactly_one(self):
-        v = RankedVector.from_weights({"a": 0.5, "b": 0.3, "c": 0.2})
-        assert weighted_overlap(v, v) == 1.0
+        w = {sense(1): 0.5, sense(2): 0.3, sense(3): 0.2}
+        assert overlap(w, w) == 1.0
 
     def test_disjoint_supports_zero(self):
-        v1 = RankedVector.from_weights({"a": 0.7, "b": 0.3})
-        v2 = RankedVector.from_weights({"c": 0.6, "d": 0.4})
-        assert weighted_overlap(v1, v2) == 0.0
+        assert overlap({sense(1): 0.7, sense(2): 0.3}, {sense(3): 0.6, sense(4): 0.4}) == 0.0
 
     def test_hand_case_eight_ninths(self):
-        v1 = RankedVector.from_weights({"s1": 0.6, "s2": 0.4})
-        v2 = RankedVector.from_weights({"s1": 0.3, "s2": 0.7})
-        assert weighted_overlap(v1, v2) == pytest.approx(8.0 / 9.0, abs=1e-12)
+        got = overlap({sense(1): 0.6, sense(2): 0.4}, {sense(1): 0.3, sense(2): 0.7})
+        assert got == pytest.approx(8.0 / 9.0, abs=1e-12)
 
     def test_empty_vector_rejected(self):
-        v = RankedVector.from_weights({"a": 1.0})
+        v = vector_from_weights(KEY_GRAPH, {sense(1): 1.0})
         with pytest.raises(ValueError, match="empty signature"):
-            weighted_overlap(RankedVector({}), v)
-
-    def test_rank_validation(self):
-        with pytest.raises(ValueError):
-            RankedVector({"a": 1, "b": 3})
+            sim_sem(empty_vector(KEY_GRAPH), v)
 
     def test_tie_break_by_ascending_key(self):
-        v = RankedVector.from_weights({"b": 0.5, "a": 0.5, "c": 0.4})
-        assert v.ranks == {"a": 1, "b": 2, "c": 3}
+        v = vector_from_weights(KEY_GRAPH, {sense(2): 0.5, sense(1): 0.5, sense(3): 0.4})
+        assert [k for k, _ in v.items()] == [sense(1), sense(2), sense(3)]
 
     @settings(max_examples=300, deadline=None)
     @given(weight_maps(), weight_maps())
     def test_matches_direct_oracle(self, w1, w2):
-        got = weighted_overlap(RankedVector.from_weights(w1), RankedVector.from_weights(w2))
+        got = overlap(w1, w2)
         assert got == pytest.approx(weighted_overlap_direct(w1, w2), abs=1e-12)
         assert 0.0 <= got <= 1.0
 
     @settings(max_examples=200, deadline=None)
     @given(weight_maps(), weight_maps())
     def test_symmetry_exact(self, w1, w2):
-        v1 = RankedVector.from_weights(w1)
-        v2 = RankedVector.from_weights(w2)
-        assert weighted_overlap(v1, v2) == weighted_overlap(v2, v1)
+        assert overlap(w1, w2) == overlap(w2, w1)
 
     @settings(max_examples=200, deadline=None)
     @given(weight_maps(), weight_maps(), st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_invariance(self, w1, w2, factor):
-        base = weighted_overlap(RankedVector.from_weights(w1), RankedVector.from_weights(w2))
-        scaled = weighted_overlap(
-            RankedVector.from_weights({k: w * factor for k, w in w1.items()}),
-            RankedVector.from_weights(w2),
-        )
-        assert scaled == base
+        scaled = overlap({k: w * factor for k, w in w1.items()}, w2)
+        assert scaled == overlap(w1, w2)
 
 
 class TestSimSem:
@@ -88,11 +85,12 @@ class TestSimSem:
         assert sim_sem(a, b) == 0.0
 
     def test_fast_path_matches_ranked_projection(self, path_graph):
+        # A vector rebuilt from its own items() ranks the same way.
         a = compute_ppr(path_graph, [sense(1)])
         b = compute_ppr(path_graph, [sense(4)])
-        assert sim_sem(a, b) == pytest.approx(
-            weighted_overlap(to_ranked(a), to_ranked(b)), abs=1e-15
-        )
+        rebuilt_a = vector_from_weights(path_graph, dict(a.items()))
+        rebuilt_b = vector_from_weights(path_graph, dict(b.items()))
+        assert sim_sem(a, b) == sim_sem(rebuilt_a, rebuilt_b)
 
     def test_fast_path_matches_direct_oracle(self, path_graph):
         a = compute_ppr(path_graph, [sense(1)])
@@ -102,13 +100,48 @@ class TestSimSem:
         assert sim_sem(a, b) == pytest.approx(weighted_overlap_direct(wa, wb), abs=1e-12)
 
     def test_empty_signature_rejected(self, path_graph):
-        import numpy as np
-        from grouge import PprVector
-
-        empty = PprVector(path_graph, np.empty(0, np.int64), np.empty(0, np.float64))
         full = compute_ppr(path_graph, [sense(1)])
         with pytest.raises(ValueError, match="empty signature"):
-            sim_sem(empty, full)
+            sim_sem(empty_vector(path_graph), full)
+
+    def test_vectors_of_different_graphs_rejected(self, path_graph):
+        other = graph_from_edges([(1, 2), (2, 3), (3, 4), (4, 5)])
+        with pytest.raises(ValueError, match="different graphs"):
+            sim_sem(compute_ppr(path_graph, [sense(1)]), compute_ppr(other, [sense(1)]))
+
+    def test_score_independent_of_terms_met_before(self):
+        # The order in which a process first meets OOV terms must not reach
+        # a score: summing this pair's shared terms in first-seen order
+        # moves its last bit.
+        edges = [(i, i + 1) for i in range(1, 12)] + [(12, 1), (3, 9), (5, 11)]
+
+        def target(graph):
+            a = insert_oov(compute_ppr(graph, [sense(1)]), ["t0", "t1", "t2"])
+            b = insert_oov(compute_ppr(graph, [sense(4)]), ["t0", "t1", "t2", "t3"])
+            return a, b
+
+        expected = sim_sem(*target(graph_from_edges(edges)))
+        seasoned = graph_from_edges(edges)
+        base = compute_ppr(seasoned, [sense(1)])
+        for term in ("t3", "t2", "t1", "t0"):
+            sim_sem(insert_oov(base, [term]), base)
+        assert sim_sem(*target(seasoned)) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weight_maps(min_dims=0),
+        weight_maps(min_dims=0),
+        st.lists(st.sampled_from(["ab", "cd", "ef", "gh", "ij", "kl"]), max_size=5),
+        st.lists(st.sampled_from(["ab", "cd", "ef", "gh", "ij", "kl"]), max_size=5),
+    )
+    def test_oov_on_both_sides_matches_direct_oracle(self, w1, w2, terms1, terms2):
+        (va, wa), (vb, wb) = with_oov(w1, terms1), with_oov(w2, terms2)
+        assume(va and vb)
+        got = sim_sem(va, vb)
+        assert got == pytest.approx(weighted_overlap_direct(wa, wb), abs=1e-12)
+        assert got == sim_sem(vb, va)
+        same, _ = with_oov(w1, terms1)
+        assert sim_sem(va, same) == 1.0
 
 
 class TestInsertOov:
@@ -119,16 +152,12 @@ class TestInsertOov:
     def test_oov_takes_top_rank_in_both_vectors(self, path_graph):
         a = insert_oov(compute_ppr(path_graph, [sense(1)]), ["tac2011"])
         b = insert_oov(compute_ppr(path_graph, [sense(5)]), ["tac2011"])
-        assert a.rank_of("tac2011") == 1
-        assert b.rank_of("tac2011") == 1
         assert next(iter(a.items()))[0] == "tac2011"
+        assert next(iter(b.items()))[0] == "tac2011"
 
     def test_shared_single_oov_token_scores_one(self, path_graph):
-        from grouge import PprVector
-
-        empty = PprVector(path_graph, np.empty(0, np.int64), np.empty(0, np.float64))
-        a = insert_oov(empty, ["zzz"])
-        b = insert_oov(empty, ["zzz"])
+        a = insert_oov(empty_vector(path_graph), ["zzz"])
+        b = insert_oov(empty_vector(path_graph), ["zzz"])
         assert sim_sem(a, b) == 1.0
 
     def test_oov_weight_strictly_above_max(self, path_graph):
@@ -140,19 +169,13 @@ class TestInsertOov:
         v = compute_ppr(path_graph, [sense(1)])
         out = insert_oov(v, ["Beta", "alpha", "beta"])
         assert out.oov_terms == ("alpha", "beta")
-        assert out.rank_of("alpha") == 1
-        assert out.rank_of("beta") == 2
+        assert [k for k, _ in out.top(2)] == ["alpha", "beta"]
 
     def test_sense_ranks_shift_below_oov(self, path_graph):
         v = compute_ppr(path_graph, [sense(1)])
         top_sense = next(iter(v.items()))[0]
         out = insert_oov(v, ["x1", "x2"])
-        assert out.rank_of(top_sense) == 3
-
-    def test_rejects_non_boosting_factor(self, path_graph):
-        v = compute_ppr(path_graph, [sense(1)])
-        with pytest.raises(ValueError):
-            insert_oov(v, ["x"], weight_factor=1.0)
+        assert [k for k, _ in out.top(3)] == ["x1", "x2", top_sense]
 
 
 class TestEngineSenseSimilarity:
