@@ -9,7 +9,9 @@ signal, so the procedure is symmetric and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .graph import Dictionary, SenseId
 from .ppr import PprEngine
@@ -72,6 +74,35 @@ def build_word_types(
     return out
 
 
+class SimilarityTable:
+    """Similarity of each candidate sense of the row words (once each) to
+    each of the column words', one ``engine.sense_similarity`` call (a
+    run-wide memo lookup) per cell."""
+
+    def __init__(self, rows: Iterable[WordType], columns: Iterable[WordType], engine: PprEngine):
+        senses = [dict.fromkeys(s for w in words for s in w.senses) for words in (rows, columns)]
+        self.rows, self.columns = ({s: i for i, s in enumerate(keys)} for keys in senses)
+        sim = engine.sense_similarity
+        cells = [sim(r, c) for r in self.rows for c in self.columns]
+        self.values = np.array(cells, dtype=np.float64).reshape(len(self.rows), len(self.columns))
+
+
+def _assign(words: Sequence[WordType], index: dict, best: np.ndarray) -> SenseAssignment:
+    """Give each word its candidate sense s with the largest best[index[s]];
+    np.argmax returns the first maximum, so a tie keeps the lowest rank."""
+    if not words:
+        raise ValueError("item must contain at least one word")
+    entries = []
+    for word in words:
+        if word.is_oov:
+            entries.append(AssignedWord(word, None, 0.0))
+            continue
+        scores = best[[index[s] for s in word.senses]]
+        k = int(np.argmax(scores))
+        entries.append(AssignedWord(word, word.senses[k], float(scores[k])))
+    return SenseAssignment(tuple(entries))
+
+
 def align_disambiguate(
     item: Sequence[WordType],
     context: Sequence[WordType],
@@ -79,41 +110,32 @@ def align_disambiguate(
 ) -> SenseAssignment:
     """Assign each item word the sense closest to any context sense.
 
-    Ties prefer the lower sense rank, then the smaller sense id. When the
-    context has no senses at all, every word keeps its rank-1 sense with
-    support 0. OOV words are marked as such. Sense vectors missing from the
-    engine's cache are walked one at a time, so callers scoring many words
-    prime them first (see ``PprEngine.prime_senses``).
+    An item sense's score is its row maximum in the item × context
+    ``SimilarityTable``. Ties prefer the lower sense rank. When the context
+    has no senses at all, every word keeps its rank-1 sense with support 0
+    (the maximum's initial value). OOV words are marked as such. Sense vectors
+    missing from the engine's cache are walked one at a time, so callers
+    scoring many words prime them first (see ``PprEngine.prime_senses``).
     """
-    if not item:
-        raise ValueError("item must contain at least one word")
-    context_senses = tuple(dict.fromkeys(s for w in context for s in w.senses))
-
-    entries = []
-    for word in item:
-        if word.is_oov:
-            entries.append(AssignedWord(word, None, 0.0))
-            continue
-        if not context_senses:
-            entries.append(AssignedWord(word, word.senses[0], 0.0))
-            continue
-        best_sense = word.senses[0]
-        best_score = -1.0
-        for sense in word.senses:  # rank order; strict > keeps the lowest rank on tie
-            score = max(engine.sense_similarity(sense, c) for c in context_senses)
-            if score > best_score:
-                best_sense = sense
-                best_score = score
-        entries.append(AssignedWord(word, best_sense, best_score))
-    return SenseAssignment(tuple(entries))
+    table = SimilarityTable(item, context, engine)
+    return _assign(item, table.rows, table.values.max(axis=1, initial=0.0))
 
 
 def disambiguate_pair(
     model_text: Sequence[WordType],
     peer_text: Sequence[WordType],
     engine: PprEngine,
+    table: SimilarityTable | None = None,
 ) -> tuple[SenseAssignment, SenseAssignment]:
-    """Disambiguate each side against the other as context."""
-    model_assignment = align_disambiguate(model_text, peer_text, engine)
-    peer_assignment = align_disambiguate(peer_text, model_text, engine)
+    """Disambiguate each side against the other as context.
+
+    table's rows include the model's senses and its columns are the peer's
+    (``parts_by_family`` shares one per peer); without it one is built. A
+    peer sense's score is its column maximum over the model's rows.
+    """
+    if table is None:
+        table = SimilarityTable(model_text, peer_text, engine)
+    model_rows = table.values[[table.rows[s] for w in model_text for s in w.senses]]
+    model_assignment = _assign(model_text, table.rows, table.values.max(axis=1, initial=0.0))
+    peer_assignment = _assign(peer_text, table.columns, model_rows.max(axis=0, initial=0.0))
     return model_assignment, peer_assignment

@@ -316,13 +316,16 @@ class PprEngine:
     # -- sense-pair similarity memo ------------------------------------
 
     def sense_similarity(self, a: SenseId, b: SenseId) -> float:
-        from .similarity import sim_sem
-
-        ia, ib = self.graph.node_index(a), self.graph.node_index(b)
+        try:
+            ia, ib = self.graph._index[a], self.graph._index[b]
+        except KeyError:
+            raise ValueError(f"sense {b if a in self.graph else a} is not in the graph") from None
         key = (ia, ib) if ia <= ib else (ib, ia)
         cached = self._sim_memo.get(key)
         if cached is not None:
             return cached
+        from .similarity import sim_sem  # read at call time: tracers replace it
+
         value = sim_sem(self.ppr_for_sense(a), self.ppr_for_sense(b))
         if len(self._sim_memo) < _SIM_MEMO_CAPACITY:
             self._sim_memo[key] = value

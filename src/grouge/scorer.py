@@ -22,7 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .disambiguation import SenseAssignment, WordType, build_word_types, disambiguate_pair
+from .disambiguation import SenseAssignment, SimilarityTable, WordType, build_word_types
+from .disambiguation import disambiguate_pair
 from .fileio import write_atomic
 from .graph import Dictionary, SenseId
 from .ppr import PprEngine, PprVector
@@ -96,7 +97,8 @@ class PairScorer:
     Disambiguation runs once per pair and is shared by every n-gram and
     every variant scored against it. A lexical-only scorer (semantic=False)
     needs no engine or dictionary. word_types maps each text to its
-    ``build_word_types`` list; without it both are built here.
+    ``build_word_types`` list; without it both are built here. table is
+    passed to ``disambiguate_pair``.
 
     Walk vectors are looked up in the engine's cache and walked one at a
     time on a miss; ``parts_by_family`` primes them in batches first.
@@ -111,6 +113,7 @@ class PairScorer:
         oov_enabled: bool = True,
         semantic: bool = True,
         word_types: Mapping[SummaryText, list[WordType]] | None = None,
+        table: SimilarityTable | None = None,
     ):
         self.engine = engine
         self.oov_enabled = oov_enabled
@@ -126,7 +129,7 @@ class PairScorer:
                     text: build_word_types(text, dictionary) for text in (model_text, peer_text)
                 }
             self.model_assignment, self.peer_assignment = disambiguate_pair(
-                word_types[model_text], word_types[peer_text], engine
+                word_types[model_text], word_types[peer_text], engine, table
             )
             self._sense_map = {
                 e.word.stem: e.sense for e in self.model_assignment
@@ -217,12 +220,13 @@ def parts_by_family(
     they are extracted here. When debug is given, each pair's sense
     assignment lines are appended to it, one list per model.
 
-    This is where walks are planned. Every candidate sense of the peer and
-    its models is walked in one batch before the pairs are disambiguated,
-    and every peer-signature and gram seed set of those pairs in a second
-    batch before they are scored, so scoring itself only reads the engine's
-    cache. Planning per peer bounds the batch width, and with it the
-    memory a walk holds.
+    This is where walks and disambiguation are planned. Every candidate
+    sense of the peer and its models is walked in one batch, then one
+    ``SimilarityTable`` of model senses × peer senses is filled, each cell
+    once, and every pair is disambiguated from it. Every peer-signature and
+    gram seed set of those pairs is walked in a second batch before they are
+    scored, so scoring itself only reads the engine's cache. Planning per
+    peer bounds the batch width and the table, and so a peer's memory.
     """
     if not models:
         raise ValueError("at least one model summary is required")
@@ -231,15 +235,17 @@ def parts_by_family(
             text: {family: grams_for(text, family) for family in families}
             for text in (peer, *models)
         }
-    word_types = None
+    word_types = table = None
     if semantic and peer.token_count:
         word_types = {
             text: build_word_types(text, dictionary)
             for text in (peer, *models) if text.token_count
         }
         engine.prime_senses(s for words in word_types.values() for w in words for s in w.senses)
+        model_words = [w for model in models if model.token_count for w in word_types[model]]
+        table = SimilarityTable(model_words, word_types[peer], engine)
     pairs = [
-        PairScorer(model, peer, engine, dictionary, oov_enabled, semantic, word_types)
+        PairScorer(model, peer, engine, dictionary, oov_enabled, semantic, word_types, table)
         for model in models
     ]
     if semantic:

@@ -44,19 +44,27 @@ def sim_sem(a: PprVector, b: PprVector) -> float:
     table_a, table_b = a.dense_rank_table(), b.dense_rank_table()
     common = min(len(table_a), len(table_b))
     ranks_a, ranks_b = table_a[:common], table_b[:common]
-    shared = (ranks_a > 0) & (ranks_b > 0)
-    ranks_a_shared = ranks_a[shared]
-    ranks_b_shared = ranks_b[shared]
+    rank_sums = ranks_a + ranks_b
+    if len(a.idx) == len(b.idx) == len(table_a) == len(table_b):
+        n_shared = common  # neither table has a zero: every sense is shared
+    else:
+        shared = np.minimum(ranks_a, ranks_b) > 0
+        n_shared = int(np.count_nonzero(shared))
+        if n_shared < common:  # compact only when some sense is in one vector alone
+            rank_sums = rank_sums[shared]
     oov_sums: list[int] = []
     if a.oov_terms and b.oov_terms:
         oov_b = {term: r for r, term in enumerate(b.oov_terms, 1)}
         oov_sums = [r + oov_b[term] for r, term in enumerate(a.oov_terms, 1) if term in oov_b]
-    h = len(ranks_a_shared) + len(oov_sums)
+    h = n_shared + len(oov_sums)
     if h == 0:
         return 0.0
-    if h == len(a) == len(b) and np.array_equal(ranks_a_shared, ranks_b_shared):
+    # All dimensions shared: the prefixes are zero at the same entries.
+    if h == len(a) == len(b) and np.array_equal(ranks_a, ranks_b):
         return 1.0  # identical rank structure
-    rank_sums = ranks_a_shared + ranks_b_shared + (len(a.oov_terms) + len(b.oov_terms))
+    oov_count = len(a.oov_terms) + len(b.oov_terms)
+    if oov_count:
+        rank_sums = rank_sums + oov_count
     if oov_sums:
         rank_sums = np.concatenate([rank_sums, np.array(oov_sums, dtype=rank_sums.dtype)])
     num = float(np.sum(1.0 / rank_sums))

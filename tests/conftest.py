@@ -35,6 +35,30 @@ def dictionary_from(graph: SemanticGraph, entries: dict[str, list[int]]) -> Dict
     return load_dictionary(lines, graph)
 
 
+def labelled_graph(edges, n, rng, isolated=()):
+    """Graph on nodes 0..n-1 whose SenseIds are a random relabelling with
+    mixed parts of speech, so node index order and SenseId order differ."""
+    labels = rng.permutation(n) + 1
+    pos = "nvar"
+
+    def sid(i):
+        return f"{labels[i]:08d}-{pos[labels[i] % 4]}"
+
+    lines = [f"u:{sid(i)} v:{sid(j)}" for i, j in edges]
+    lines += [f"u:{sid(i)} v:{sid(i)}" for i in isolated]
+    return load_graph(lines)
+
+
+def ring_graphs(rng):
+    for n in (5, 8, 13, 30, 64):
+        yield labelled_graph([(i, (i + 1) % n) for i in range(n)], n, rng)
+
+
+def star_graphs(rng):
+    for leaves in (3, 6, 20, 50):
+        yield labelled_graph([(0, i) for i in range(1, leaves + 1)], leaves + 1, rng)
+
+
 @pytest.fixture
 def two_node_graph() -> SemanticGraph:
     return graph_from_edges([(1, 2)])

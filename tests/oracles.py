@@ -135,6 +135,65 @@ def brute_force_align(item, context, pair_sim) -> list:
     return out
 
 
+def align_loop(item, context, engine) -> list[tuple]:
+    """(sense, support) per item word, by the per-cell loop ``grouge`` used
+    before it read assignments from a similarity table.
+
+    Every item sense takes the max of ``engine.sense_similarity`` over the
+    context senses; the senses are visited in rank order and a strict ``>``
+    keeps the lowest rank on a tie. OOV words get (None, 0.0) and, when the
+    context has no senses, each word gets (rank-1 sense, 0.0).
+    """
+    if not item:
+        raise ValueError("item must contain at least one word")
+    context_senses = tuple(dict.fromkeys(s for w in context for s in w.senses))
+    out = []
+    for word in item:
+        if not word.senses:
+            out.append((None, 0.0))
+            continue
+        if not context_senses:
+            out.append((word.senses[0], 0.0))
+            continue
+        best_sense = word.senses[0]
+        best_score = -1.0
+        for sense in word.senses:
+            score = max(engine.sense_similarity(sense, c) for c in context_senses)
+            if score > best_score:
+                best_sense = sense
+                best_score = score
+        out.append((best_sense, best_score))
+    return out
+
+
+def sim_sem_reference(a, b) -> float:
+    """``sim_sem`` as it was before it skipped the compaction of fully
+    shared rank tables: shared senses selected by a mask every time."""
+    if not a or not b:
+        raise ValueError("empty signature")
+    table_a, table_b = a.dense_rank_table(), b.dense_rank_table()
+    common = min(len(table_a), len(table_b))
+    ranks_a, ranks_b = table_a[:common], table_b[:common]
+    shared = (ranks_a > 0) & (ranks_b > 0)
+    ranks_a_shared = ranks_a[shared]
+    ranks_b_shared = ranks_b[shared]
+    oov_sums: list[int] = []
+    if a.oov_terms and b.oov_terms:
+        oov_b = {term: r for r, term in enumerate(b.oov_terms, 1)}
+        oov_sums = [r + oov_b[term] for r, term in enumerate(a.oov_terms, 1) if term in oov_b]
+    h = len(ranks_a_shared) + len(oov_sums)
+    if h == 0:
+        return 0.0
+    if h == len(a) == len(b) and np.array_equal(ranks_a_shared, ranks_b_shared):
+        return 1.0
+    rank_sums = ranks_a_shared + ranks_b_shared + (len(a.oov_terms) + len(b.oov_terms))
+    if oov_sums:
+        rank_sums = np.concatenate([rank_sums, np.array(oov_sums, dtype=rank_sums.dtype)])
+    num = float(np.sum(1.0 / rank_sums))
+    normalizer = float(np.sum(1.0 / (2.0 * np.arange(1, h + 1, dtype=np.float64))))
+    return min(num / normalizer, 1.0)
+
+
 def clipped_match_total(model_grams: list, peer_grams: list) -> int:
     """Multiset-intersection size: sum over grams of min(model, peer) count."""
     cm, cp = Counter(model_grams), Counter(peer_grams)

@@ -37,6 +37,7 @@ from grouge.stats import JudgmentTable
 
 from conftest import sense
 from oracles import (
+    align_loop,
     brute_force_align,
     dense_ppr,
     kendall_tau_b_oracle,
@@ -372,3 +373,37 @@ def test_walk_plan_walks_each_seed_set_once_in_two_passes_per_peer(big_world, mo
     assert 0 < max(passes) <= 2
     stats = engine.stats()
     assert stats.misses == stats.size
+
+
+def test_peer_table_assignments_match_per_cell_loop(big_world, monkeypatch):
+    """One peer against its four models through parts_by_family: every
+    pair's assignments, both sides, equal the per-cell loop's, sense and
+    support bits, and all four pairs read one similarity table."""
+    graph, dictionary = load_world(big_world)
+    peer = tokenize((big_world["peers"] / "d1001.sys07.txt").read_text("utf-8"))
+    models = [
+        tokenize(path.read_text("utf-8")) for path in sorted(big_world["models"].glob("d1001.*.txt"))
+    ]
+    assert len(models) == 4
+    seen = []
+    disambiguate_pair = grouge.scorer.disambiguate_pair
+
+    def recorded(model_words, peer_words, engine, table=None):
+        out = disambiguate_pair(model_words, peer_words, engine, table)
+        seen.append((model_words, peer_words, table, out))
+        return out
+
+    monkeypatch.setattr(grouge.scorer, "disambiguate_pair", recorded)
+    grouge.scorer.parts_by_family(peer, models, ("1",), PprEngine(graph), dictionary)
+    assert len(seen) == 4
+    assert seen[0][2] is not None and all(table is seen[0][2] for _, _, table, _ in seen)
+    loop_engine = PprEngine(graph)
+    for model_words, peer_words, _, (model, peer_side) in seen:
+        loop_engine.prime_senses(s for w in (*model_words, *peer_words) for s in w.senses)
+        for assignment, item, context in (
+            (model, model_words, peer_words), (peer_side, peer_words, model_words)
+        ):
+            expected = align_loop(item, context, loop_engine)
+            assert [(e.sense, e.support.hex()) for e in assignment] == [
+                (sense, float(support).hex()) for sense, support in expected
+            ]

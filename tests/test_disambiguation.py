@@ -12,12 +12,21 @@ from grouge import (
     tokenize,
 )
 
-from conftest import dictionary_from, graph_from_edges, sense
-from oracles import brute_force_align, dense_ppr, weighted_overlap_direct
+from conftest import dictionary_from, graph_from_edges, ring_graphs, sense, star_graphs
+from oracles import align_loop, brute_force_align, dense_ppr, weighted_overlap_direct
 
 
 def word(stem: str, *senses, surface=None):
     return WordType(surface=surface or stem, stem=stem, senses=tuple(senses))
+
+
+def outcomes(assignment) -> list[tuple]:
+    """(sense, support bits) per entry."""
+    return [(e.sense, e.support.hex()) for e in assignment]
+
+
+def loop_outcomes(item, context, engine) -> list[tuple]:
+    return [(s, float(support).hex()) for s, support in align_loop(item, context, engine)]
 
 
 class TestAlignDisambiguate:
@@ -183,3 +192,69 @@ class TestBruteForceOracle:
                     assert entry.support == pytest.approx(best, abs=1e-9)
                     # the chosen sense is one of the brute-force maxima
                     assert score_map[entry.sense] == pytest.approx(best, abs=1e-9)
+
+
+class TestAssignmentOracle:
+    """Assignments read from a similarity table against the per-cell loop
+    (``oracles.align_loop``): same sense and same support bits, on graphs
+    whose mirror senses tie."""
+
+    @staticmethod
+    def neighbours(graph, i: int) -> list[int]:
+        adj = graph.adjacency
+        return adj.indices[adj.indptr[i] : adj.indptr[i + 1]].tolist()
+
+    def cases(self, graph, rng, count):
+        """(item, context) pairs: a word whose senses mirror each other
+        around a context sense, random words, OOV words, senses on both
+        sides, and contexts with no senses."""
+        n, at = graph.node_count, graph.sense_at
+
+        def random_words(k, tag):
+            draws = [rng.choice(n, int(rng.integers(0, 4)), replace=False) for _ in range(k)]
+            return [word(f"{tag}{w}", *[at(int(i)) for i in d]) for w, d in enumerate(draws)]
+
+        for case in range(count):
+            hub = int(rng.integers(n))
+            mirror = self.neighbours(graph, hub)
+            rng.shuffle(mirror)
+            item = [word("mirror", *[at(i) for i in mirror[:3]])]
+            item += random_words(int(rng.integers(0, 4)), "i") + [word("oov")]
+            if case % 5 == 4:
+                context = [word("x"), word("y")]  # no context senses
+            else:
+                context = [word("hub", at(hub))] + random_words(int(rng.integers(0, 4)), "c")
+                context.append(word("both", *item[-2].senses))  # senses on both sides
+            yield item, context
+
+    def check(self, graphs, rng):
+        ties = 0
+        for graph in graphs:
+            for item, context in self.cases(graph, rng, 12):
+                loop_engine = PprEngine(graph)
+                expected_item = loop_outcomes(item, context, loop_engine)
+                expected_context = loop_outcomes(context, item, loop_engine)
+                assert outcomes(align_disambiguate(item, context, PprEngine(graph))) == expected_item
+                model, peer = disambiguate_pair(item, context, PprEngine(graph))
+                assert outcomes(model) == expected_item
+                assert outcomes(peer) == expected_context
+                context_senses = [s for w in context for s in w.senses]
+                for w in item:
+                    if len(w.senses) > 1 and context_senses:
+                        best = [max(loop_engine.sense_similarity(s, c) for c in context_senses)
+                                for s in w.senses]
+                        ties += best.count(max(best)) > 1
+        return ties
+
+    def test_ring_graphs(self):
+        rng = np.random.default_rng(11)
+        assert self.check(ring_graphs(rng), rng) >= 30
+
+    def test_star_graphs(self):
+        rng = np.random.default_rng(12)
+        assert self.check(star_graphs(rng), rng) >= 15
+
+    def test_empty_item_rejected_by_pair(self):
+        g = graph_from_edges([(1, 2)])
+        with pytest.raises(ValueError):
+            disambiguate_pair([word("a", sense(1))], [], PprEngine(g))

@@ -7,7 +7,7 @@ import grouge.ppr
 from grouge import PprConfig, PprEngine, compute_ppr, load_graph
 from grouge.ppr import _compress, _run_walk
 
-from conftest import graph_from_edges, sense
+from conftest import graph_from_edges, labelled_graph, ring_graphs, sense, star_graphs
 from oracles import compress_reference, dense_ppr, walk_reference, weight_in
 from synth import write_graph
 
@@ -127,30 +127,6 @@ class TestOracleEquivalence:
             for key, w in v.items():
                 got[int(key.offset)] = w
             assert np.max(np.abs(got - expected)) <= 1e-12
-
-
-def labelled_graph(edges, n, rng, isolated=()):
-    """Graph on nodes 0..n-1 whose SenseIds are a random relabelling with
-    mixed parts of speech, so node index order and SenseId order differ."""
-    labels = rng.permutation(n) + 1
-    pos = "nvar"
-
-    def sid(i):
-        return f"{labels[i]:08d}-{pos[labels[i] % 4]}"
-
-    lines = [f"u:{sid(i)} v:{sid(j)}" for i, j in edges]
-    lines += [f"u:{sid(i)} v:{sid(i)}" for i in isolated]
-    return load_graph(lines)
-
-
-def ring_graphs(rng):
-    for n in (5, 8, 13, 30, 64):
-        yield labelled_graph([(i, (i + 1) % n) for i in range(n)], n, rng)
-
-
-def star_graphs(rng):
-    for leaves in (3, 6, 20, 50):
-        yield labelled_graph([(0, i) for i in range(1, leaves + 1)], leaves + 1, rng)
 
 
 def random_graphs(rng):

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grouge import PprEngine, PprVector, compute_ppr, insert_oov, sim_sem
+from grouge import PprConfig, PprEngine, PprVector, compute_ppr, insert_oov, sim_sem
 
 from conftest import graph_from_edges, sense
-from oracles import vector_from_weights, weighted_overlap_direct
+from oracles import sim_sem_reference, vector_from_weights, weighted_overlap_direct
 
 # Nodes 0..30, so every key the weight maps below draw is a sense.
 KEY_GRAPH = graph_from_edges([(i, i + 1) for i in range(30)])
@@ -144,6 +144,49 @@ class TestSimSem:
         assert sim_sem(va, same) == 1.0
 
 
+class TestSimSemReference:
+    """sim_sem against a copy of its masked predecessor, bit for bit, and
+    against the direct rank overlap within 1e-12."""
+
+    # A 12-node ring with chords, so every vector reaches every node, and
+    # a 5-node path: on their union a vector covers one component only.
+    GRAPH = graph_from_edges(
+        [(i, i % 12 + 1) for i in range(1, 13)] + [(1, 7), (4, 10)]
+        + [(i, i + 1) for i in range(20, 24)]
+    )
+    TERMS = ([], ["ab"], ["ab", "cd"], ["cd", "ef", "gh"])
+
+    def vectors(self):
+        out = []
+        for truncation in (None, 3, 8):
+            cfg = PprConfig(truncation=truncation)
+            for seeds in ([1], [4], [1, 7], [20], [22, 23]):
+                base = compute_ppr(self.GRAPH, [sense(i) for i in seeds], cfg)
+                out += [insert_oov(base, terms) for terms in self.TERMS]
+        return out
+
+    def test_bits_match_reference_and_direct_oracle(self):
+        vectors = self.vectors()
+        full = [v for v in vectors if len(v.idx) == 12 or len(v.idx) == 5]
+        assert full and len(full) < len(vectors)  # full and partial support
+        ones = 0
+        for a in vectors:
+            wa = {str(k): w for k, w in a.items()}
+            for b in vectors:
+                got = sim_sem(a, b)
+                assert got.hex() == sim_sem_reference(a, b).hex()
+                wb = {str(k): w for k, w in b.items()}
+                assert got == pytest.approx(weighted_overlap_direct(wa, wb), abs=1e-12)
+                ones += got == 1.0
+        assert ones >= len(vectors)  # the identical-structure exit
+
+    def test_oov_on_one_side_only(self):
+        a = insert_oov(compute_ppr(self.GRAPH, [sense(1)]), ["ab", "cd"])
+        b = compute_ppr(self.GRAPH, [sense(4)])
+        for x, y in ((a, b), (b, a)):
+            assert sim_sem(x, y).hex() == sim_sem_reference(x, y).hex()
+
+
 class TestInsertOov:
     def test_empty_terms_is_identity(self, path_graph):
         v = compute_ppr(path_graph, [sense(1)])
@@ -186,3 +229,9 @@ class TestEngineSenseSimilarity:
         assert ab == ba
         direct = sim_sem(engine.ppr_for_sense(sense(1)), engine.ppr_for_sense(sense(4)))
         assert ab == direct
+
+    def test_unknown_sense_named(self, path_graph):
+        engine = PprEngine(path_graph)
+        for a, b in ((sense(1), sense(9)), (sense(9), sense(1))):
+            with pytest.raises(ValueError, match="00000009-n is not in the graph"):
+                engine.sense_similarity(a, b)
