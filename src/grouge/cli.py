@@ -244,6 +244,14 @@ def read_config(path_text: str, sub: argparse.ArgumentParser) -> dict:
     return out
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The path of ``--config PATH`` or ``--config=PATH`` in a subcommand's
+    arguments, read as argparse reads it; None without the option."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    return pre.parse_known_args(argv)[0].config
+
+
 def _load_resources(args) -> tuple[SemanticGraph, Dictionary, Path, Path]:
     graph_path = _require(args.graph, "graph file")
     dict_path = _require(args.dict_path, "dictionary file")
@@ -309,7 +317,6 @@ def _run_scoring(args, variants) -> tuple[ScoreReport, PprEngine | None, dict]:
         stemming=not args.no_stem,
         remove_stopwords=args.remove_stopwords,
         collect_debug=getattr(args, "debug_senses", False),
-        provenance=provenance,
     )
     if engine is not None and args.cache_persist:
         engine.save_cache(args.cache_persist, cache_meta)
@@ -508,12 +515,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, submap = build_parser()
     try:
-        if argv and argv[0] in submap and "--config" in argv:
-            config_index = argv.index("--config")
-            if config_index + 1 >= len(argv):
-                raise UsageError("--config requires a path")
+        config = _config_path(argv[1:]) if argv and argv[0] in submap else None
+        if config is not None:
             sub = submap[argv[0]]
-            defaults = read_config(argv[config_index + 1], sub)
+            defaults = read_config(config, sub)
             sub.set_defaults(**defaults)
             for action in sub._actions:  # a config value satisfies "required"
                 if action.dest in defaults:

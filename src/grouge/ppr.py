@@ -57,9 +57,13 @@ class PprVector:
     Entries iterate in rank order: descending weight, ties by ascending
     dimension key. OOV dimensions outweigh every sense dimension by
     construction, so they come first, ordered by term.
+
+    ``ranks`` maps node index -> int32 rank among the senses, 1..len(weights)
+    (0: absent), up to the largest index present; ``weights`` are in rank
+    order. OOV dimensions are not in the table (``sim_sem`` uses the terms).
     """
 
-    __slots__ = ("graph", "idx", "weights", "oov_terms", "oov_weight", "_dense", "_cache")
+    __slots__ = ("graph", "ranks", "weights", "oov_terms", "oov_weight")
 
     def __init__(
         self,
@@ -70,15 +74,22 @@ class PprVector:
         oov_weight: float = 0.0,
     ):
         self.graph = graph
-        self.idx = idx
+        self.ranks = np.zeros(int(idx.max(initial=-1)) + 1, dtype=np.int32)
+        self.ranks[idx] = np.arange(1, len(idx) + 1, dtype=np.int32)
         self.weights = weights
         self.oov_terms = oov_terms
         self.oov_weight = oov_weight
-        self._dense: np.ndarray | None = None
-        self._cache: _LruCache | None = None  # the cache holding this vector
+
+    @property
+    def idx(self) -> np.ndarray:
+        """Node indices of the senses in rank order (int64)."""
+        present = np.flatnonzero(self.ranks)
+        idx = np.empty(len(present), dtype=np.int64)
+        idx[self.ranks[present] - 1] = present
+        return idx
 
     def __len__(self) -> int:
-        return len(self.idx) + len(self.oov_terms)
+        return len(self.weights) + len(self.oov_terms)
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -97,28 +108,9 @@ class PprVector:
             out.append((key, w))
         return out
 
-    def dense_rank_table(self) -> np.ndarray:
-        """Node index -> int32 rank among the senses, 1..len(idx); 0 marks
-        an absent sense.
-
-        OOV dimensions are not in the table (``sim_sem`` matches them by
-        term). The table ends at the largest node index present. It is built
-        on first use and kept with the vector.
-        """
-        table = self._dense
-        if table is None:
-            table = np.zeros(int(self.idx.max(initial=-1)) + 1, dtype=np.int32)
-            table[self.idx] = np.arange(1, len(self.idx) + 1, dtype=np.int32)
-            self._dense = table
-            if self._cache is not None:
-                self._cache.stored_bytes += table.nbytes
-        return table
-
     def nbytes(self) -> int:
-        """Bytes held by the arrays of this vector, the rank table included
-        once it is built."""
-        table = 0 if self._dense is None else self._dense.nbytes
-        return self.idx.nbytes + self.weights.nbytes + table + 64 * len(self.oov_terms)
+        """Bytes held by the arrays of this vector."""
+        return self.ranks.nbytes + self.weights.nbytes + 64 * len(self.oov_terms)
 
 
 def _seed_key(graph: SemanticGraph, seeds: Iterable[SenseId]) -> tuple[int, ...]:
@@ -194,8 +186,7 @@ def compute_ppr(
 class _LruCache:
     """LRU map of walk vectors with hit/miss/eviction counters.
 
-    stored_bytes is the summed nbytes() of the cached vectors; a vector adds
-    its rank table's bytes itself when it builds the table while cached.
+    stored_bytes is the summed nbytes() of the cached vectors.
     """
 
     def __init__(self, capacity: int):
@@ -225,7 +216,6 @@ class _LruCache:
         if self.capacity <= 0 or key in self._data:
             return
         self._data[key] = vec
-        vec._cache = self
         self.stored_bytes += vec.nbytes()
         if preloaded:
             self.preloaded.add(key)
@@ -234,7 +224,6 @@ class _LruCache:
             self.evictions += 1
             self.preloaded.discard(evicted_key)
             self.stored_bytes -= evicted.nbytes()
-            evicted._cache = None
 
     def __len__(self) -> int:
         return len(self._data)
@@ -273,17 +262,17 @@ class PprEngine:
     ):
         self.graph = graph
         self.cfg = cfg
-        self._cache = _LruCache(cache_capacity)
+        self._vectors = _LruCache(cache_capacity)
         self._sim_memo: dict[tuple[int, int], float] = {}
 
     # -- vector access ------------------------------------------------
 
     def vector_for_seeds(self, seeds: Iterable[SenseId]) -> PprVector:
         key = _seed_key(self.graph, seeds)
-        vec = self._cache.get(key)
+        vec = self._vectors.get(key)
         if vec is None:
             vec = _walk(self.graph, [key], self.cfg)[0]
-            self._cache.put(key, vec)
+            self._vectors.put(key, vec)
         return vec
 
     def ppr_for_sense(self, sense: SenseId) -> PprVector:
@@ -301,14 +290,14 @@ class PprEngine:
         is far cheaper than per-seed passes on large graphs. A cache that
         keeps nothing (capacity 0) walks nothing here.
         """
-        if self._cache.capacity <= 0:
+        if self._vectors.capacity <= 0:
             return
         distinct = dict.fromkeys(_seed_key(self.graph, seeds) for seeds in seed_sets)
-        keys = [key for key in distinct if self._cache.get(key) is None]
+        keys = [key for key in distinct if self._vectors.get(key) is None]
         for start in range(0, len(keys), _BATCH_COLUMNS):
             chunk = keys[start : start + _BATCH_COLUMNS]
             for key, vec in zip(chunk, _walk(self.graph, chunk, self.cfg)):
-                self._cache.put(key, vec)
+                self._vectors.put(key, vec)
 
     def prime_senses(self, senses: Iterable[SenseId]) -> None:
         self.prime_seed_sets([(s,) for s in dict.fromkeys(senses)])
@@ -334,7 +323,7 @@ class PprEngine:
     # -- cache administration ------------------------------------------
 
     def stats(self) -> CacheStats:
-        c = self._cache
+        c = self._vectors
         return CacheStats(
             enabled=c.capacity > 0,
             hits=c.hits,
@@ -349,7 +338,7 @@ class PprEngine:
 
     def save_cache(self, path, meta: dict) -> None:
         entries = [
-            (key, vec.idx, vec.weights) for key, vec in self._cache.items()
+            (key, vec.idx, vec.weights) for key, vec in self._vectors.items()
         ]
         payload = {
             "version": 1,
@@ -369,7 +358,7 @@ class PprEngine:
             return False
         for key, idx, weights in payload["entries"]:
             vec = PprVector(self.graph, idx, weights)
-            self._cache.put(key, vec, preloaded=True)
+            self._vectors.put(key, vec, preloaded=True)
         return True
 
 

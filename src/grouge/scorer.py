@@ -122,7 +122,7 @@ class PairScorer:
         self.peer_assignment: SenseAssignment | None = None
         self._peer_key: tuple[tuple[SenseId, ...], tuple[str, ...]] = ((), ())
         self._sense_map: dict[str, SenseId | None] = {}
-        self._sig_cache: dict[tuple, PprVector | None] = {}
+        self._sig_cache: dict = {}  # gram -> seed key, seed key -> signature
         if semantic and model_text.token_count and peer_text.token_count:
             if word_types is None:
                 word_types = {
@@ -145,16 +145,18 @@ class PairScorer:
         return _signature(self.engine, *self._peer_key, self.oov_enabled)
 
     def _gram_key(self, gram: NGram) -> tuple:
-        terms = tuple(dict.fromkeys(gram.content_terms()))
-        seeds = []
-        oov = []
-        for term in terms:
-            sense = self._sense_map.get(term)
-            if sense is None:
-                oov.append(term)
-            else:
-                seeds.append(sense)
-        return tuple(dict.fromkeys(seeds)), tuple(oov)
+        key = self._sig_cache.get(gram)
+        if key is None:
+            seeds = []
+            oov = []
+            for term in dict.fromkeys(gram.content_terms()):
+                sense = self._sense_map.get(term)
+                if sense is None:
+                    oov.append(term)
+                else:
+                    seeds.append(sense)
+            key = self._sig_cache[gram] = tuple(dict.fromkeys(seeds)), tuple(oov)
+        return key
 
     def seed_sets(self, gram_multisets: Iterable[NGramMultiset]) -> list[tuple[SenseId, ...]]:
         """Seed sets of every walk vector that scoring gram_multisets
@@ -301,7 +303,6 @@ class ScoreReport:
     parts: dict[tuple[str, str, str], ScoreParts] = field(default_factory=dict)
     flagged: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
     debug_lines: list[str] = field(default_factory=list)
 
     def score(self, topic: str, system: str, variant: str) -> float:
@@ -344,7 +345,6 @@ def score_batch(
     stemming: bool = True,
     remove_stopwords: bool = False,
     collect_debug: bool = False,
-    provenance: dict | None = None,
 ) -> ScoreReport:
     """Score every (topic, system) peer against its topic's model summaries.
 
@@ -355,7 +355,7 @@ def score_batch(
     """
     families = sorted({variant_family(v) for v in variants})
     semantic = any(variant_is_semantic(v) for v in variants)
-    report = ScoreReport(variants=tuple(variants), provenance=provenance or {})
+    report = ScoreReport(variants=tuple(variants))
 
     peers, peer_scan_errors = _scan_corpus_dir(Path(peers_dir))
     models, model_scan_errors = _scan_corpus_dir(Path(models_dir))

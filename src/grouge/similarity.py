@@ -11,6 +11,7 @@ never changes a score.
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import numpy as np
@@ -41,11 +42,11 @@ def sim_sem(a: PprVector, b: PprVector) -> float:
         raise ValueError("empty signature")
     if a.graph is not b.graph:
         raise ValueError("vectors from different graphs")
-    table_a, table_b = a.dense_rank_table(), b.dense_rank_table()
+    table_a, table_b = a.ranks, b.ranks
     common = min(len(table_a), len(table_b))
     ranks_a, ranks_b = table_a[:common], table_b[:common]
     rank_sums = ranks_a + ranks_b
-    if len(a.idx) == len(b.idx) == len(table_a) == len(table_b):
+    if len(a.weights) == len(b.weights) == len(table_a) == len(table_b):
         n_shared = common  # neither table has a zero: every sense is shared
     else:
         shared = np.minimum(ranks_a, ranks_b) > 0
@@ -77,7 +78,8 @@ def insert_oov(vector: PprVector, oov_terms: list[str] | tuple[str, ...]) -> Ppr
     Inserted dimensions share a weight strictly above the current maximum
     (1.01 times it, or 1.0 on an empty vector), so they occupy the leading
     ranks, ordered by term. The same term inserted into two vectors is the
-    same dimension, so the vectors intersect on it.
+    same dimension, so the vectors intersect on it. The result shares the
+    vector's rank table and weights.
     """
     terms = sorted({t.lower() for t in oov_terms})
     if not terms:
@@ -89,4 +91,6 @@ def insert_oov(vector: PprVector, oov_terms: list[str] | tuple[str, ...]) -> Ppr
     if vector.oov_terms:
         current_max = max(current_max, vector.oov_weight)
     weight = _OOV_WEIGHT_FACTOR * current_max if current_max > 0.0 else 1.0
-    return PprVector(vector.graph, vector.idx, vector.weights, tuple(merged), weight)
+    out = copy.copy(vector)
+    out.oov_terms, out.oov_weight = tuple(merged), weight
+    return out

@@ -171,7 +171,7 @@ def sim_sem_reference(a, b) -> float:
     shared rank tables: shared senses selected by a mask every time."""
     if not a or not b:
         raise ValueError("empty signature")
-    table_a, table_b = a.dense_rank_table(), b.dense_rank_table()
+    table_a, table_b = a.ranks, b.ranks
     common = min(len(table_a), len(table_b))
     ranks_a, ranks_b = table_a[:common], table_b[:common]
     shared = (ranks_a > 0) & (ranks_b > 0)

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import pickle
 import subprocess
@@ -145,6 +146,26 @@ class TestConfigFile:
         config = tmp_path / "bad.conf"
         config.write_text("spline_reticulation = on\n")
         assert main(["score", "--config", str(config), "--out", "x.csv"]) == EX_USAGE
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["separate", "equals"])
+    def test_config_read_in_either_form(self, world, tmp_path, joined):
+        config = tmp_path / "cfg.txt"
+        config.write_text("beta = 0.9\n")
+        out = tmp_path / "a.csv"
+        option = [f"--config={config}"] if joined else ["--config", str(config)]
+        assert main(score_args(world, out, extra=option)) == EX_OK
+        meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+        assert meta["beta"] == 0.9
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["separate", "equals"])
+    def test_missing_config_file_is_fatal(self, world, tmp_path, joined, capsys):
+        missing = tmp_path / "absent.conf"
+        option = [f"--config={missing}"] if joined else ["--config", str(missing)]
+        assert main(score_args(world, tmp_path / "a.csv", extra=option)) == EX_FATAL
+        assert "config file not found" in capsys.readouterr().err
+
+    def test_config_without_path_is_usage_error(self, world, tmp_path):
+        assert main(score_args(world, tmp_path / "a.csv", extra=["--config"])) == EX_USAGE
 
 
 @pytest.fixture(scope="module")

@@ -2,9 +2,11 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import grouge.ppr
-from grouge import PprConfig, PprEngine, compute_ppr, load_graph
+from grouge import PprConfig, PprEngine, PprVector, compute_ppr, load_graph
 from grouge.ppr import _compress, _run_walk
 
 from conftest import graph_from_edges, labelled_graph, ring_graphs, sense, star_graphs
@@ -249,24 +251,28 @@ class TestEngine:
         assert stats.size == 2
         assert stats.evictions == 1
 
-    def test_memory_follows_rank_tables_built_while_cached(self, path_graph):
+    def test_memory_counts_rank_tables_and_weights_of_cached_vectors(
+        self, tmp_path, path_graph
+    ):
+        def stored(vectors):
+            return sum(vec.ranks.nbytes + vec.weights.nbytes for vec in vectors)
+
         engine = PprEngine(path_graph, cache_capacity=2)
         first = engine.ppr_for_sense(sense(1))
-        base = first.idx.nbytes + first.weights.nbytes
-        assert engine.stats().memory_bytes == base
-        table = first.dense_rank_table()  # built while cached: counted
-        assert table.dtype == np.int32
-        assert engine.stats().memory_bytes == base + table.nbytes
-        second = engine.ppr_for_sense(sense(2))
+        assert first.ranks.dtype == np.int32
+        assert engine.stats().memory_bytes == stored([first])
+        engine.ppr_for_sense(sense(2))
         engine.ppr_for_sense(sense(1))  # most recent again
         third = engine.ppr_for_sense(sense(3))  # evicts the second vector
         assert engine.stats().evictions == 1
-        second.dense_rank_table()  # built after eviction: not counted
-        third.dense_rank_table()
-        assert engine.stats().memory_bytes == sum(
-            vec.idx.nbytes + vec.weights.nbytes + vec.dense_rank_table().nbytes
-            for vec in (first, third)
-        )
+        assert engine.stats().memory_bytes == stored([first, third])
+
+        cache_file = tmp_path / "cache.pkl"
+        engine.save_cache(cache_file, {})
+        fresh = PprEngine(path_graph, cache_capacity=2)
+        assert fresh.load_cache(cache_file, {})
+        assert fresh.stats().memory_bytes == stored(vec for _, vec in fresh._vectors.items())
+        assert fresh.stats().memory_bytes == engine.stats().memory_bytes
 
     def test_save_and_load_cache_roundtrip(self, tmp_path, path_graph):
         engine = PprEngine(path_graph)
@@ -320,6 +326,20 @@ class TestEngine:
             engine.save_cache(cache_file, {"graph_sha256": "abc"})
         assert cache_file.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cache.pkl"]
+
+
+_ROUND_TRIP_GRAPH = graph_from_edges([(i, i + 1) for i in range(1, 40)])
+
+
+class TestRankTable:
+    @given(st.lists(st.integers(0, 39), unique=True, max_size=40))
+    def test_idx_round_trips_through_the_rank_table(self, nodes):
+        idx = np.array(nodes, dtype=np.int64)
+        vec = PprVector(_ROUND_TRIP_GRAPH, idx, np.linspace(1.0, 0.5, len(nodes)))
+        assert vec.idx.dtype == np.int64
+        assert np.array_equal(vec.idx, idx)
+        assert len(vec.ranks) == max(nodes, default=-1) + 1
+        assert np.count_nonzero(vec.ranks) == len(nodes)
 
 
 class TestConfigValidation:

@@ -87,6 +87,35 @@ class TestSignatures:
         second = pair.gram_signature(NGram(("w0",)))
         assert first is second
 
+    def test_gram_key_computed_once_per_gram(self, setting, monkeypatch):
+        graph, dictionary, engine = setting
+        model, peer = tokenize("w0 w1 xq1 w0. w2 poly0 w1"), tokenize("w2 w3 poly0")
+        pair = PairScorer(model, peer, engine, dictionary)
+        families = ("1", "2", "su4")
+        grams = {family: grams_for(model, family) for family in families}
+        calls = []
+        content_terms = NGram.content_terms
+
+        def counted(gram):
+            calls.append(gram)
+            return content_terms(gram)
+
+        monkeypatch.setattr(NGram, "content_terms", counted)
+        pair.seed_sets(grams.values())
+        for family in families:
+            pair.parts(grams[family], grams_for(peer, family))
+        distinct = {gram for family in families for gram, _ in grams[family].items()}
+        assert sorted(calls, key=repr) == sorted(distinct, key=repr)
+
+    def test_grams_with_one_seed_key_share_a_signature(self, setting):
+        graph, dictionary, engine = setting
+        pair = PairScorer(tokenize("w0 w1"), tokenize("w2"), engine, dictionary)
+        unigram = pair.gram_signature(NGram(("w0",)))
+        hits = engine.stats().hits
+        marker = pair.gram_signature(NGram((BOS_MARKER, "w0"), kind="unigram-of-su"))
+        assert marker is unigram
+        assert engine.stats().hits == hits
+
     def test_all_oov_gram_yields_pure_oov_vector(self, setting):
         graph, dictionary, engine = setting
         pair = PairScorer(tokenize("xa1 xb2"), tokenize("w2"), engine, dictionary)
@@ -340,16 +369,21 @@ class TestScoreBatch:
         (models / "t2.M0.txt").write_text("w1 w3 poly0\n")
         (peers / "t2.A.txt").write_text("w1 w2\n")
         (peers / "t2.B.txt").write_text("poly0 w3\n")
+        def stored(engine):
+            return sum(vec.ranks.nbytes + vec.weights.nbytes for _, vec in engine._vectors.items())
+
         engine = PprEngine(graph, cache_capacity=4)
         score_batch(peers, models, cfg_for(), engine, dictionary)
-        stats = engine.stats()
-        assert stats.evictions > 0
-        cached = [vec for _, vec in engine._cache.items()]
-        tables = [vec._dense.nbytes for vec in cached if vec._dense is not None]
-        assert tables
-        assert stats.memory_bytes == sum(
-            vec.idx.nbytes + vec.weights.nbytes for vec in cached
-        ) + sum(tables)
+        assert engine.stats().evictions > 0
+        assert engine.stats().memory_bytes == stored(engine)
+
+        cache_file = tmp_path / "cache.pkl"
+        engine.save_cache(cache_file, {})
+        reloaded = PprEngine(graph, cache_capacity=4)
+        assert reloaded.load_cache(cache_file, {})
+        assert reloaded.stats().memory_bytes == engine.stats().memory_bytes
+        score_batch(peers, models, cfg_for(), reloaded, dictionary)
+        assert reloaded.stats().memory_bytes == stored(reloaded)
 
     def test_capacity_zero_writes_the_same_bytes(self, tmp_path):
         world = build_synthetic_eval(

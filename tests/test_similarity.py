@@ -221,6 +221,17 @@ class TestInsertOov:
         assert [k for k, _ in out.top(3)] == ["x1", "x2", top_sense]
 
 
+    def test_shares_the_base_arrays_and_adds_no_cache_bytes(self, path_graph):
+        engine = PprEngine(path_graph)
+        base = engine.ppr_for_sense(sense(1))
+        stored = engine.stats().memory_bytes
+        out = insert_oov(base, ["q"])
+        assert out.ranks is base.ranks
+        assert out.weights is base.weights
+        assert base.oov_terms == ()
+        assert engine.stats().memory_bytes == stored
+
+
 class TestEngineSenseSimilarity:
     def test_cached_pair_similarity_symmetric(self, path_graph):
         engine = PprEngine(path_graph)
