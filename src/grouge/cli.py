@@ -95,21 +95,24 @@ def _parse_variants(text: str) -> tuple[str, ...]:
 
 
 def _parse_betas(text: str) -> list[float]:
-    if ":" in text:
-        start_s, stop_s, step_s = (text.split(":") + ["", ""])[:3]
-        start, stop, step = float(start_s), float(stop_s), float(step_s or 0.1)
-        if step <= 0:
-            raise UsageError("beta step must be positive")
-        out = []
-        k = 0
-        while True:
-            value = start + k * step
-            if value > stop + 1e-9:
-                break
-            out.append(round(value, 10))
-            k += 1
-        return out
-    return [float(v) for v in text.split(",") if v.strip()]
+    """A comma list or start:stop:step grid of blend weights, each in [0, 1]."""
+    try:
+        if ":" in text:
+            start_s, stop_s, step_s = (text.split(":") + ["", ""])[:3]
+            start, stop, step = float(start_s), float(stop_s), float(step_s or 0.1)
+            if step <= 0:
+                raise UsageError("beta step must be positive")
+            out = []
+            while (value := start + len(out) * step) <= stop + 1e-9:
+                out.append(round(value, 10))
+        else:
+            out = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise UsageError(f"malformed beta grid {text!r}") from None
+    for beta in out:
+        if not 0.0 <= beta <= 1.0:
+            raise UsageError(f"beta {beta:g} in grid {text!r} is outside [0, 1]")
+    return out
 
 
 def _version_text() -> str:
@@ -205,21 +208,23 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     return parser, submap
 
 
-def read_config(path_text: str, sub: argparse.ArgumentParser) -> dict:
-    """Parse a key = value defaults file against a subcommand's options.
+def _config_tokens(path_text: str, sub: argparse.ArgumentParser) -> list[str]:
+    """The option tokens of a key = value file, for the subcommand to parse.
 
-    Keys are flag names without the leading dashes (``dict``, ``no-stem``);
-    values land on the option's dest so later flags still override them.
+    A key is a flag name without the leading dashes (``dict``, ``no-stem``)
+    or its dest (``dict_path``). A line becomes ``--option=value``, or the
+    bare switch when a switch's value is true, so argparse converts and
+    checks every value as it would on the command line.
     """
     path = _require(path_text, "config file")
     actions: dict[str, argparse.Action] = {}
     for action in sub._actions:
-        if action.dest in ("help", "config") or action.dest == argparse.SUPPRESS:
+        if action.dest in ("help", "config"):
             continue
         for option in action.option_strings:
             actions[option.lstrip("-").replace("-", "_")] = action
         actions.setdefault(action.dest, action)
-    out = {}
+    tokens = []
     for lineno, raw in enumerate(path.read_text("utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -231,17 +236,13 @@ def read_config(path_text: str, sub: argparse.ArgumentParser) -> dict:
         value = value.strip()
         if key not in actions:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
-        action = actions[key]
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            out[action.dest] = value.lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
-                out[action.dest] = action.type(value)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+        option = actions[key].option_strings[-1]
+        if actions[key].nargs == 0:  # a switch
+            if value.lower() in ("1", "true", "yes", "on"):
+                tokens.append(option)
         else:
-            out[action.dest] = value
-    return out
+            tokens.append(f"{option}={value}")
+    return tokens
 
 
 def _config_path(argv: list[str]) -> str | None:
@@ -260,12 +261,18 @@ def _load_resources(args) -> tuple[SemanticGraph, Dictionary, Path, Path]:
     return graph, dictionary, graph_path, dict_path
 
 
-def _make_engine(args, graph: SemanticGraph) -> PprEngine:
-    cfg = PprConfig(alpha=args.alpha, iterations=args.iterations, truncation=args.truncation)
-    return PprEngine(graph, cfg, cache_capacity=args.cache_capacity)
+def _ppr_config(args) -> PprConfig:
+    return PprConfig(alpha=args.alpha, iterations=args.iterations, truncation=args.truncation)
 
 
-def _run_scoring(args, variants) -> tuple[ScoreReport, PprEngine | None, dict]:
+def _load_judgments(args) -> tuple[list[str], dict[str, np.ndarray]]:
+    join_name, ids, columns = load_judgments(_require(args.human, "judgments CSV"))
+    if join_name != args.join:
+        log.warning("judgments join column is %r, expected %r", join_name, args.join)
+    return ids, columns
+
+
+def _run_scoring(args, variants) -> tuple[ScoreReport, dict]:
     need_semantics = any(variant_is_semantic(v) for v in variants)
     provenance: dict = {
         "variants": list(variants),
@@ -286,31 +293,18 @@ def _run_scoring(args, variants) -> tuple[ScoreReport, PprEngine | None, dict]:
         graph, dictionary, graph_path, dict_path = _load_resources(args)
         provenance["graph_sha256"] = _sha256(graph_path)
         provenance["dict_sha256"] = _sha256(dict_path)
-        # the walk configuration is part of the cache identity: vectors from
-        # a different alpha/iteration/truncation setting must not be reused
-        cache_meta = {
-            "graph_sha256": provenance["graph_sha256"],
-            "dict_sha256": provenance["dict_sha256"],
-            "alpha": args.alpha,
-            "iterations": args.iterations,
-            "truncation": args.truncation,
-        }
-        engine = _make_engine(args, graph)
+        cache_meta = {key: provenance[key] for key in ("graph_sha256", "dict_sha256")}
+        engine = PprEngine(graph, _ppr_config(args), cache_capacity=args.cache_capacity)
         if args.cache_persist and Path(args.cache_persist).exists():
             if engine.load_cache(args.cache_persist, cache_meta):
                 log.info("loaded persisted cache from %s", args.cache_persist)
             else:
-                log.warning("persisted cache %s does not match graph/dict, ignored",
+                log.warning("persisted cache %s does not match graph/dict/walk settings, ignored",
                             args.cache_persist)
-    cfg = GrougeConfig(
-        variant=next((v for v in variants if variant_is_semantic(v)), "g1"),
-        beta=args.beta,
-        oov_enabled=not args.no_oov,
-    )
     report = score_batch(
         peers_dir=_require(args.peers, "peers directory"),
         models_dir=_require(args.models, "models directory"),
-        cfg=cfg,
+        cfg=GrougeConfig(beta=args.beta, oov_enabled=not args.no_oov),
         engine=engine,
         dictionary=dictionary,
         variants=variants,
@@ -320,12 +314,12 @@ def _run_scoring(args, variants) -> tuple[ScoreReport, PprEngine | None, dict]:
     )
     if engine is not None and args.cache_persist:
         engine.save_cache(args.cache_persist, cache_meta)
-    return report, engine, provenance
+    return report, provenance
 
 
 def run_score(args) -> int:
     variants = _parse_variants(args.variant)
-    report, _, provenance = _run_scoring(args, variants)
+    report, provenance = _run_scoring(args, variants)
     out = Path(args.out)
     report.write_csv(out)
     write_atomic(
@@ -404,10 +398,7 @@ def _read_score_rows(path: Path) -> dict[tuple[str, str, str], float]:
 
 def run_meta_eval(args) -> int:
     scores_path = _require(args.scores, "scores CSV")
-    human_path = _require(args.human, "judgments CSV")
-    join_name, ids, columns = load_judgments(human_path)
-    if join_name != args.join:
-        log.warning("judgments join column is %r, expected %r", join_name, args.join)
+    ids, columns = _load_judgments(args)
     means = system_means(_read_score_rows(scores_path))
     table = _system_table(means, ids, columns)
     if args.baseline is not None and args.baseline not in table.auto:
@@ -429,11 +420,8 @@ def run_sweep_beta(args) -> int:
     betas = _parse_betas(args.betas)
     if not betas:
         raise UsageError("empty beta grid")
-    human_path = _require(args.human, "judgments CSV")
-    join_name, ids, columns = load_judgments(human_path)
-    if join_name != args.join:
-        log.warning("judgments join column is %r, expected %r", join_name, args.join)
-    report, _, _ = _run_scoring(args, variants)
+    ids, columns = _load_judgments(args)
+    report, _ = _run_scoring(args, variants)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -463,10 +451,7 @@ def run_sweep_beta(args) -> int:
 
 def run_ppr(args) -> int:
     graph, dictionary, _, _ = _load_resources(args)
-    engine = PprEngine(
-        graph,
-        PprConfig(alpha=args.alpha, iterations=args.iterations, truncation=args.truncation),
-    )
+    engine = PprEngine(graph, _ppr_config(args))
     senses = dictionary.senses_of(args.lemma, args.pos)
     if not senses:
         raise CliError(f"no senses for lemma {args.lemma!r}"
@@ -516,13 +501,8 @@ def main(argv: list[str] | None = None) -> int:
     parser, submap = build_parser()
     try:
         config = _config_path(argv[1:]) if argv and argv[0] in submap else None
-        if config is not None:
-            sub = submap[argv[0]]
-            defaults = read_config(config, sub)
-            sub.set_defaults(**defaults)
-            for action in sub._actions:  # a config value satisfies "required"
-                if action.dest in defaults:
-                    action.required = False
+        if config is not None:  # the user's own arguments come later and win
+            argv[1:1] = _config_tokens(config, submap[argv[0]])
         args = parser.parse_args(argv)
         if getattr(args, "version", False):
             print(_version_text())

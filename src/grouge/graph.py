@@ -28,9 +28,13 @@ class ParseError(ValueError):
     """Malformed line in a relation or dictionary file."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class SenseId:
-    """A sense node: 8-digit zero-padded offset plus pos in {n, v, a, r}."""
+    """A sense node: 8-digit zero-padded offset plus pos in {n, v, a, r}.
+
+    Ids order by (offset, pos); offsets all have 8 digits, so this is the
+    order of the canonical strings.
+    """
 
     offset: str
     pos: str
@@ -54,19 +58,6 @@ class SenseId:
 
     def __str__(self) -> str:
         return self.canonical
-
-    # Total order is lexicographic on the canonical form.
-    def __lt__(self, other: "SenseId") -> bool:
-        return self.canonical < other.canonical
-
-    def __le__(self, other: "SenseId") -> bool:
-        return self.canonical <= other.canonical
-
-    def __gt__(self, other: "SenseId") -> bool:
-        return self.canonical > other.canonical
-
-    def __ge__(self, other: "SenseId") -> bool:
-        return self.canonical >= other.canonical
 
 
 class SemanticGraph:
@@ -146,9 +137,7 @@ class SemanticGraph:
         pairs = {
             (min(i, j), max(i, j)) for i, j in zip(coo.row, coo.col) if i != j
         }
-        out = [(self._senses[i], self._senses[j]) for i, j in pairs]
-        out.sort(key=lambda e: (e[0].canonical, e[1].canonical))
-        return out
+        return sorted((self._senses[i], self._senses[j]) for i, j in pairs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SemanticGraph):

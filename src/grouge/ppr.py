@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import pickle
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -336,13 +336,17 @@ class PprEngine:
             preloaded_hits=c.preloaded_hits,
         )
 
+    def _cache_meta(self, meta: dict) -> dict:
+        """meta plus the walk settings, which are part of a cache's identity."""
+        return {**meta, **asdict(self.cfg)}
+
     def save_cache(self, path, meta: dict) -> None:
         entries = [
             (key, vec.idx, vec.weights) for key, vec in self._vectors.items()
         ]
         payload = {
             "version": 1,
-            "meta": meta,
+            "meta": self._cache_meta(meta),
             "stats": self.stats().as_dict(),
             "entries": entries,
         }
@@ -351,10 +355,11 @@ class PprEngine:
 
     def load_cache(self, path, expect_meta: dict) -> bool:
         """Load a persisted cache; returns False (and loads nothing) when the
-        stored graph/dict fingerprints do not match."""
+        stored meta (graph/dict fingerprints) or walk settings differ from
+        expect_meta and this engine's."""
         with open(path, "rb") as fh:
             payload = pickle.load(fh)
-        if payload.get("meta") != expect_meta:
+        if payload.get("meta") != self._cache_meta(expect_meta):
             return False
         for key, idx, weights in payload["entries"]:
             vec = PprVector(self.graph, idx, weights)

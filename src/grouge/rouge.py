@@ -17,17 +17,10 @@ from .text import SummaryText
 
 BOS_MARKER = "<s>"
 
-VARIANTS = ("1", "2", "su4")
-
-CONTIGUOUS = "contiguous"
-SKIP = "skip"
-UNIGRAM_OF_SU = "unigram-of-su"
-
 
 @dataclass(frozen=True, slots=True)
 class NGram:
     terms: tuple[str, ...]
-    kind: str = CONTIGUOUS
 
     def content_terms(self) -> tuple[str, ...]:
         """Terms excluding the sentence marker."""
@@ -76,9 +69,9 @@ def extract_su4(text: SummaryText, max_gap: int = 4) -> NGramMultiset:
     grams = []
     for sent in text.sentences:
         for i, token in enumerate(sent):
-            grams.append(NGram((BOS_MARKER, token), kind=UNIGRAM_OF_SU))
+            grams.append(NGram((BOS_MARKER, token)))
             for j in range(i + 1, min(i + max_gap, len(sent) - 1) + 1):
-                grams.append(NGram((token, sent[j]), kind=SKIP))
+                grams.append(NGram((token, sent[j])))
     return NGramMultiset(grams)
 
 

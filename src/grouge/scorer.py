@@ -95,8 +95,8 @@ class PairScorer:
     """Scoring context for one (model summary, peer summary) pair.
 
     Disambiguation runs once per pair and is shared by every n-gram and
-    every variant scored against it. A lexical-only scorer (semantic=False)
-    needs no engine or dictionary. word_types maps each text to its
+    every variant scored against it. Without an engine the scorer is
+    lexical-only and needs no dictionary. word_types maps each text to its
     ``build_word_types`` list; without it both are built here. table is
     passed to ``disambiguate_pair``.
 
@@ -111,19 +111,17 @@ class PairScorer:
         engine: PprEngine | None,
         dictionary: Dictionary | None,
         oov_enabled: bool = True,
-        semantic: bool = True,
         word_types: Mapping[SummaryText, list[WordType]] | None = None,
         table: SimilarityTable | None = None,
     ):
         self.engine = engine
         self.oov_enabled = oov_enabled
-        self.semantic = semantic
         self.model_assignment: SenseAssignment | None = None
         self.peer_assignment: SenseAssignment | None = None
         self._peer_key: tuple[tuple[SenseId, ...], tuple[str, ...]] = ((), ())
         self._sense_map: dict[str, SenseId | None] = {}
         self._sig_cache: dict = {}  # gram -> seed key, seed key -> signature
-        if semantic and model_text.token_count and peer_text.token_count:
+        if engine is not None and model_text.token_count and peer_text.token_count:
             if word_types is None:
                 word_types = {
                     text: build_word_types(text, dictionary) for text in (model_text, peer_text)
@@ -184,7 +182,7 @@ class PairScorer:
         """Clipped match, occurrence-weighted overlap and gram count of the
         model grams against the peer's."""
         semantic = 0.0
-        if self.semantic:
+        if self.engine is not None:
             for gram, mc in model_grams.items():
                 semantic += mc * self.gram_overlap(gram)
         lexical = float(clipped_matches(model_grams, peer_grams))
@@ -212,14 +210,14 @@ def parts_by_family(
     engine: PprEngine | None,
     dictionary: Dictionary | None,
     oov_enabled: bool = True,
-    semantic: bool = True,
     gram_sets: Mapping[SummaryText, Mapping[str, NGramMultiset]] | None = None,
     debug: list[list[str]] | None = None,
 ) -> dict[str, ScoreParts]:
     """Score parts of one peer per gram family, summed over its models.
 
     gram_sets maps every text to its gram multisets by family; without it
-    they are extracted here. When debug is given, each pair's sense
+    they are extracted here. Without an engine only the lexical parts are
+    computed. When debug is given, each pair's sense
     assignment lines are appended to it, one list per model.
 
     This is where walks and disambiguation are planned. Every candidate
@@ -238,7 +236,7 @@ def parts_by_family(
             for text in (peer, *models)
         }
     word_types = table = None
-    if semantic and peer.token_count:
+    if engine is not None and peer.token_count:
         word_types = {
             text: build_word_types(text, dictionary)
             for text in (peer, *models) if text.token_count
@@ -247,10 +245,10 @@ def parts_by_family(
         model_words = [w for model in models if model.token_count for w in word_types[model]]
         table = SimilarityTable(model_words, word_types[peer], engine)
     pairs = [
-        PairScorer(model, peer, engine, dictionary, oov_enabled, semantic, word_types, table)
+        PairScorer(model, peer, engine, dictionary, oov_enabled, word_types, table)
         for model in models
     ]
-    if semantic:
+    if engine is not None:
         engine.prime_seed_sets([
             seeds
             for model, pair in zip(models, pairs)
@@ -285,8 +283,8 @@ def grouge_score(
         raise ValueError(f"variant {cfg.variant} needs an engine and a dictionary")
     family = variant_family(cfg.variant)
     parts = parts_by_family(
-        peer, models, (family,), engine, dictionary,
-        oov_enabled=cfg.oov_enabled, semantic=semantic,
+        peer, models, (family,), engine if semantic else None, dictionary,
+        oov_enabled=cfg.oov_enabled,
     )
     return parts[family].blend(cfg.beta if semantic else 1.0)
 
@@ -352,9 +350,13 @@ def score_batch(
     the same topic set; unreadable files become error entries and the rest
     of the batch continues. Peers are scored one after another on the
     calling thread, and one topic's texts and grams are held at a time.
+    The engine and dictionary are used only when some variant is semantic.
     """
     families = sorted({variant_family(v) for v in variants})
-    semantic = any(variant_is_semantic(v) for v in variants)
+    if not any(variant_is_semantic(v) for v in variants):
+        engine = None
+    elif engine is None or dictionary is None:
+        raise ValueError("semantic variants need an engine and a dictionary")
     report = ScoreReport(variants=tuple(variants))
 
     peers, peer_scan_errors = _scan_corpus_dir(Path(peers_dir))
@@ -410,7 +412,7 @@ def score_batch(
         pair_lines: list[list[str]] | None = [] if collect_debug else None
         parts = parts_by_family(
             peer_text, topic_models[topic], families, engine, dictionary,
-            oov_enabled=cfg.oov_enabled, semantic=semantic, gram_sets=gram_sets,
+            oov_enabled=cfg.oov_enabled, gram_sets=gram_sets,
             debug=pair_lines,
         )
         header = f"# topic={topic} system={system}"

@@ -167,6 +167,62 @@ class TestConfigFile:
     def test_config_without_path_is_usage_error(self, world, tmp_path):
         assert main(score_args(world, tmp_path / "a.csv", extra=["--config"])) == EX_USAGE
 
+    @pytest.mark.parametrize("line, flag", [
+        ("beta = 0.9", ["--beta", "0.9"]),
+        ("iterations = 7", ["--iterations", "7"]),
+        ("no-stem = true", ["--no-stem"]),
+        ("dict_path = {dict}", ["--dict", "{dict}"]),
+        ("cache-persist = {run}/walks.pkl", ["--cache-persist", "{run}/walks.pkl"]),
+        ("graph = {run}/rel=1.txt", ["--graph", "{run}/rel=1.txt"]),
+    ], ids=["float", "int", "switch", "dest", "optional-value", "equals-in-value"])
+    def test_config_line_equals_flag(self, world, tmp_path, line, flag):
+        results = []
+        for mode in ("config", "flag"):
+            run = tmp_path / mode
+            run.mkdir()
+            (run / "rel=1.txt").write_bytes(Path(world["graph"]).read_bytes())
+            args = score_args(world, run / "a.csv")
+            if flag[0] in args:  # the setting is given once, by config or by flag
+                del args[args.index(flag[0]):args.index(flag[0]) + 2]
+            if mode == "config":
+                config = tmp_path / "run.conf"
+                config.write_text(line.format(dict=world["dict"], run=run) + "\n")
+                args += ["--config", str(config)]
+            else:
+                args += [token.format(dict=world["dict"], run=run) for token in flag]
+            code = main(args)
+            results.append((code, (run / "a.csv.meta.json").read_bytes(),
+                            (run / "a.csv").read_bytes(), sorted(os.listdir(run))))
+        assert results[0][0] == EX_OK
+        assert results[0] == results[1]
+
+    def test_bad_config_value_names_the_option(self, world, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("beta = half\n")
+        out = tmp_path / "a.csv"
+        assert main(score_args(world, out, extra=["--config", str(config)])) == EX_USAGE
+        assert "argument --beta: invalid float value: 'half'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_value_outside_choices_is_usage_error(self, world, score_csv, tmp_path,
+                                                         capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("kendall-variant = c\n")
+        out = tmp_path / "corr.csv"
+        assert main([
+            "meta-eval", "--config", str(config), "--scores", str(score_csv),
+            "--human", str(world["judgments"]), "--out", str(out),
+        ]) == EX_USAGE
+        assert "argument --kendall-variant: invalid choice: 'c'" in capsys.readouterr().err
+        assert not out.exists()
+
+        config.write_text("pos = x\n")
+        assert main([
+            "ppr", "--config", str(config), "--graph", str(world["graph"]),
+            "--dict", str(world["dict"]), "--lemma", "w000",
+        ]) == EX_USAGE
+        assert "argument --pos: invalid choice: 'x'" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def score_csv(world, tmp_path_factory):
@@ -358,6 +414,24 @@ class TestSweepBeta:
             assert row["pearson"] == ref["pearson"]
             assert row["spearman"] == ref["spearman"]
             assert row["kendall"] == ref["kendall"]
+
+
+    @pytest.mark.parametrize("grid, named", [
+        ("0:2:1", "beta 2 "), ("0,1.5", "beta 1.5 "), ("-0.1:0.5", "beta -0.1 "),
+        ("abc", "'abc'"), ("0:1:x", "'0:1:x'"),
+    ])
+    def test_bad_grid_is_usage_error(self, world, tmp_path, capsys, grid, named):
+        out = tmp_path / "sweep.csv"
+        code = main([
+            "sweep-beta",
+            "--graph", str(world["graph"]), "--dict", str(world["dict"]),
+            "--peers", str(world["peers"]), "--models", str(world["models"]),
+            "--human", str(world["judgments"]),
+            "--variant", "g1", f"--betas={grid}", "--out", str(out),
+        ])
+        assert code == EX_USAGE
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestPprCommand:

@@ -2,8 +2,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from grouge import ParseError, SenseId, load_dictionary, load_graph
+from grouge.graph import POS_TAGS
 
 from conftest import dictionary_from, graph_from_edges, sense, sid
 from oracles import load_graph_reference
@@ -28,6 +31,14 @@ class TestSenseId:
         c = SenseId.parse("00000002-a")
         assert a < b < c
         assert sorted([c, b, a]) == [a, b, c]
+
+    @given(st.lists(st.builds(
+        lambda offset, pos: SenseId(f"{offset:08d}", pos),
+        st.one_of(st.integers(0, 12), st.integers(0, 10**8 - 1)),
+        st.sampled_from(POS_TAGS),
+    )))
+    def test_order_is_canonical_string_order(self, ids):
+        assert sorted(ids) == sorted(ids, key=str)
 
 
 class TestLoadGraph:

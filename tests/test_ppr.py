@@ -292,6 +292,46 @@ class TestEngine:
         assert not mismatched.load_cache(cache_file, {"graph_sha256": "zzz"})
         assert mismatched.stats().size == 0
 
+    @pytest.mark.parametrize("other", [
+        PprConfig(alpha=0.5), PprConfig(iterations=7), PprConfig(truncation=2),
+    ], ids=["alpha", "iterations", "truncation"])
+    def test_cache_from_other_walk_settings_refused(self, tmp_path, path_graph, other):
+        engine = PprEngine(path_graph)
+        engine.ppr_for_sense(sense(3))
+        meta = {"graph_sha256": "abc", "dict_sha256": "def"}
+        cache_file = tmp_path / "cache.pkl"
+        engine.save_cache(cache_file, meta)
+
+        fresh = PprEngine(path_graph, other)
+        assert not fresh.load_cache(cache_file, meta)
+        assert fresh.stats().size == 0
+        assert np.array_equal(
+            fresh.ppr_for_sense(sense(3)).weights, compute_ppr(path_graph, [sense(3)], other).weights
+        )
+
+    def test_cache_file_in_command_line_meta_format_loads(self, tmp_path, path_graph):
+        # the command line used to put the walk settings into meta itself
+        vec = compute_ppr(path_graph, [sense(3)])
+        payload = {
+            "version": 1,
+            "meta": {"graph_sha256": "abc", "dict_sha256": "def",
+                     "alpha": 0.15, "iterations": 30, "truncation": None},
+            "stats": {"enabled": True},
+            "entries": [((path_graph.node_index(sense(3)),), vec.idx, vec.weights)],
+        }
+        cache_file = tmp_path / "cache.pkl"
+        cache_file.write_bytes(pickle.dumps(payload))
+
+        engine = PprEngine(path_graph)
+        assert engine.load_cache(cache_file, {"graph_sha256": "abc", "dict_sha256": "def"})
+        reloaded = engine.ppr_for_sense(sense(3))
+        assert np.array_equal(reloaded.idx, vec.idx)
+        assert np.array_equal(reloaded.weights, vec.weights)
+        assert engine.stats().preloaded_hits == 1
+        assert not PprEngine(path_graph, PprConfig(alpha=0.3)).load_cache(
+            cache_file, {"graph_sha256": "abc", "dict_sha256": "def"}
+        )
+
     def test_capacity_zero_priming_walks_nothing(self, path_graph, monkeypatch):
         walks = []
         run_walk = grouge.ppr._run_walk

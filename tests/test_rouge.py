@@ -68,8 +68,8 @@ class TestExtractSu4:
 
     def test_gap_bound_excludes_distant_pairs(self):
         ms = extract_su4(text_of("a b c d e f"))
-        assert NGram(("a", "f"), kind="skip") not in ms
-        assert NGram(("a", "e"), kind="skip") in ms
+        assert NGram(("a", "f")) not in ms
+        assert NGram(("a", "e")) in ms
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=5, max_value=30))

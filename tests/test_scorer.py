@@ -112,7 +112,7 @@ class TestSignatures:
         pair = PairScorer(tokenize("w0 w1"), tokenize("w2"), engine, dictionary)
         unigram = pair.gram_signature(NGram(("w0",)))
         hits = engine.stats().hits
-        marker = pair.gram_signature(NGram((BOS_MARKER, "w0"), kind="unigram-of-su"))
+        marker = pair.gram_signature(NGram((BOS_MARKER, "w0")))
         assert marker is unigram
         assert engine.stats().hits == hits
 
@@ -126,11 +126,11 @@ class TestSignatures:
     def test_skip_gram_uses_endpoint_terms_and_marker_pairs_use_real_term(self, setting):
         graph, dictionary, engine = setting
         pair = PairScorer(tokenize("w0 w1 w2"), tokenize("w3"), engine, dictionary)
-        skip = pair.gram_signature(NGram(("w0", "w2"), kind="skip"))
+        skip = pair.gram_signature(NGram(("w0", "w2")))
         assert set(skip.idx.tolist()) == set(
             engine.ppr_for_sense_set([sense(1), sense(6)]).idx.tolist()
         )
-        marker = pair.gram_signature(NGram((BOS_MARKER, "w1"), kind="unigram-of-su"))
+        marker = pair.gram_signature(NGram((BOS_MARKER, "w1")))
         assert marker is engine.ppr_for_sense(sense(2))
 
 
