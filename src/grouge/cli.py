@@ -5,6 +5,14 @@ Subcommands: score, meta-eval, sweep-beta, ppr, cache-stats. Exit codes:
 error. Relative data paths fall back to $GROUGE_DATA_DIR when not found in
 the working directory. A ``--config`` file of ``key = value`` lines supplies
 defaults that explicit flags override; unknown keys are rejected.
+
+Each run setting has one owner, which holds its default and checks its
+range: ``GrougeConfig`` (beta), ``PprConfig`` (alpha, iterations,
+truncation), ``PprEngine`` (cache capacity) and ``grouge.stats``
+(meta-eval's alpha and resamples). A command's settings are built from
+them straight after parsing, so an out-of-range value is a usage error
+before any data file is opened, and ``.meta.json`` records the objects
+that were built.
 """
 
 from __future__ import annotations
@@ -17,22 +25,34 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .fileio import write_atomic
 from .graph import Dictionary, SemanticGraph, load_dictionary, load_graph
-from .ppr import PprConfig, PprEngine, read_cache_file
+from .ppr import DEFAULT_CACHE_CAPACITY, CacheFileError, PprConfig, PprEngine, read_cache_file
 from .scorer import (
     ALL_VARIANTS,
     GrougeConfig,
     ScoreReport,
     score_batch,
     variant_is_semantic,
+    variant_score,
 )
-from .stats import JudgmentTable, correlate, kendall, load_judgments, pearson, spearman
+from .stats import (
+    JudgmentTable,
+    check_resamples,
+    check_significance_level,
+    correlate,
+    kendall,
+    load_judgments,
+    pearson,
+    spearman,
+)
 
 log = logging.getLogger("grouge")
 
@@ -112,6 +132,8 @@ def _parse_betas(text: str) -> list[float]:
     for beta in out:
         if not 0.0 <= beta <= 1.0:
             raise UsageError(f"beta {beta:g} in grid {text!r} is outside [0, 1]")
+    if not out:
+        raise UsageError("empty beta grid")
     return out
 
 
@@ -126,10 +148,10 @@ def _version_text() -> str:
 
 
 def _add_ppr_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--alpha", type=float, default=0.15, help="restart probability")
-    sub.add_argument("--iterations", type=int, default=30, help="walk iterations")
-    sub.add_argument("--truncation", type=int, default=None,
-                     help="keep only the top-K vector dimensions (approximation)")
+    sub.add_argument("--alpha", type=float, help="restart probability, in (0, 1)")
+    sub.add_argument("--iterations", type=int, help="walk iterations, at least 1")
+    sub.add_argument("--truncation", type=int,
+                     help="keep only the top-K vector dimensions, K >= 1 (approximation)")
 
 
 def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
@@ -137,9 +159,8 @@ def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dict", dest="dict_path", help="sense dictionary file")
     sub.add_argument("--peers", required=True, help="peer summaries directory")
     sub.add_argument("--models", required=True, help="model summaries directory")
-    sub.add_argument("--variant", default=",".join(ALL_VARIANTS),
+    sub.add_argument("--variant", type=_parse_variants, default=",".join(ALL_VARIANTS),
                      help="comma list from: " + ",".join(ALL_VARIANTS))
-    sub.add_argument("--beta", type=float, default=0.5, help="lexical blend weight")
     sub.add_argument("--no-stem", action="store_true", help="disable stemming")
     sub.add_argument("--remove-stopwords", action="store_true",
                      help="drop stopwords (kept by default)")
@@ -147,8 +168,8 @@ def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
                      help="do not inject out-of-vocabulary dimensions")
     sub.add_argument("--jobs", type=int, default=1,
                      help="accepted for compatibility and ignored; scoring runs on one thread")
-    sub.add_argument("--cache-capacity", type=int, default=200_000,
-                     help="walk-vector cache size; 0 disables caching")
+    sub.add_argument("--cache-capacity", type=int,
+                     help="walk-vector cache size, at least 0; 0 disables caching")
     sub.add_argument("--cache-persist", nargs="?", const=DEFAULT_CACHE_FILE, default=None,
                      help="load/save the walk-vector cache at this path")
     _add_ppr_flags(sub)
@@ -158,15 +179,13 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     parser = _Parser(prog="grouge", description=__doc__)
     parser.add_argument("--version", action="store_true", help="print version and exit")
     subparsers = parser.add_subparsers(dest="command")
-    submap: dict[str, argparse.ArgumentParser] = {}
 
-    score = subparsers.add_parser("score", parents=[], description="Score peer summaries.")
+    score = subparsers.add_parser("score", description="Score peer summaries.")
     _add_scoring_flags(score)
+    score.add_argument("--beta", type=float, help="lexical blend weight, in [0, 1]")
     score.add_argument("--out", required=True, help="output CSV path")
     score.add_argument("--debug-senses", action="store_true",
                        help="print word<TAB>sense<TAB>support assignments")
-    score.add_argument("--config", help="key = value defaults file")
-    submap["score"] = score
 
     meta = subparsers.add_parser("meta-eval", description="Correlate scores with judgments.")
     meta.add_argument("--scores", required=True, help="score CSV from the score command")
@@ -178,17 +197,16 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     meta.add_argument("--resamples", type=int, default=1000, help="bootstrap resamples")
     meta.add_argument("--kendall-variant", choices=("a", "b"), default="b")
     meta.add_argument("--out", required=True, help="output CSV path")
-    meta.add_argument("--config", help="key = value defaults file")
-    submap["meta-eval"] = meta
 
-    sweep = subparsers.add_parser("sweep-beta", description="Correlation as a function of beta.")
+    # no abbreviations here, so that score's --beta is not read as --betas
+    sweep = subparsers.add_parser("sweep-beta", allow_abbrev=False,
+                                  description="Correlation as a function of beta.")
     _add_scoring_flags(sweep)
     sweep.add_argument("--human", required=True, help="judgments CSV")
     sweep.add_argument("--join", default="system", help="join column name")
-    sweep.add_argument("--betas", default="0:1:0.1", help="comma list or start:stop:step")
+    sweep.add_argument("--betas", type=_parse_betas, default="0:1:0.1",
+                       help="comma list or start:stop:step, each beta in [0, 1]")
     sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.add_argument("--config", help="key = value defaults file")
-    submap["sweep-beta"] = sweep
 
     ppr = subparsers.add_parser("ppr", description="Print a walk vector (debugging).")
     ppr.add_argument("--graph", required=True)
@@ -197,15 +215,14 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     ppr.add_argument("--pos", choices=("n", "v", "a", "r"), default=None)
     ppr.add_argument("--sense", type=int, default=None, help="1-based sense rank")
     ppr.add_argument("--top", type=int, default=20, help="dimensions to print")
-    ppr.add_argument("--config", help="key = value defaults file")
     _add_ppr_flags(ppr)
-    submap["ppr"] = ppr
 
     cache = subparsers.add_parser("cache-stats", description="Inspect a persisted cache.")
     cache.add_argument("--cache", default=DEFAULT_CACHE_FILE, help="persisted cache path")
-    submap["cache-stats"] = cache
 
-    return parser, submap
+    for sub in (score, meta, sweep, ppr):
+        sub.add_argument("--config", help="key = value defaults file")
+    return parser, subparsers.choices
 
 
 def _config_tokens(path_text: str, sub: argparse.ArgumentParser) -> list[str]:
@@ -261,8 +278,33 @@ def _load_resources(args) -> tuple[SemanticGraph, Dictionary, Path, Path]:
     return graph, dictionary, graph_path, dict_path
 
 
-def _ppr_config(args) -> PprConfig:
-    return PprConfig(alpha=args.alpha, iterations=args.iterations, truncation=args.truncation)
+class RunSettings(NamedTuple):
+    blend: GrougeConfig
+    walk: PprConfig
+    cache_capacity: int
+
+
+def _run_settings(args) -> RunSettings:
+    """The blend, walk and cache settings of score, sweep-beta and ppr; an
+    option that was not given (None) takes its owner's default."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
+
+    def pick(*names: str) -> dict:
+        return {name: given[name] for name in names if name in given}
+
+    return RunSettings(
+        GrougeConfig(oov_enabled=not given.get("no_oov", False), **pick("beta")),
+        PprConfig(**pick("alpha", "iterations", "truncation")),
+        PprEngine.check_capacity(given.get("cache_capacity", DEFAULT_CACHE_CAPACITY)),
+    )
+
+
+def _correlate_settings(args) -> dict:
+    """meta-eval's keyword arguments for ``correlate``, range-checked."""
+    check_significance_level(args.alpha)
+    check_resamples(args.resamples)
+    return dict(alpha=args.alpha, resamples=args.resamples, seed=args.seed,
+                kendall_variant=args.kendall_variant)
 
 
 def _load_judgments(args) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -272,54 +314,49 @@ def _load_judgments(args) -> tuple[list[str], dict[str, np.ndarray]]:
     return ids, columns
 
 
-def _run_scoring(args, variants) -> tuple[ScoreReport, dict]:
-    need_semantics = any(variant_is_semantic(v) for v in variants)
-    provenance: dict = {
-        "variants": list(variants),
-        "beta": args.beta,
-        "alpha": args.alpha,
-        "iterations": args.iterations,
-        "truncation": args.truncation,
-        "stemming": not args.no_stem,
-        "remove_stopwords": args.remove_stopwords,
-        "oov_enabled": not args.no_oov,
-    }
+def _run_scoring(args, settings: RunSettings) -> tuple[ScoreReport, dict]:
+    """The scored corpus and its provenance: the settings it was scored
+    with and, for a semantic run, the graph and dictionary checksums."""
     engine = None
     dictionary = None
-    cache_meta: dict = {}
-    if need_semantics:
+    checksums: dict = {}
+    if any(variant_is_semantic(v) for v in args.variant):
         if not args.graph or not args.dict_path:
             raise UsageError("semantic variants require --graph and --dict")
         graph, dictionary, graph_path, dict_path = _load_resources(args)
-        provenance["graph_sha256"] = _sha256(graph_path)
-        provenance["dict_sha256"] = _sha256(dict_path)
-        cache_meta = {key: provenance[key] for key in ("graph_sha256", "dict_sha256")}
-        engine = PprEngine(graph, _ppr_config(args), cache_capacity=args.cache_capacity)
+        checksums = {"graph_sha256": _sha256(graph_path), "dict_sha256": _sha256(dict_path)}
+        engine = PprEngine(graph, settings.walk, cache_capacity=settings.cache_capacity)
         if args.cache_persist and Path(args.cache_persist).exists():
-            if engine.load_cache(args.cache_persist, cache_meta):
-                log.info("loaded persisted cache from %s", args.cache_persist)
-            else:
-                log.warning("persisted cache %s does not match graph/dict/walk settings, ignored",
-                            args.cache_persist)
+            try:
+                if engine.load_cache(args.cache_persist, checksums):
+                    log.info("loaded persisted cache from %s", args.cache_persist)
+                else:
+                    log.warning("persisted cache %s does not match graph/dict/walk settings,"
+                                " ignored", args.cache_persist)
+            except CacheFileError as exc:
+                log.warning("%s; ignored", exc)
     report = score_batch(
         peers_dir=_require(args.peers, "peers directory"),
         models_dir=_require(args.models, "models directory"),
-        cfg=GrougeConfig(beta=args.beta, oov_enabled=not args.no_oov),
+        cfg=settings.blend,
         engine=engine,
         dictionary=dictionary,
-        variants=variants,
+        variants=args.variant,
         stemming=not args.no_stem,
         remove_stopwords=args.remove_stopwords,
         collect_debug=getattr(args, "debug_senses", False),
     )
     if engine is not None and args.cache_persist:
-        engine.save_cache(args.cache_persist, cache_meta)
+        engine.save_cache(args.cache_persist, checksums)
+    provenance = {**asdict(settings.blend), **asdict(settings.walk), **checksums,
+                  "variants": list(args.variant), "stemming": not args.no_stem,
+                  "remove_stopwords": args.remove_stopwords}
+    del provenance["variant"]  # the run scores every entry of "variants"
     return report, provenance
 
 
-def run_score(args) -> int:
-    variants = _parse_variants(args.variant)
-    report, provenance = _run_scoring(args, variants)
+def run_score(args, settings: RunSettings) -> int:
+    report, provenance = _run_scoring(args, settings)
     out = Path(args.out)
     report.write_csv(out)
     write_atomic(
@@ -396,46 +433,35 @@ def _read_score_rows(path: Path) -> dict[tuple[str, str, str], float]:
     return rows
 
 
-def run_meta_eval(args) -> int:
+def run_meta_eval(args, settings: dict) -> int:
     scores_path = _require(args.scores, "scores CSV")
     ids, columns = _load_judgments(args)
     means = system_means(_read_score_rows(scores_path))
     table = _system_table(means, ids, columns)
     if args.baseline is not None and args.baseline not in table.auto:
         raise UsageError(f"baseline {args.baseline!r} is not a scored variant")
-    report = correlate(
-        table,
-        significance_against=args.baseline,
-        alpha=args.alpha,
-        resamples=args.resamples,
-        seed=args.seed,
-        kendall_variant=args.kendall_variant,
-    )
+    report = correlate(table, significance_against=args.baseline, **settings)
     report.write_csv(args.out)
     return EX_OK
 
 
-def run_sweep_beta(args) -> int:
-    variants = _parse_variants(args.variant)
-    betas = _parse_betas(args.betas)
-    if not betas:
-        raise UsageError("empty beta grid")
+def run_sweep_beta(args, settings: RunSettings) -> int:
     ids, columns = _load_judgments(args)
-    report, _ = _run_scoring(args, variants)
+    report, _ = _run_scoring(args, settings)
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["beta", "variant", "human_metric", "pearson", "spearman", "kendall"])
-    for beta in betas:
+    for beta in args.betas:
         # round through the score CSV's 12-significant-digit format so one
         # sweep row equals the score -> meta-eval composition
         rows = {
-            key: float(f"{p.blend(beta if variant_is_semantic(key[2]) else 1.0):.12g}")
+            key: float(f"{variant_score(key[2], p, beta)[1]:.12g}")
             for key, p in report.parts.items()
         }
         means = system_means(rows)
         table = _system_table(means, ids, columns)
-        for variant in variants:
+        for variant in args.variant:
             a = table.auto[variant]
             for human_name in sorted(table.human):
                 h = table.human[human_name]
@@ -449,9 +475,9 @@ def run_sweep_beta(args) -> int:
     return EX_OK
 
 
-def run_ppr(args) -> int:
+def run_ppr(args, settings: RunSettings) -> int:
     graph, dictionary, _, _ = _load_resources(args)
-    engine = PprEngine(graph, _ppr_config(args))
+    engine = PprEngine(graph, settings.walk)
     senses = dictionary.senses_of(args.lemma, args.pos)
     if not senses:
         raise CliError(f"no senses for lemma {args.lemma!r}"
@@ -467,7 +493,7 @@ def run_ppr(args) -> int:
     return EX_OK
 
 
-def run_cache_stats(args) -> int:
+def run_cache_stats(args, settings: None) -> int:
     path = _resolve(args.cache)
     if not path.exists():
         raise CliError(f"cache file not found: {args.cache}")
@@ -486,12 +512,12 @@ def run_cache_stats(args) -> int:
     return EX_OK
 
 
-_RUNNERS = {
-    "score": run_score,
-    "meta-eval": run_meta_eval,
-    "sweep-beta": run_sweep_beta,
-    "ppr": run_ppr,
-    "cache-stats": run_cache_stats,
+_COMMANDS = {  # command: (settings builder, runner)
+    "score": (_run_settings, run_score),
+    "meta-eval": (_correlate_settings, run_meta_eval),
+    "sweep-beta": (_run_settings, run_sweep_beta),
+    "ppr": (_run_settings, run_ppr),
+    "cache-stats": (lambda args: None, run_cache_stats),
 }
 
 
@@ -510,7 +536,12 @@ def main(argv: list[str] | None = None) -> int:
         if not args.command:
             parser.print_help()
             return EX_USAGE
-        return _RUNNERS[args.command](args)
+        build, run = _COMMANDS[args.command]
+        try:  # before any data file is opened
+            settings = build(args)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        return run(args, settings)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE

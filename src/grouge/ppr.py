@@ -8,7 +8,7 @@ The walk update is
 with P the column-stochastic transition matrix (column j uniform over j's
 neighbours) and the mass of degree-zero columns returned to the seed
 distribution V(0), so every iterate stays a probability vector. The
-iteration count is fixed (default 30) so runs are bit-for-bit reproducible.
+iteration count is fixed (``PprConfig.iterations``) so runs are bit-for-bit reproducible.
 
 P is built once per graph (``SemanticGraph.transition``) and V(0) is
 nonzero only at the seed entries, so an iteration is one sparse product,
@@ -33,6 +33,7 @@ from .fileio import atomic_output
 from .graph import SemanticGraph, SenseId
 
 _BATCH_COLUMNS = 256
+DEFAULT_CACHE_CAPACITY = 200_000  # walk vectors an engine keeps
 _SIM_MEMO_CAPACITY = 1 << 20  # sense pairs whose similarity the engine keeps
 
 
@@ -258,12 +259,18 @@ class PprEngine:
         self,
         graph: SemanticGraph,
         cfg: PprConfig = PprConfig(),
-        cache_capacity: int = 200_000,
+        cache_capacity: int = DEFAULT_CACHE_CAPACITY,
     ):
         self.graph = graph
         self.cfg = cfg
-        self._vectors = _LruCache(cache_capacity)
+        self._vectors = _LruCache(self.check_capacity(cache_capacity))
         self._sim_memo: dict[tuple[int, int], float] = {}
+
+    @staticmethod
+    def check_capacity(capacity: int) -> int:
+        if capacity < 0:  # 0 caches nothing
+            raise ValueError(f"cache_capacity must be >= 0, got {capacity}")
+        return capacity
 
     # -- vector access ------------------------------------------------
 
@@ -356,9 +363,9 @@ class PprEngine:
     def load_cache(self, path, expect_meta: dict) -> bool:
         """Load a persisted cache; returns False (and loads nothing) when the
         stored meta (graph/dict fingerprints) or walk settings differ from
-        expect_meta and this engine's."""
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
+        expect_meta and this engine's. A file that does not unpickle to a
+        cache payload raises CacheFileError."""
+        payload = _read_payload(path)
         if payload.get("meta") != self._cache_meta(expect_meta):
             return False
         for key, idx, weights in payload["entries"]:
@@ -367,8 +374,23 @@ class PprEngine:
         return True
 
 
+class CacheFileError(ValueError):
+    """A persisted cache file that cannot be read, such as an empty or
+    truncated one."""
+
+
+def _read_payload(path) -> dict:
+    try:
+        with open(path, "rb") as fh:
+            payload = pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError) as exc:
+        raise CacheFileError(f"cannot read cache file {path}: {exc}") from None
+    if not isinstance(payload, dict):
+        raise CacheFileError(f"cannot read cache file {path}: not a cache payload")
+    return payload
+
+
 def read_cache_file(path) -> dict:
     """Stats and fingerprints of a persisted cache file, without a graph."""
-    with open(path, "rb") as fh:
-        payload = pickle.load(fh)
+    payload = _read_payload(path)
     return {"meta": payload.get("meta", {}), "stats": payload.get("stats", {})}

@@ -78,6 +78,18 @@ class ScoreParts:
         return (beta * self.lexical + (1.0 - beta) * self.semantic) / self.total
 
 
+def variant_score(variant: str, parts: ScoreParts, beta: float) -> tuple[ScoreParts, float]:
+    """A variant's parts and score, from its gram family's parts.
+
+    A ``g*`` variant blends the family's parts with beta. An ``r*`` variant
+    is plain clipped recall: its parts drop the semantic sum and it scores
+    with beta 1.
+    """
+    if not variant_is_semantic(variant):
+        parts, beta = ScoreParts(parts.lexical, 0.0, parts.total), 1.0
+    return parts, parts.blend(beta)
+
+
 def _signature(
     engine: PprEngine, seeds: tuple[SenseId, ...], oov: tuple[str, ...], oov_enabled: bool
 ) -> PprVector | None:
@@ -286,7 +298,7 @@ def grouge_score(
         peer, models, (family,), engine if semantic else None, dictionary,
         oov_enabled=cfg.oov_enabled,
     )
-    return parts[family].blend(cfg.beta if semantic else 1.0)
+    return variant_score(cfg.variant, parts[family], cfg.beta)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +435,9 @@ def score_batch(
         for system in systems:
             family_parts, debug = score_peer(topic, system, model_grams)
             for variant in variants:
-                p = family_parts.get(variant_family(variant), ScoreParts())
-                beta = cfg.beta
-                if not variant_is_semantic(variant):
-                    p, beta = ScoreParts(p.lexical, 0.0, p.total), 1.0
-                report.rows[(topic, system, variant)] = p.blend(beta)
-                report.parts[(topic, system, variant)] = p
+                key = (topic, system, variant)
+                report.parts[key], report.rows[key] = variant_score(
+                    variant, family_parts.get(variant_family(variant), ScoreParts()), cfg.beta
+                )
             report.debug_lines.extend(debug)
     return report

@@ -105,6 +105,18 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
 
 
+def check_resamples(resamples: int) -> None:
+    """The range of ``bootstrap_ci``'s resample count."""
+    if resamples < 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples}")
+
+
+def check_significance_level(alpha: float) -> None:
+    """The range of ``correlate``'s significance level."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     x, y = _as_array(x), _as_array(y)
     _check_pair(x, y)
@@ -182,6 +194,7 @@ def bootstrap_ci(
     if coefficient not in COEFFICIENTS:
         raise ValueError(f"unknown coefficient {coefficient!r}")
     _check_variant(kendall_variant)
+    check_resamples(resamples)
     x, y = _as_array(x), _as_array(y)
     _check_pair(x, y)
     if len(x) < 4:
@@ -335,6 +348,7 @@ def correlate(
 
     The Williams test compares Pearson correlations, its classical setting.
     """
+    check_significance_level(alpha)
     if table.n < 4:
         raise ValueError(f"need at least 4 rows, got {table.n}")
     if significance_against is not None and significance_against not in table.auto:

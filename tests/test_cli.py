@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import grouge
+from grouge import GrougeConfig, PprConfig
 from grouge.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, main
 
 from synth import build_synthetic_eval
@@ -118,6 +119,85 @@ class TestScoreCommand:
             "--variant", "r1", "--out", str(out), "--jobs", "1",
         ])
         assert code == EX_OK
+
+
+def missing_data_args(command, missing, out):
+    """command's arguments with every data path pointing at a missing file,
+    so a run that opens one before checking its settings exits 1, not 64."""
+    graph = ["--graph", str(missing / "relations.txt"), "--dict", str(missing / "dict.txt")]
+    corpus = ["--peers", str(missing / "peers"), "--models", str(missing / "models")]
+    return {
+        "score": ["score", *graph, *corpus, "--variant", "g1,r1", "--out", str(out)],
+        "lexical": ["score", *corpus, "--variant", "r1", "--out", str(out)],
+        "sweep-beta": ["sweep-beta", *graph, *corpus, "--human", str(missing / "human.csv"),
+                       "--variant", "g1", "--out", str(out)],
+        "ppr": ["ppr", *graph, "--lemma", "w000"],
+        "meta-eval": ["meta-eval", "--scores", str(missing / "scores.csv"),
+                      "--human", str(missing / "human.csv"), "--out", str(out)],
+    }[command]
+
+
+WALK_SETTINGS = [("--alpha", "0"), ("--alpha", "1"), ("--alpha", "2"), ("--iterations", "0"),
+                 ("--truncation", "0")]
+SCORING_SETTINGS = [*WALK_SETTINGS, ("--cache-capacity", "-3")]
+OUT_OF_RANGE = (
+    [("score", flag, value) for flag, value in
+     [("--beta", "1.5"), ("--beta", "-0.1"), *SCORING_SETTINGS]]
+    + [("lexical", flag, value) for flag, value in [("--beta", "1.5"), *SCORING_SETTINGS]]
+    + [("sweep-beta", flag, value) for flag, value in SCORING_SETTINGS]
+    + [("ppr", flag, value) for flag, value in WALK_SETTINGS]
+    + [("meta-eval", flag, value) for flag, value in
+       [("--alpha", "0"), ("--alpha", "1"), ("--alpha", "7"), ("--resamples", "0"),
+        ("--resamples", "-1")]]
+)
+
+
+class TestSettingsCheckedFirst:
+    @pytest.mark.parametrize("command, flag, value", OUT_OF_RANGE,
+                             ids=[f"{c}{f}={v}" for c, f, v in OUT_OF_RANGE])
+    def test_out_of_range_setting_is_usage_error(self, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out.csv"
+        argv = missing_data_args(command, tmp_path / "missing", out)
+        assert main([*argv, flag, value]) == EX_USAGE
+        setting = flag.lstrip("-").replace("-", "_")
+        assert f"usage error: {setting} must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["score", "lexical", "sweep-beta", "ppr"])
+    def test_out_of_range_setting_from_config_file(self, tmp_path, capsys, command):
+        config = tmp_path / "run.conf"
+        config.write_text("alpha = 2\n")
+        argv = missing_data_args(command, tmp_path / "missing", tmp_path / "out.csv")
+        assert main([*argv, "--config", str(config)]) == EX_USAGE
+        assert "usage error: alpha must be in (0, 1), got 2.0" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
+    @pytest.mark.parametrize("command", ["score", "lexical", "sweep-beta", "ppr", "meta-eval"])
+    def test_valid_settings_reach_the_missing_files(self, tmp_path, capsys, command):
+        argv = missing_data_args(command, tmp_path / "missing", tmp_path / "out.csv")
+        assert main(argv) == EX_FATAL
+        assert "not found" in capsys.readouterr().err
+
+    def test_sweep_beta_takes_no_beta(self, tmp_path, capsys):
+        argv = missing_data_args("sweep-beta", tmp_path / "missing", tmp_path / "out.csv")
+        assert main([*argv, "--beta", "0.5"]) == EX_USAGE
+        assert "unrecognized arguments: --beta" in capsys.readouterr().err
+        config = tmp_path / "run.conf"
+        config.write_text("beta = 0.5\n")
+        assert main([*argv, "--config", str(config)]) == EX_USAGE
+        assert "unknown config key 'beta'" in capsys.readouterr().err
+
+    def test_meta_records_the_built_settings(self, world, tmp_path):
+        out = tmp_path / "lex.csv"
+        assert main([
+            "score", "--peers", str(world["peers"]), "--models", str(world["models"]),
+            "--variant", "r1,r2", "--out", str(out), "--iterations", "7", "--no-oov",
+        ]) == EX_OK
+        assert json.loads(out.with_suffix(".csv.meta.json").read_text()) == {
+            "variants": ["r1", "r2"], "beta": GrougeConfig().beta,
+            "alpha": PprConfig().alpha, "iterations": 7, "truncation": None,
+            "stemming": True, "remove_stopwords": False, "oov_enabled": False,
+        }
 
 
 class TestConfigFile:
@@ -507,6 +587,35 @@ class TestCacheWorkflow:
                                       "--cache-capacity", "0"))) == EX_OK
         assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
         assert "disabled" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["empty", "truncated"])
+    def test_unreadable_cache_file_ignored_with_warning(self, world, tmp_path, capsys, caplog,
+                                                        damage):
+        cache = tmp_path / "cache.pkl"
+        assert main(score_args(world, tmp_path / "warm.csv", variant="g1,r2",
+                               extra=("--cache-persist", str(cache)))) == EX_OK
+        whole = cache.read_bytes()
+        damaged = b"" if damage == "empty" else whole[: len(whole) // 2]
+        cache.write_bytes(damaged)
+        assert main(["cache-stats", "--cache", str(cache)]) == EX_FATAL
+        assert "error: cannot read cache file" in capsys.readouterr().err
+
+        for command in ("score", "sweep-beta"):
+            caplog.clear()
+            cache.write_bytes(damaged)
+            runs = {}
+            for label, extra in (("cold", ()), ("damaged", ("--cache-persist", str(cache)))):
+                out = tmp_path / f"{command}-{label}.csv"
+                args = score_args(world, out, variant="g1,r2", extra=extra)
+                if command == "sweep-beta":
+                    args[0] = "sweep-beta"
+                    args += ["--human", str(world["judgments"]), "--betas", "0,0.5,1"]
+                assert main(args) == EX_OK
+                runs[label] = out.read_bytes()
+            assert runs["damaged"] == runs["cold"]
+            assert "cannot read cache file" in caplog.text
+            assert main(["cache-stats", "--cache", str(cache)]) == EX_OK  # overwritten
+            assert "hits: 0" in capsys.readouterr().out
 
     def test_missing_cache_file_fatal(self, tmp_path):
         assert main(["cache-stats", "--cache", str(tmp_path / "none.pkl")]) == EX_FATAL

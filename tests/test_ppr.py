@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import grouge.ppr
 from grouge import PprConfig, PprEngine, PprVector, compute_ppr, load_graph
-from grouge.ppr import _compress, _run_walk
+from grouge.ppr import CacheFileError, _compress, _run_walk, read_cache_file
 
 from conftest import graph_from_edges, labelled_graph, ring_graphs, sense, star_graphs
 from oracles import compress_reference, dense_ppr, walk_reference, weight_in
@@ -292,6 +292,25 @@ class TestEngine:
         assert not mismatched.load_cache(cache_file, {"graph_sha256": "zzz"})
         assert mismatched.stats().size == 0
 
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "not-a-payload"])
+    def test_unreadable_cache_file_raises_cache_file_error(self, tmp_path, path_graph, damage):
+        engine = PprEngine(path_graph)
+        engine.ppr_for_sense(sense(3))
+        cache_file = tmp_path / "cache.pkl"
+        engine.save_cache(cache_file, {})
+        whole = cache_file.read_bytes()
+        cache_file.write_bytes({
+            "empty": b"",
+            "truncated": whole[: len(whole) // 2],
+            "not-a-payload": pickle.dumps([1, 2, 3]),
+        }[damage])
+        fresh = PprEngine(path_graph)
+        with pytest.raises(CacheFileError, match="cannot read cache file"):
+            fresh.load_cache(cache_file, {})
+        assert fresh.stats().size == 0
+        with pytest.raises(CacheFileError, match="cannot read cache file"):
+            read_cache_file(cache_file)
+
     @pytest.mark.parametrize("other", [
         PprConfig(alpha=0.5), PprConfig(iterations=7), PprConfig(truncation=2),
     ], ids=["alpha", "iterations", "truncation"])
@@ -389,6 +408,11 @@ class TestConfigValidation:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             PprConfig(**kwargs)
+
+    def test_negative_cache_capacity_rejected(self, path_graph):
+        with pytest.raises(ValueError, match="cache_capacity must be >= 0, got -3"):
+            PprEngine(path_graph, cache_capacity=-3)
+        assert PprEngine(path_graph, cache_capacity=0).stats().enabled is False
 
     def test_seed_set_dedupes_and_rejects_empty(self, path_graph):
         engine = PprEngine(path_graph)

@@ -16,7 +16,13 @@ from grouge import (
 )
 from grouge.cli import system_means
 from grouge.rouge import grams_for
-from grouge.scorer import PairScorer, variant_family, variant_is_semantic
+from grouge.scorer import (
+    PairScorer,
+    ScoreParts,
+    variant_family,
+    variant_is_semantic,
+    variant_score,
+)
 
 from conftest import dictionary_from, graph_from_edges, sense
 from oracles import consumed_matches, recall_oracle
@@ -287,6 +293,16 @@ class TestVariantNames:
         assert not variant_is_semantic("r2")
         with pytest.raises(ValueError):
             variant_family("g3")
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 0.5, 1.0])
+    def test_variant_score_blend_rule(self, beta):
+        family = ScoreParts(lexical=3.0, semantic=5.5, total=8.0)
+        for variant in ("g1", "g2", "gsu4"):
+            assert variant_score(variant, family, beta) == (family, family.blend(beta))
+        for variant in ("r1", "r2", "rsu4"):  # recall: beta 1 and no semantic part
+            parts, score = variant_score(variant, family, beta)
+            assert parts == ScoreParts(3.0, 0.0, 8.0)
+            assert score == 3.0 / 8.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -191,6 +191,12 @@ class TestBootstrap:
         with pytest.raises(ValueError):
             bootstrap_ci([1, 2, 3, 4], [1, 2, 3, 4], "cosine")
 
+    @pytest.mark.parametrize("resamples", [0, -1])
+    def test_resamples_below_one_rejected(self, resamples):
+        x, y = self._table()
+        with pytest.raises(ValueError, match=f"resamples must be >= 1, got {resamples}"):
+            bootstrap_ci(x, y, "pearson", resamples=resamples)
+
     def test_degenerate_resamples_redrawn(self):
         # nearly-constant columns: most resamples are degenerate and must be
         # redrawn rather than crash
@@ -428,6 +434,11 @@ class TestCorrelate:
         report = correlate(table, resamples=50)
         row = report.rows[0]
         assert row.pearson == row.spearman == row.kendall == 1.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.05, 7.0])
+    def test_significance_level_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be in \\(0, 1\\)"):
+            correlate(self._table(), significance_against="r1", alpha=alpha, resamples=10)
 
     def test_three_rows_rejected(self):
         x = np.array([1.0, 2.0, 3.0])
