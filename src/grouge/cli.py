@@ -9,10 +9,10 @@ defaults that explicit flags override; unknown keys are rejected.
 Each run setting has one owner, which holds its default and checks its
 range: ``GrougeConfig`` (beta), ``PprConfig`` (alpha, iterations,
 truncation), ``PprEngine`` (cache capacity) and ``grouge.stats``
-(meta-eval's alpha and resamples). A command's settings are built from
-them straight after parsing, so an out-of-range value is a usage error
-before any data file is opened, and ``.meta.json`` records the objects
-that were built.
+(meta-eval's alpha, resamples, seed and Kendall variant). A command's
+settings are built from them straight after parsing, so an out-of-range
+value is a usage error before any data file is opened, and
+``.meta.json`` records the objects that were built.
 """
 
 from __future__ import annotations
@@ -192,10 +192,10 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     meta.add_argument("--human", required=True, help="judgments CSV (system, metrics...)")
     meta.add_argument("--join", default="system", help="join column name in the judgments CSV")
     meta.add_argument("--baseline", default=None, help="variant for Williams significance")
-    meta.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    meta.add_argument("--seed", type=int, default=42, help="bootstrap seed")
-    meta.add_argument("--resamples", type=int, default=1000, help="bootstrap resamples")
-    meta.add_argument("--kendall-variant", choices=("a", "b"), default="b")
+    meta.add_argument("--alpha", type=float, help="significance level, in (0, 1)")
+    meta.add_argument("--seed", type=int, help="bootstrap seed")
+    meta.add_argument("--resamples", type=int, help="bootstrap resamples, at least 1")
+    meta.add_argument("--kendall-variant", choices=("a", "b"), help="Kendall tau variant")
     meta.add_argument("--out", required=True, help="output CSV path")
 
     # no abbreviations here, so that score's --beta is not read as --betas
@@ -214,7 +214,7 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     ppr.add_argument("--lemma", required=True)
     ppr.add_argument("--pos", choices=("n", "v", "a", "r"), default=None)
     ppr.add_argument("--sense", type=int, default=None, help="1-based sense rank")
-    ppr.add_argument("--top", type=int, default=20, help="dimensions to print")
+    ppr.add_argument("--top", type=int, default=20, help="dimensions to print, at least 1")
     _add_ppr_flags(ppr)
 
     cache = subparsers.add_parser("cache-stats", description="Inspect a persisted cache.")
@@ -286,8 +286,18 @@ class RunSettings(NamedTuple):
 
 def _run_settings(args) -> RunSettings:
     """The blend, walk and cache settings of score, sweep-beta and ppr; an
-    option that was not given (None) takes its owner's default."""
+    option that was not given (None) takes its owner's default. The
+    options that need no data to check are checked here too: the data
+    paths that semantic variants need, and ppr's --top and --sense."""
     given = {name: value for name, value in vars(args).items() if value is not None}
+    if any(variant_is_semantic(v) for v in given.get("variant", ())) and not (
+        given.get("graph") and given.get("dict_path")
+    ):
+        raise UsageError("semantic variants require --graph and --dict")
+    if given.get("top", 1) < 1:
+        raise UsageError(f"top must be >= 1, got {args.top}")
+    if given.get("sense", 1) < 1:
+        raise UsageError(f"sense must be >= 1, got {args.sense}")
 
     def pick(*names: str) -> dict:
         return {name: given[name] for name in names if name in given}
@@ -300,11 +310,15 @@ def _run_settings(args) -> RunSettings:
 
 
 def _correlate_settings(args) -> dict:
-    """meta-eval's keyword arguments for ``correlate``, range-checked."""
-    check_significance_level(args.alpha)
-    check_resamples(args.resamples)
-    return dict(alpha=args.alpha, resamples=args.resamples, seed=args.seed,
-                kendall_variant=args.kendall_variant)
+    """meta-eval's keyword arguments for ``correlate``: the options given,
+    range-checked; the others take correlate's defaults."""
+    names = ("alpha", "resamples", "seed", "kendall_variant")
+    settings = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    if "alpha" in settings:
+        check_significance_level(settings["alpha"])
+    if "resamples" in settings:
+        check_resamples(settings["resamples"])
+    return settings
 
 
 def _load_judgments(args) -> tuple[list[str], dict[str, np.ndarray]]:
@@ -321,8 +335,6 @@ def _run_scoring(args, settings: RunSettings) -> tuple[ScoreReport, dict]:
     dictionary = None
     checksums: dict = {}
     if any(variant_is_semantic(v) for v in args.variant):
-        if not args.graph or not args.dict_path:
-            raise UsageError("semantic variants require --graph and --dict")
         graph, dictionary, graph_path, dict_path = _load_resources(args)
         checksums = {"graph_sha256": _sha256(graph_path), "dict_sha256": _sha256(dict_path)}
         engine = PprEngine(graph, settings.walk, cache_capacity=settings.cache_capacity)
@@ -483,7 +495,7 @@ def run_ppr(args, settings: RunSettings) -> int:
         raise CliError(f"no senses for lemma {args.lemma!r}"
                        + (f" with pos {args.pos}" if args.pos else ""))
     if args.sense is not None:
-        if not 1 <= args.sense <= len(senses):
+        if args.sense > len(senses):
             raise CliError(f"sense rank {args.sense} out of range 1..{len(senses)}")
         vector = engine.ppr_for_sense(senses[args.sense - 1])
     else:

@@ -18,6 +18,21 @@ c * V(0) everywhere: the adjacency's entries are all 1.0, so each product
 1.0 * (v * 1/deg) equals (1/deg) * v exactly and the sparse product sums
 the same terms in the same order; adding the 0.0 that c * V(0) holds off
 the seeds leaves a non-negative entry unchanged.
+
+A seed set's vector is defined as follows. A single seed is walked. A set
+with more than one seed, none of them isolated (degree 0), and no
+truncation is composed: the mean of its seeds' single-seed walk columns,
+summed in ascending node index, multiplied by 1/len(seeds) and then ranked
+by ``_compress``. On an undirected graph a walk from a seed with
+neighbours never reaches a dangling node, so the update is linear in V(0)
+and the mean equals the multi-seed walk in real arithmetic (Jeh & Widom,
+"Scaling Personalized Web Search", WWW 2003); the two differ in rounding
+only. Every other set is walked from its uniform seed distribution: an
+isolated seed's restart mass leaks to the other seeds, and a truncated
+single vector has lost the tail that the mean needs. A single vector
+stores every positive entry of its column when not truncated, so
+scattering its weights back through its rank table restores the column
+bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +40,7 @@ from __future__ import annotations
 import pickle
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +50,9 @@ from .graph import SemanticGraph, SenseId
 _BATCH_COLUMNS = 256
 DEFAULT_CACHE_CAPACITY = 200_000  # walk vectors an engine keeps
 _SIM_MEMO_CAPACITY = 1 << 20  # sense pairs whose similarity the engine keeps
+# Cache files from version 1 hold walked vectors of seed sets that are now
+# composed; only their other entries are loaded.
+_CACHE_VERSION = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,13 +193,73 @@ def _walk(
     return [_compress(graph, v[:, col], cfg) for col in range(len(keys))]
 
 
+def _composes(graph: SemanticGraph, key: tuple[int, ...], cfg: PprConfig) -> bool:
+    """Whether a seed set's vector is composed from its seeds' single-sense
+    columns: it has more than one seed, no isolated seed and no truncation."""
+    return len(key) > 1 and cfg.truncation is None and bool(graph.degree[list(key)].all())
+
+
+def _compose(
+    graph: SemanticGraph, key: tuple[int, ...], singles: dict[int, PprVector], cfg: PprConfig
+) -> PprVector:
+    """The mean of the seeds' walk columns, summed in ascending node index.
+
+    A single vector's column is its weights read through its rank table,
+    where rank 0 (absent) reads a 0.0 put in front of them; without
+    truncation these are the walk column's exact bits.
+    """
+    total = np.zeros(graph.node_count, dtype=np.float64)
+    for i in key:
+        vec = singles[i]
+        total[: len(vec.ranks)] += np.concatenate(([0.0], vec.weights))[vec.ranks]
+    total *= 1.0 / len(key)
+    return _compress(graph, total, cfg)
+
+
+def _seed_set_vectors(
+    graph: SemanticGraph,
+    keys: Sequence[tuple[int, ...]],
+    cfg: PprConfig,
+    cached: Callable[[int], PprVector | None],
+) -> list[PprVector]:
+    """The vectors of distinct seed keys, in key order.
+
+    A key that composes (``_composes``) is the mean of its seeds' single-sense
+    vectors, taken from ``cached`` (node index -> vector or None) or walked;
+    every other key is walked. The walks run in batched passes of
+    ``_BATCH_COLUMNS`` columns, and the singles are held here until every
+    key is composed, so none is read back from a cache that may evict it.
+    """
+    singles: dict[int, PprVector] = {}
+    walks: dict[tuple[int, ...], None] = {}
+    for key in keys:
+        if not _composes(graph, key, cfg):
+            walks[key] = None
+            continue
+        for i in key:
+            if i not in singles:
+                vec = cached(i)
+                if vec is None:
+                    walks[(i,)] = None
+                else:
+                    singles[i] = vec
+    walked: dict[tuple[int, ...], PprVector] = {}
+    order = list(walks)
+    for start in range(0, len(order), _BATCH_COLUMNS):
+        chunk = order[start : start + _BATCH_COLUMNS]
+        walked.update(zip(chunk, _walk(graph, chunk, cfg)))
+    singles.update((key[0], vec) for key, vec in walked.items() if len(key) == 1)
+    return [walked[key] if key in walked else _compose(graph, key, singles, cfg) for key in keys]
+
+
 def compute_ppr(
     graph: SemanticGraph,
     seeds: Iterable[SenseId],
     cfg: PprConfig = PprConfig(),
 ) -> PprVector:
-    """Run the walk from a uniform distribution over the seed set."""
-    return _walk(graph, [_seed_key(graph, seeds)], cfg)[0]
+    """The vector of a uniform distribution over the seed set, composed or
+    walked as the module docstring defines."""
+    return _seed_set_vectors(graph, [_seed_key(graph, seeds)], cfg, lambda i: None)[0]
 
 
 class _LruCache:
@@ -212,6 +290,10 @@ class _LruCache:
             self.preloaded_hits += 1
         self._data.move_to_end(key)
         return value
+
+    def peek(self, key: tuple[int, ...]) -> PprVector | None:
+        """The cached vector, without counting a lookup or refreshing it."""
+        return self._data.get(key)
 
     def put(self, key: tuple[int, ...], vec: PprVector, preloaded: bool = False) -> None:
         if self.capacity <= 0 or key in self._data:
@@ -278,7 +360,7 @@ class PprEngine:
         key = _seed_key(self.graph, seeds)
         vec = self._vectors.get(key)
         if vec is None:
-            vec = _walk(self.graph, [key], self.cfg)[0]
+            vec = self._compute([key])[0]
             self._vectors.put(key, vec)
         return vec
 
@@ -288,23 +370,28 @@ class PprEngine:
     def ppr_for_sense_set(self, senses: Iterable[SenseId]) -> PprVector:
         return self.vector_for_seeds(senses)
 
+    def _compute(self, keys: Sequence[tuple[int, ...]]) -> list[PprVector]:
+        """The vectors of distinct uncached keys, composing from the cached
+        single-sense vectors where they are present."""
+        return _seed_set_vectors(self.graph, keys, self.cfg, lambda i: self._vectors.peek((i,)))
+
     # -- batch priming --------------------------------------------------
 
     def prime_seed_sets(self, seed_sets: Sequence[Iterable[SenseId]]) -> None:
-        """Compute any uncached vectors for the given seed sets in batches.
+        """Compute and cache any uncached vectors for the given seed sets.
 
-        One walk pass over the adjacency serves many columns at once, which
-        is far cheaper than per-seed passes on large graphs. A cache that
-        keeps nothing (capacity 0) walks nothing here.
+        The sets that are walked, and the missing single senses of the sets
+        that are composed, share batched walk passes, which are far cheaper
+        than per-seed passes on large graphs. Each uncached set counts one
+        cache miss. A cache that keeps nothing (capacity 0) walks nothing
+        here.
         """
         if self._vectors.capacity <= 0:
             return
         distinct = dict.fromkeys(_seed_key(self.graph, seeds) for seeds in seed_sets)
         keys = [key for key in distinct if self._vectors.get(key) is None]
-        for start in range(0, len(keys), _BATCH_COLUMNS):
-            chunk = keys[start : start + _BATCH_COLUMNS]
-            for key, vec in zip(chunk, _walk(self.graph, chunk, self.cfg)):
-                self._vectors.put(key, vec)
+        for key, vec in zip(keys, self._compute(keys)):
+            self._vectors.put(key, vec)
 
     def prime_senses(self, senses: Iterable[SenseId]) -> None:
         self.prime_seed_sets([(s,) for s in dict.fromkeys(senses)])
@@ -352,7 +439,7 @@ class PprEngine:
             (key, vec.idx, vec.weights) for key, vec in self._vectors.items()
         ]
         payload = {
-            "version": 1,
+            "version": _CACHE_VERSION,
             "meta": self._cache_meta(meta),
             "stats": self.stats().as_dict(),
             "entries": entries,
@@ -364,11 +451,16 @@ class PprEngine:
         """Load a persisted cache; returns False (and loads nothing) when the
         stored meta (graph/dict fingerprints) or walk settings differ from
         expect_meta and this engine's. A file that does not unpickle to a
-        cache payload raises CacheFileError."""
+        cache payload raises CacheFileError. From a version 1 file, whose
+        seed-set vectors were all walked, the sets this version composes are
+        left out."""
         payload = _read_payload(path)
         if payload.get("meta") != self._cache_meta(expect_meta):
             return False
+        walked_only = payload.get("version", 1) < _CACHE_VERSION
         for key, idx, weights in payload["entries"]:
+            if walked_only and _composes(self.graph, key, self.cfg):
+                continue
             vec = PprVector(self.graph, idx, weights)
             self._vectors.put(key, vec, preloaded=True)
         return True

@@ -59,6 +59,14 @@ def walk_reference(graph, v0: np.ndarray, alpha: float = 0.15, iterations: int =
     return v
 
 
+def seed_set_reference(graph, seeds, alpha: float = 0.15, iterations: int = 30) -> np.ndarray:
+    """The multi-seed walk's column for a uniform distribution over the seed
+    node indices: the weights a composed seed-set vector must match."""
+    v0 = np.zeros((graph.node_count, 1))
+    v0[list(seeds), 0] = 1.0 / len(set(seeds))
+    return walk_reference(graph, v0, alpha, iterations)[:, 0]
+
+
 def compress_reference(graph, column: np.ndarray, truncation: int | None = None):
     """(node indices, weights) of a column's positive entries, ranked by
     descending weight with ties by ascending SenseId text, by one lexsort."""

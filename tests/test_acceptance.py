@@ -347,16 +347,19 @@ def test_c10_end_to_end_determinism_and_throughput(big_world):
 
 
 def test_walk_plan_walks_each_seed_set_once_in_two_passes_per_peer(big_world, monkeypatch):
-    """parts_by_family walks every sense, peer-signature and gram vector of
-    a peer in at most two batched passes, and nothing is walked twice."""
+    """parts_by_family computes every sense, peer-signature and gram vector
+    of a peer in at most two batched passes, nothing twice, and walks no
+    multi-seed column: every seed set of this world composes."""
     graph, dictionary = load_world(big_world)
     passes: list[int] = []
+    seeds_per_column: list[int] = []
     run_walk = grouge.ppr._run_walk
     parts_by_family = grouge.scorer.parts_by_family
 
-    def counted_walk(*args):
+    def counted_walk(graph, v0, cfg):
         passes[-1] += 1
-        return run_walk(*args)
+        seeds_per_column.extend(np.count_nonzero(v0, axis=0).tolist())
+        return run_walk(graph, v0, cfg)
 
     def planned(*args, **kwargs):
         passes.append(0)
@@ -371,8 +374,10 @@ def test_walk_plan_walks_each_seed_set_once_in_two_passes_per_peer(big_world, mo
     )
     assert len(passes) == 50
     assert 0 < max(passes) <= 2
+    assert seeds_per_column and set(seeds_per_column) == {1}
     stats = engine.stats()
     assert stats.misses == stats.size
+    assert stats.size > len(seeds_per_column)  # the composed seed sets
 
 
 def test_peer_table_assignments_match_per_cell_loop(big_world, monkeypatch):

@@ -1,4 +1,5 @@
 import csv
+import inspect
 import json
 import os
 import pickle
@@ -9,8 +10,10 @@ from pathlib import Path
 import pytest
 
 import grouge
-from grouge import GrougeConfig, PprConfig
-from grouge.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, main
+from grouge import GrougeConfig, PprConfig, load_graph
+from grouge.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, build_parser, main
+from grouge.ppr import _walk
+from grouge.stats import correlate
 
 from synth import build_synthetic_eval
 
@@ -145,7 +148,8 @@ OUT_OF_RANGE = (
      [("--beta", "1.5"), ("--beta", "-0.1"), *SCORING_SETTINGS]]
     + [("lexical", flag, value) for flag, value in [("--beta", "1.5"), *SCORING_SETTINGS]]
     + [("sweep-beta", flag, value) for flag, value in SCORING_SETTINGS]
-    + [("ppr", flag, value) for flag, value in WALK_SETTINGS]
+    + [("ppr", flag, value) for flag, value in
+       [*WALK_SETTINGS, ("--top", "-1"), ("--top", "0"), ("--sense", "0"), ("--sense", "-2")]]
     + [("meta-eval", flag, value) for flag, value in
        [("--alpha", "0"), ("--alpha", "1"), ("--alpha", "7"), ("--resamples", "0"),
         ("--resamples", "-1")]]
@@ -177,6 +181,19 @@ class TestSettingsCheckedFirst:
         argv = missing_data_args(command, tmp_path / "missing", tmp_path / "out.csv")
         assert main(argv) == EX_FATAL
         assert "not found" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["score", "sweep-beta"])
+    @pytest.mark.parametrize("drop", ["--graph", "--dict"])
+    def test_semantic_variant_without_graph_data_is_usage_error(self, tmp_path, capsys,
+                                                                 command, drop):
+        argv = missing_data_args(command, tmp_path / "missing", tmp_path / "out.csv")
+        at = argv.index(drop)
+        del argv[at : at + 2]
+        assert main(argv) == EX_USAGE
+        assert "usage error: semantic variants require --graph and --dict" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_beta_takes_no_beta(self, tmp_path, capsys):
         argv = missing_data_args("sweep-beta", tmp_path / "missing", tmp_path / "out.csv")
@@ -329,6 +346,27 @@ class TestMetaEvalCommand:
                 assert row["williams_p"] == ""
             else:
                 assert 0.0 <= float(row["williams_p"]) <= 1.0
+
+    def test_defaults_are_correlates_own(self, world, score_csv, tmp_path):
+        names = ("alpha", "resamples", "seed", "kendall_variant")
+        args = build_parser()[0].parse_args(
+            ["meta-eval", "--scores", "s.csv", "--human", "h.csv", "--out", "o.csv"]
+        )
+        assert [getattr(args, name) for name in names] == [None] * len(names)
+        defaults = inspect.signature(correlate).parameters
+        explicit = [
+            token for name in names
+            for token in ("--" + name.replace("_", "-"), str(defaults[name].default))
+        ]
+        outputs = []
+        for label, extra in (("implicit", []), ("explicit", explicit)):
+            out = tmp_path / f"{label}.csv"
+            assert main([
+                "meta-eval", "--scores", str(score_csv), "--human", str(world["judgments"]),
+                "--out", str(out), *extra,
+            ]) == EX_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_seeded_runs_byte_identical(self, world, score_csv, tmp_path):
         outputs = []
@@ -616,6 +654,29 @@ class TestCacheWorkflow:
             assert "cannot read cache file" in caplog.text
             assert main(["cache-stats", "--cache", str(cache)]) == EX_OK  # overwritten
             assert "hits: 0" in capsys.readouterr().out
+
+    def test_cache_file_from_before_composition_gives_cold_bytes(self, world, tmp_path):
+        # A version 1 file holds the walked vectors of seed sets that this
+        # version composes; a warm run from it writes the cold run's bytes.
+        cache = tmp_path / "cache.pkl"
+        cold = tmp_path / "cold.csv"
+        assert main(score_args(world, cold, variant="g1,g2",
+                               extra=("--cache-persist", str(cache)))) == EX_OK
+        payload = pickle.loads(cache.read_bytes())
+        graph = load_graph(world["graph"])
+        entries = []
+        for key, idx, weights in payload["entries"]:
+            if len(key) > 1:
+                walked = _walk(graph, [key], PprConfig())[0]
+                idx, weights = walked.idx, walked.weights
+            entries.append((key, idx, weights))
+        assert any(len(key) > 1 for key, _, _ in entries)
+        cache.write_bytes(pickle.dumps({**payload, "version": 1, "entries": entries}))
+        warm = tmp_path / "warm.csv"
+        assert main(score_args(world, warm, variant="g1,g2",
+                               extra=("--cache-persist", str(cache)))) == EX_OK
+        assert warm.read_bytes() == cold.read_bytes()
+        assert pickle.loads(cache.read_bytes())["version"] == 2
 
     def test_missing_cache_file_fatal(self, tmp_path):
         assert main(["cache-stats", "--cache", str(tmp_path / "none.pkl")]) == EX_FATAL

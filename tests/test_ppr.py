@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import grouge.ppr
 from grouge import PprConfig, PprEngine, PprVector, compute_ppr, load_graph
-from grouge.ppr import CacheFileError, _compress, _run_walk, read_cache_file
+from grouge.ppr import CacheFileError, _compress, _run_walk, _walk, read_cache_file
 
-from conftest import graph_from_edges, labelled_graph, ring_graphs, sense, star_graphs
-from oracles import compress_reference, dense_ppr, walk_reference, weight_in
+from conftest import graph_from_edges, labelled_graph, ring_graphs, sense, sid, star_graphs
+from oracles import compress_reference, dense_ppr, seed_set_reference, walk_reference, weight_in
 from synth import write_graph
 
 
@@ -201,6 +201,145 @@ class TestKernelOracle:
         assert columns == 5 * 6
 
 
+def dense(vec, n):
+    """A vector's sense weights as a node-order column."""
+    column = np.zeros(n)
+    column[vec.idx] = vec.weights
+    return column
+
+
+def walked_columns(monkeypatch) -> list[int]:
+    """The seed count of every column ``_run_walk`` walks from now on."""
+    columns: list[int] = []
+    run_walk = grouge.ppr._run_walk
+
+    def counted(graph, v0, cfg):
+        columns.extend(np.count_nonzero(v0, axis=0).tolist())
+        return run_walk(graph, v0, cfg)
+
+    monkeypatch.setattr(grouge.ppr, "_run_walk", counted)
+    return columns
+
+
+def linked_seed_sets(graph, rng, sizes=(2, 3, 5)):
+    """Seed sets (node indices) of nodes with neighbours: sets that compose."""
+    linked = np.flatnonzero(graph.degree)
+    return [
+        sorted(rng.choice(linked, size=min(k, len(linked)), replace=False).tolist())
+        for k in sizes
+    ]
+
+
+class TestComposition:
+    """A seed set with more than one seed, none of them isolated, and no
+    truncation is the mean of its seeds' single-sense walk columns; every
+    other seed set is walked."""
+
+    def test_composed_vectors_match_both_oracles_on_random_graphs(self):
+        rng = np.random.default_rng(13)
+        for _ in range(25):
+            n = int(rng.integers(4, 51))
+            edges = [
+                (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.2
+            ] or [(0, 1)]
+            g = load_graph([f"u:{sid(i)} v:{sid(j)}" for i, j in edges]
+                           + [f"u:{sid(i)} v:{sid(i)}" for i in range(n)])
+            linked = sorted({u for e in edges for u in e})
+            size = int(rng.integers(2, len(linked) + 1))
+            seeds = sorted(int(i) for i in rng.choice(linked, size=size, replace=False))
+            v = compute_ppr(g, [sense(i) for i in seeds])
+            by_offset = np.zeros(n)
+            for key, w in v.items():
+                by_offset[int(key.offset)] = w
+            assert np.max(np.abs(by_offset - dense_ppr(n, edges, seeds))) <= 1e-12
+            nodes = [g.node_index(sense(i)) for i in seeds]
+            assert np.max(np.abs(dense(v, n) - seed_set_reference(g, nodes))) <= 1e-12
+
+    def test_composed_vectors_match_the_walk_on_the_acceptance_world(self, tmp_path):
+        path = tmp_path / "relations.txt"
+        write_graph(path, 10_000, extra_edges=10_000, seed=202)
+        graph = load_graph(path)
+        for nodes in linked_seed_sets(graph, np.random.default_rng(9), (2, 3, 5, 8)):
+            vec = compute_ppr(graph, [graph.sense_at(i) for i in nodes])
+            reference = seed_set_reference(graph, nodes)
+            assert np.max(np.abs(dense(vec, graph.node_count) - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("singles_cached", [True, False], ids=["primed", "unprimed"])
+    def test_engines_and_compute_ppr_agree_bit_for_bit(self, singles_cached):
+        rng = np.random.default_rng(14)
+        for g in random_graphs(rng):
+            sets = [
+                [g.sense_at(i) for i in nodes]
+                for nodes in seed_sets(g, rng, 10) + linked_seed_sets(g, rng, (2, 3, 4, 5, 6))
+            ]
+            expected = [compute_ppr(g, seeds) for seeds in sets]
+            for capacity in (grouge.ppr.DEFAULT_CACHE_CAPACITY, 0, 4):
+                engine = PprEngine(g, cache_capacity=capacity)
+                if singles_cached:
+                    engine.prime_senses(s for seeds in sets for s in seeds)
+                engine.prime_seed_sets(sets)
+                if capacity == 4:  # the batch evicts singles it composes from
+                    assert engine.stats().evictions > 0
+                for seeds, want in zip(sets, expected):
+                    got = engine.ppr_for_sense_set(seeds)
+                    assert np.array_equal(got.idx, want.idx)
+                    assert np.array_equal(got.weights, want.weights)
+
+    def test_only_isolated_seed_sets_and_truncated_sets_walk_multi_seed_columns(
+        self, monkeypatch
+    ):
+        g = graph_from_edges([(1, 2), (2, 3), (3, 4)], isolated=[9])
+        columns = walked_columns(monkeypatch)
+        compute_ppr(g, [sense(1), sense(3)])
+        assert columns == [1, 1]
+        columns.clear()
+        compute_ppr(g, [sense(1), sense(9)])
+        assert columns == [2]
+
+        engine = PprEngine(g)
+        engine.prime_senses([sense(i) for i in (1, 2, 3, 4, 9)])
+        columns.clear()
+        engine.prime_seed_sets([[sense(1), sense(3)], [sense(2), sense(3), sense(4)],
+                                [sense(2), sense(9)]])
+        assert columns == [2]
+        assert engine.stats().misses == engine.stats().size == 5 + 3
+
+        truncated = PprEngine(g, PprConfig(truncation=3))
+        truncated.prime_senses([sense(i) for i in (1, 2, 3, 4)])
+        columns.clear()
+        truncated.prime_seed_sets([[sense(1), sense(3)], [sense(2), sense(3), sense(4)]])
+        assert columns == [2, 3]
+        columns.clear()
+        compute_ppr(g, [sense(1), sense(3)], PprConfig(truncation=3))
+        assert columns == [2]
+
+    def test_tie_graph_rank_differences_are_rounding(self):
+        """On ring and star graphs mirror seeds tie exactly in real
+        arithmetic, and the exact walk breaks those ties by its own last
+        bits. A composed vector whose ranks differ from the walk's differs
+        only in such near-ties: listed in the composed order, the walk's
+        weights fall by no more than 1e-15 anywhere."""
+        rng = np.random.default_rng(15)
+        differ = total = 0
+        for g in [*ring_graphs(rng), *star_graphs(rng)]:
+            for nodes in linked_seed_sets(g, rng, [2, 3, 4, 5] * 10):
+                key = tuple(sorted(set(nodes)))
+                if len(key) < 2:
+                    continue
+                composed = compute_ppr(g, [g.sense_at(i) for i in key])
+                walked = _walk(g, [key], PprConfig())[0]
+                total += 1
+                if np.array_equal(composed.idx, walked.idx):
+                    continue
+                differ += 1
+                exact = dense(walked, g.node_count)[composed.idx]
+                assert np.all(exact[1:] <= exact[:-1] + 1e-15)
+                difference = dense(composed, g.node_count) - dense(walked, g.node_count)
+                assert np.max(np.abs(difference)) <= 1e-15
+        print(f"\n{differ} of {total} tie-graph seed sets rank differently from the walk")
+        assert total > 300
+
+
 class TestEngine:
     def test_cache_returns_identical_vector(self, path_graph):
         engine = PprEngine(path_graph)
@@ -350,6 +489,46 @@ class TestEngine:
         assert not PprEngine(path_graph, PprConfig(alpha=0.3)).load_cache(
             cache_file, {"graph_sha256": "abc", "dict_sha256": "def"}
         )
+
+    def test_version_1_cache_file_loads_only_the_sets_that_are_walked(self, tmp_path):
+        # Files written before composition hold walked vectors of seed sets
+        # that now compose. A planted vector under such a key is not loaded;
+        # the single sense and the set with an isolated seed are.
+        g = graph_from_edges([(1, 2), (2, 3), (3, 4)], isolated=[9])
+        single = (g.node_index(sense(2)),)
+        composable = tuple(sorted(g.node_index(sense(i)) for i in (1, 4)))
+        isolated = tuple(sorted(g.node_index(sense(i)) for i in (1, 9)))
+        planted = compute_ppr(g, [sense(3)])
+        entries = [
+            (key, vec.idx, vec.weights)
+            for key, vec in ((single, compute_ppr(g, [sense(2)])), (composable, planted),
+                             (isolated, compute_ppr(g, [sense(1), sense(9)])))
+        ]
+        payload = {
+            "version": 1,
+            "meta": {"graph_sha256": "abc", "alpha": 0.15, "iterations": 30, "truncation": None},
+            "stats": {"enabled": True},
+            "entries": entries,
+        }
+        cache_file = tmp_path / "cache.pkl"
+        cache_file.write_bytes(pickle.dumps(payload))
+
+        engine = PprEngine(g)
+        assert engine.load_cache(cache_file, {"graph_sha256": "abc"})
+        assert engine.stats().preloaded == engine.stats().size == 2
+        composed = engine.ppr_for_sense_set([sense(1), sense(4)])
+        expected = compute_ppr(g, [sense(1), sense(4)])
+        assert np.array_equal(composed.idx, expected.idx)
+        assert np.array_equal(composed.weights, expected.weights)
+        engine.ppr_for_sense_set([sense(9), sense(1)])
+        engine.ppr_for_sense(sense(2))
+        assert engine.stats().preloaded_hits == 2
+
+        payload["version"] = 2  # this version's files hold composed vectors
+        cache_file.write_bytes(pickle.dumps(payload))
+        current = PprEngine(g)
+        assert current.load_cache(cache_file, {"graph_sha256": "abc"})
+        assert current.stats().size == 3
 
     def test_capacity_zero_priming_walks_nothing(self, path_graph, monkeypatch):
         walks = []
