@@ -367,6 +367,19 @@ def _run_scoring(args, settings: RunSettings) -> tuple[ScoreReport, dict]:
     return report, provenance
 
 
+def _report_problems(report: ScoreReport, out: Path) -> int:
+    """Log the scored corpus's flagged notes, write its file errors to the
+    ``<out>.errors.log`` sidecar, and return the command's exit code."""
+    for note in report.flagged:
+        log.warning("%s", note)
+    if not report.errors:
+        return EX_OK
+    sidecar = out.with_suffix(out.suffix + ".errors.log")
+    write_atomic(sidecar, "".join(e + "\n" for e in report.errors).encode("utf-8"))
+    log.error("%d file error(s), details in %s", len(report.errors), sidecar)
+    return EX_PARTIAL
+
+
 def run_score(args, settings: RunSettings) -> int:
     report, provenance = _run_scoring(args, settings)
     out = Path(args.out)
@@ -378,14 +391,7 @@ def run_score(args, settings: RunSettings) -> int:
     if args.debug_senses:
         for line in report.debug_lines:
             print(line)
-    for note in report.flagged:
-        log.warning("%s", note)
-    if report.errors:
-        sidecar = out.with_suffix(out.suffix + ".errors.log")
-        write_atomic(sidecar, "".join(e + "\n" for e in report.errors).encode("utf-8"))
-        log.error("%d file error(s), details in %s", len(report.errors), sidecar)
-        return EX_PARTIAL
-    return EX_OK
+    return _report_problems(report, out)
 
 
 def _system_table(
@@ -482,9 +488,7 @@ def run_sweep_beta(args, settings: RunSettings) -> int:
                     f"{pearson(a, h):.12g}", f"{spearman(a, h):.12g}", f"{kendall(a, h):.12g}",
                 ])
     write_atomic(args.out, buf.getvalue().encode("utf-8"))
-    if report.errors:
-        return EX_PARTIAL
-    return EX_OK
+    return _report_problems(report, Path(args.out))
 
 
 def run_ppr(args, settings: RunSettings) -> int:

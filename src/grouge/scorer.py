@@ -9,6 +9,11 @@ clipped lexical match with the rank overlap of the two vectors:
 
 Corpus scores aggregate gram scores over all models and divide by the
 total model gram count, so beta = 1 reduces exactly to plain recall.
+
+Each peer is scored from one plan (``parts_by_family``): its pairs are
+disambiguated from one similarity table, and each distinct walk vector
+and each distinct (gram vector, peer vector) overlap is computed once for
+all of its models and gram families.
 """
 
 from __future__ import annotations
@@ -18,16 +23,15 @@ import functools
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .disambiguation import SenseAssignment, SimilarityTable, WordType, build_word_types
-from .disambiguation import disambiguate_pair
+from .disambiguation import SenseAssignment, SimilarityTable, build_word_types, disambiguate_pair
 from .fileio import write_atomic
 from .graph import Dictionary, SenseId
 from .ppr import PprEngine, PprVector
-from .rouge import NGram, NGramMultiset, clipped_matches, grams_for
+from .rouge import NGramMultiset, clipped_matches, grams_for
 from .similarity import insert_oov, sim_sem
 from .text import SummaryText, tokenize
 
@@ -90,129 +94,42 @@ def variant_score(variant: str, parts: ScoreParts, beta: float) -> tuple[ScorePa
     return parts, parts.blend(beta)
 
 
+# A walk vector's identity: its seed senses and its OOV terms. The engine
+# sorts the seeds (``_seed_key``) and ``insert_oov`` sorts the terms, so the
+# order they were collected in never changes a bit.
+SignatureKey = tuple[frozenset[SenseId], frozenset[str]]
+
+
+def _signature_key(
+    terms: Sequence[str], sense_of: Mapping[str, SenseId | None], oov_enabled: bool
+) -> SignatureKey:
+    """Key of the walk vector of terms: their assigned senses, and the terms
+    without a sense as OOV dimensions (none when OOV dimensions are off)."""
+    senses = [sense_of.get(t) for t in terms]
+    oov = (t for t, s in zip(terms, senses) if s is None) if oov_enabled else ()
+    return frozenset(s for s in senses if s is not None), frozenset(oov)
+
+
 def _signature(
-    engine: PprEngine, seeds: tuple[SenseId, ...], oov: tuple[str, ...], oov_enabled: bool
+    engine: PprEngine, seeds: frozenset[SenseId], oov: frozenset[str]
 ) -> PprVector | None:
     """Walk vector seeded by senses plus OOV dimensions; None when empty."""
     if seeds:
         vec = engine.ppr_for_sense_set(seeds)
     else:
         vec = PprVector(engine.graph, np.empty(0, np.int64), np.empty(0, np.float64))
-    if oov_enabled:
-        vec = insert_oov(vec, oov)
+    vec = insert_oov(vec, oov)
     return vec if vec else None
 
 
-class PairScorer:
-    """Scoring context for one (model summary, peer summary) pair.
-
-    Disambiguation runs once per pair and is shared by every n-gram and
-    every variant scored against it. Without an engine the scorer is
-    lexical-only and needs no dictionary. word_types maps each text to its
-    ``build_word_types`` list; without it both are built here. table is
-    passed to ``disambiguate_pair``.
-
-    Walk vectors are looked up in the engine's cache and walked one at a
-    time on a miss; ``parts_by_family`` primes them in batches first.
-    """
-
-    def __init__(
-        self,
-        model_text: SummaryText,
-        peer_text: SummaryText,
-        engine: PprEngine | None,
-        dictionary: Dictionary | None,
-        oov_enabled: bool = True,
-        word_types: Mapping[SummaryText, list[WordType]] | None = None,
-        table: SimilarityTable | None = None,
-    ):
-        self.engine = engine
-        self.oov_enabled = oov_enabled
-        self.model_assignment: SenseAssignment | None = None
-        self.peer_assignment: SenseAssignment | None = None
-        self._peer_key: tuple[tuple[SenseId, ...], tuple[str, ...]] = ((), ())
-        self._sense_map: dict[str, SenseId | None] = {}
-        self._sig_cache: dict = {}  # gram -> seed key, seed key -> signature
-        if engine is not None and model_text.token_count and peer_text.token_count:
-            if word_types is None:
-                word_types = {
-                    text: build_word_types(text, dictionary) for text in (model_text, peer_text)
-                }
-            self.model_assignment, self.peer_assignment = disambiguate_pair(
-                word_types[model_text], word_types[peer_text], engine, table
-            )
-            self._sense_map = {
-                e.word.stem: e.sense for e in self.model_assignment
-            }
-            self._peer_key = (self.peer_assignment.senses(), self.peer_assignment.oov_stems())
-
-    @functools.cached_property
-    def peer_signature(self) -> PprVector | None:
-        """Walk vector of the peer's assigned senses plus its OOV stems;
-        None when the pair was not disambiguated or the vector is empty."""
-        if self.peer_assignment is None:
-            return None
-        return _signature(self.engine, *self._peer_key, self.oov_enabled)
-
-    def _gram_key(self, gram: NGram) -> tuple:
-        key = self._sig_cache.get(gram)
-        if key is None:
-            seeds = []
-            oov = []
-            for term in dict.fromkeys(gram.content_terms()):
-                sense = self._sense_map.get(term)
-                if sense is None:
-                    oov.append(term)
-                else:
-                    seeds.append(sense)
-            key = self._sig_cache[gram] = tuple(dict.fromkeys(seeds)), tuple(oov)
-        return key
-
-    def seed_sets(self, gram_multisets: Iterable[NGramMultiset]) -> list[tuple[SenseId, ...]]:
-        """Seed sets of every walk vector that scoring gram_multisets
-        against the peer looks up: the peer signature's and each gram's."""
-        keys = [self._peer_key]
-        keys += (self._gram_key(gram) for grams in gram_multisets for gram, _ in grams.items())
-        return [seeds for seeds, _ in keys if seeds]
-
-    def gram_signature(self, gram: NGram) -> PprVector | None:
-        key = self._gram_key(gram)
-        if key not in self._sig_cache:
-            self._sig_cache[key] = _signature(self.engine, *key, self.oov_enabled)
-        return self._sig_cache[key]
-
-    def gram_overlap(self, gram: NGram) -> float:
-        """Semantic term of the blend for one gram against the peer text."""
-        if self.peer_signature is None:
-            return 0.0
-        sig = self.gram_signature(gram)
-        if sig is None:
-            return 0.0
-        return sim_sem(sig, self.peer_signature)
-
-    def parts(self, model_grams: NGramMultiset, peer_grams: NGramMultiset) -> ScoreParts:
-        """Clipped match, occurrence-weighted overlap and gram count of the
-        model grams against the peer's."""
-        semantic = 0.0
-        if self.engine is not None:
-            for gram, mc in model_grams.items():
-                semantic += mc * self.gram_overlap(gram)
-        lexical = float(clipped_matches(model_grams, peer_grams))
-        return ScoreParts(lexical, semantic, float(model_grams.total))
-
-    def debug_lines(self) -> list[str]:
-        lines = []
-        for label, assignment in (
-            ("model", self.model_assignment),
-            ("peer", self.peer_assignment),
-        ):
-            if assignment is None:
-                continue
-            lines.append(f"# side={label}")
-            for entry in assignment:
-                sense = entry.sense.canonical if entry.sense else "OOV"
-                lines.append(f"{entry.word.stem}\t{sense}\t{entry.support:.6f}")
-        return lines
+def _debug_lines(pair: tuple[SenseAssignment, SenseAssignment] | None) -> list[str]:
+    lines = []
+    for label, assignment in zip(("model", "peer"), pair or ()):
+        lines.append(f"# side={label}")
+        for entry in assignment:
+            sense = entry.sense.canonical if entry.sense else "OOV"
+            lines.append(f"{entry.word.stem}\t{sense}\t{entry.support:.6f}")
+    return lines
 
 
 def parts_by_family(
@@ -229,16 +146,19 @@ def parts_by_family(
 
     gram_sets maps every text to its gram multisets by family; without it
     they are extracted here. Without an engine only the lexical parts are
-    computed. When debug is given, each pair's sense
-    assignment lines are appended to it, one list per model.
+    computed. When debug is given, each pair's sense assignment lines are
+    appended to it, one list per model.
 
-    This is where walks and disambiguation are planned. Every candidate
-    sense of the peer and its models is walked in one batch, then one
-    ``SimilarityTable`` of model senses × peer senses is filled, each cell
-    once, and every pair is disambiguated from it. Every peer-signature and
-    gram seed set of those pairs is walked in a second batch before they are
-    scored, so scoring itself only reads the engine's cache. Planning per
-    peer bounds the batch width and the table, and so a peer's memory.
+    This is the whole plan of a peer. Every candidate sense of the peer
+    and its models is walked in one batch, then one ``SimilarityTable`` of
+    model senses × peer senses is filled, each cell once, and each
+    (model, peer) pair is disambiguated from it. The pair's peer side and
+    each of its model grams get a ``SignatureKey``, and every seed set
+    among them is walked or composed in a second batch. Each distinct
+    signature is then built once, and each distinct (gram key, peer key)
+    overlap computed once, for all of the peer's models and families.
+    Planning per peer bounds the batch width and the table, and so a
+    peer's memory.
     """
     if not models:
         raise ValueError("at least one model summary is required")
@@ -247,7 +167,8 @@ def parts_by_family(
             text: {family: grams_for(text, family) for family in families}
             for text in (peer, *models)
         }
-    word_types = table = None
+    pairs: list[tuple[SenseAssignment, SenseAssignment] | None] = [None] * len(models)
+    semantic = [dict.fromkeys(families, 0.0) for _ in models]
     if engine is not None and peer.token_count:
         word_types = {
             text: build_word_types(text, dictionary)
@@ -256,24 +177,40 @@ def parts_by_family(
         engine.prime_senses(s for words in word_types.values() for w in words for s in w.senses)
         model_words = [w for model in models if model.token_count for w in word_types[model]]
         table = SimilarityTable(model_words, word_types[peer], engine)
-    pairs = [
-        PairScorer(model, peer, engine, dictionary, oov_enabled, word_types, table)
-        for model in models
-    ]
-    if engine is not None:
+        plans = []  # (model index, peer key, {gram: key}) of each disambiguated pair
+        for i, model in enumerate(models):
+            if not model.token_count:
+                continue
+            pairs[i] = disambiguate_pair(word_types[model], word_types[peer], engine, table)
+            model_senses, peer_senses = ({e.word.stem: e.sense for e in side} for side in pairs[i])
+            grams = dict.fromkeys(g for f in families for g, _ in gram_sets[model][f].items())
+            plans.append((i, _signature_key(list(peer_senses), peer_senses, oov_enabled), {
+                gram: _signature_key(gram.content_terms(), model_senses, oov_enabled)
+                for gram in grams
+            }))
         engine.prime_seed_sets([
-            seeds
-            for model, pair in zip(models, pairs)
-            for seeds in pair.seed_sets(gram_sets[model][family] for family in families)
+            seeds for _, peer_key, keys in plans for seeds, _ in (peer_key, *keys.values()) if seeds
         ])
+        signature = functools.cache(lambda key: _signature(engine, *key))  # each built once
+        overlaps: dict[tuple[SignatureKey, SignatureKey], float] = {}
+        for i, peer_key, keys in plans:
+            peer_sig = signature(peer_key)
+            for family in families:
+                for gram, mc in gram_sets[models[i]][family].items():
+                    both = keys[gram], peer_key
+                    if both not in overlaps:
+                        sig = None if peer_sig is None else signature(keys[gram])
+                        overlaps[both] = 0.0 if sig is None else sim_sem(sig, peer_sig)
+                    semantic[i][family] += mc * overlaps[both]
     peer_grams = gram_sets[peer]
     out = {family: ScoreParts() for family in families}
-    for model, pair in zip(models, pairs):
+    for i, model in enumerate(models):
         if debug is not None:
-            debug.append(pair.debug_lines())
-        model_grams = gram_sets[model]
+            debug.append(_debug_lines(pairs[i]))
         for family in families:
-            out[family] = out[family] + pair.parts(model_grams[family], peer_grams[family])
+            grams = gram_sets[model][family]
+            lexical = float(clipped_matches(grams, peer_grams[family]))
+            out[family] = out[family] + ScoreParts(lexical, semantic[i][family], float(grams.total))
     return out
 
 

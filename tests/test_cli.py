@@ -551,6 +551,35 @@ class TestSweepBeta:
         assert named in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_file_problems_reported_as_by_score(self, world, tmp_path):
+        """An unreadable peer and a missing one: exit 2, the unreadable file
+        named in the errors sidecar, the missing one flagged on stderr."""
+        peers, models = tmp_path / "peers", tmp_path / "models"
+        for src, dst in ((world["peers"], peers), (world["models"], models)):
+            dst.mkdir()
+            for path in src.iterdir():  # a second topic, so a missing peer is flagged
+                for topic in ("d1001", "d1002"):
+                    (dst / path.name.replace("d1001", topic)).write_bytes(path.read_bytes())
+        (peers / "d1001.sys04.txt").write_bytes(b"\xff\xfe invalid utf8")
+        (peers / "d1002.sys05.txt").unlink()
+        out = tmp_path / "sweep.csv"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(grouge.__file__).parent.parent), env.get("PYTHONPATH", "")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "grouge.cli", "sweep-beta",
+             "--peers", str(peers), "--models", str(models), "--human", str(world["judgments"]),
+             "--variant", "r1", "--betas", "0,1", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == EX_PARTIAL
+        assert "d1002.sys05: peer summary missing, scored 0" in result.stderr
+        sidecar = out.with_suffix(".csv.errors.log")
+        assert sidecar.name in result.stderr
+        assert "d1001.sys04.txt" in sidecar.read_text()
+        assert len(read_csv(out)) == 2 * 1 * 3
+
 
 class TestPprCommand:
     def test_prints_tab_separated_dimensions(self, world, capsys):

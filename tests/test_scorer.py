@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+
+import grouge.scorer
 
 from grouge import (
     BOS_MARKER,
@@ -16,9 +20,11 @@ from grouge import (
 )
 from grouge.cli import system_means
 from grouge.rouge import grams_for
+from grouge.disambiguation import build_word_types, disambiguate_pair
 from grouge.scorer import (
-    PairScorer,
     ScoreParts,
+    _signature,
+    parts_by_family,
     variant_family,
     variant_is_semantic,
     variant_score,
@@ -47,58 +53,115 @@ def cfg_for(variant="g1", beta=0.5):
     return GrougeConfig(variant=variant, beta=beta)
 
 
-class TestSignatures:
-    def test_single_monosemous_peer_equals_sense_vector(self, setting):
-        graph, dictionary, engine = setting
-        sig = PairScorer(tokenize("w1"), tokenize("w0"), engine, dictionary).peer_signature
-        assert sig is engine.ppr_for_sense(sense(1))
+def content(vec):
+    """A signature's rank table and OOV terms: equal for equal vectors."""
+    return vec.ranks.tobytes(), vec.oov_terms
 
-    def test_all_oov_peer_has_exactly_oov_dimensions(self, setting):
+
+class Plan:
+    """parts_by_family run for one peer, with every ``_signature`` key it
+    builds and every ``sim_sem`` call it makes recorded."""
+
+    def __init__(self, monkeypatch, engine, dictionary, peer, models, families=("1",), **kwargs):
+        self.built: list = []  # (key, signature) per _signature call
+        self.overlaps: list = []  # (gram signature, peer signature) per sim_sem call
+        signature = grouge.scorer._signature
+
+        def recording_signature(engine, seeds, oov):
+            vec = signature(engine, seeds, oov)
+            self.built.append(((seeds, oov), vec))
+            return vec
+
+        def recording_sim_sem(a, b):
+            self.overlaps.append((a, b))
+            return sim_sem(a, b)
+
+        monkeypatch.setattr(grouge.scorer, "_signature", recording_signature)
+        monkeypatch.setattr(grouge.scorer, "sim_sem", recording_sim_sem)
+        self.parts = parts_by_family(
+            tokenize(peer), [tokenize(m) for m in models], families, engine, dictionary, **kwargs
+        )
+
+    def signature(self, seeds=(), oov=()):
+        [vec] = [vec for key, vec in self.built if key == (frozenset(seeds), frozenset(oov))]
+        return vec
+
+    def peer_signatures(self):
+        return {id(b): b for _, b in self.overlaps}
+
+
+def key_of(*senses):
+    return frozenset(sense(n) for n in senses)
+
+
+class TestSignatures:
+    """What ``_signature`` builds, and which signatures the per-peer plan
+    of ``parts_by_family`` builds and compares."""
+
+    def test_single_monosemous_peer_equals_sense_vector(self, setting, monkeypatch):
         graph, dictionary, engine = setting
-        sig = PairScorer(tokenize("w0"), tokenize("xq1 xq2"), engine, dictionary).peer_signature
+        plan = Plan(monkeypatch, engine, dictionary, "w0", ["w1"])
+        assert list(plan.peer_signatures().values()) == [engine.ppr_for_sense(sense(1))]
+        assert plan.signature(key_of(1)) is engine.ppr_for_sense(sense(1))
+
+    def test_all_oov_peer_has_exactly_oov_dimensions(self, setting, monkeypatch):
+        graph, dictionary, engine = setting
+        plan = Plan(monkeypatch, engine, dictionary, "xq1 xq2", ["w0"])
+        [sig] = plan.peer_signatures().values()
         assert len(sig) == 2
         assert sig.oov_terms == ("xq1", "xq2")
+        assert sig is plan.signature((), ("xq1", "xq2"))
 
-    def test_empty_peer_short_circuits_to_none(self, setting):
+    def test_empty_peer_short_circuits_to_none(self, setting, monkeypatch):
         graph, dictionary, engine = setting
-        assert PairScorer(tokenize("w0"), tokenize(""), engine, dictionary).peer_signature is None
+        assert _signature(engine, frozenset(), frozenset()) is None
+        plan = Plan(monkeypatch, engine, dictionary, "", ["w0"])
+        assert plan.built == [] and plan.overlaps == []
+        assert plan.parts["1"] == ScoreParts(0.0, 0.0, 1.0)
 
-    def test_identical_texts_same_signature_in_both_roles(self, setting):
+    def test_identical_texts_same_signature_in_both_roles(self, setting, monkeypatch):
         graph, dictionary, engine = setting
         text = "w0 w1 poly0"
-        a = PairScorer(tokenize(text), tokenize(text), engine, dictionary).peer_signature
-        b = PairScorer(tokenize(text), tokenize(text), engine, dictionary).peer_signature
+        first = Plan(monkeypatch, engine, dictionary, text, [text])
+        second = Plan(monkeypatch, PprEngine(graph), dictionary, text, [text])
+        [a], [b] = first.peer_signatures().values(), second.peer_signatures().values()
         assert np.array_equal(a.idx, b.idx)
         assert np.array_equal(a.weights, b.weights)
         assert a.oov_terms == b.oov_terms
 
-    def test_unigram_signature_is_cached_sense_vector(self, setting):
+    def test_unigram_signature_is_cached_sense_vector(self, setting, monkeypatch):
         graph, dictionary, engine = setting
-        pair = PairScorer(tokenize("w0 w1"), tokenize("w2"), engine, dictionary)
-        sig = pair.gram_signature(NGram(("w0",)))
+        sig = _signature(engine, key_of(1), frozenset())
         assert sig is engine.ppr_for_sense(sense(1))
         assert sig.oov_terms == ()
+        plan = Plan(monkeypatch, engine, dictionary, "w2", ["w0 w1"])
+        assert plan.signature(key_of(1)) is engine.ppr_for_sense(sense(1))
 
-    def test_bigram_with_oov_term(self, setting):
+    def test_bigram_with_oov_term(self, setting, monkeypatch):
         graph, dictionary, engine = setting
-        pair = PairScorer(tokenize("w0 xranq"), tokenize("w2"), engine, dictionary)
-        sig = pair.gram_signature(NGram(("w0", "xranq")))
+        sig = _signature(engine, key_of(1), frozenset({"xranq"}))
         assert sig.oov_terms == ("xranq",)
         assert set(sig.idx.tolist()) == set(engine.ppr_for_sense(sense(1)).idx.tolist())
+        plan = Plan(monkeypatch, engine, dictionary, "w2", ["w0 xranq"], families=("2",))
+        assert content(plan.signature(key_of(1), ("xranq",))) == content(sig)
 
-    def test_repeated_gram_computed_once(self, setting):
+    def test_repeated_gram_computed_once(self, setting, monkeypatch):
         graph, dictionary, engine = setting
-        pair = PairScorer(tokenize("w0 w1 w0"), tokenize("w2"), engine, dictionary)
-        first = pair.gram_signature(NGram(("w0",)))
-        second = pair.gram_signature(NGram(("w0",)))
-        assert first is second
+        plan = Plan(monkeypatch, engine, dictionary, "w2", ["w0 w1 w0"])
+        keys = [key for key, _ in plan.built]
+        assert sorted(keys, key=repr) == sorted(
+            [(key_of(1), frozenset()), (key_of(2), frozenset()), (key_of(6), frozenset())],
+            key=repr,
+        )
+        assert len(plan.overlaps) == 2  # w0 and w1 against the peer
+        assert plan.parts["1"].total == 3.0
 
     def test_gram_key_computed_once_per_gram(self, setting, monkeypatch):
         graph, dictionary, engine = setting
         model, peer = tokenize("w0 w1 xq1 w0. w2 poly0 w1"), tokenize("w2 w3 poly0")
-        pair = PairScorer(model, peer, engine, dictionary)
         families = ("1", "2", "su4")
-        grams = {family: grams_for(model, family) for family in families}
+        grams = {text: {family: grams_for(text, family) for family in families}
+                 for text in (model, peer)}
         calls = []
         content_terms = NGram.content_terms
 
@@ -107,70 +170,121 @@ class TestSignatures:
             return content_terms(gram)
 
         monkeypatch.setattr(NGram, "content_terms", counted)
-        pair.seed_sets(grams.values())
-        for family in families:
-            pair.parts(grams[family], grams_for(peer, family))
-        distinct = {gram for family in families for gram, _ in grams[family].items()}
+        parts_by_family(peer, [model], families, engine, dictionary, gram_sets=grams)
+        distinct = {gram for family in families for gram, _ in grams[model][family].items()}
         assert sorted(calls, key=repr) == sorted(distinct, key=repr)
 
-    def test_grams_with_one_seed_key_share_a_signature(self, setting):
+    def test_grams_with_one_seed_key_share_a_signature(self, setting, monkeypatch):
+        # the unigram w0 and the marker pair (<s>, w0) have one seed set
         graph, dictionary, engine = setting
-        pair = PairScorer(tokenize("w0 w1"), tokenize("w2"), engine, dictionary)
-        unigram = pair.gram_signature(NGram(("w0",)))
-        hits = engine.stats().hits
-        marker = pair.gram_signature(NGram((BOS_MARKER, "w0")))
-        assert marker is unigram
-        assert engine.stats().hits == hits
+        model = tokenize("w0 w1")
+        assert NGram((BOS_MARKER, "w0")) in grams_for(model, "su4")
+        plan = Plan(monkeypatch, engine, dictionary, "w2", ["w0 w1"], families=("1", "su4"))
+        keys = [key for key, _ in plan.built]
+        assert keys.count((key_of(1), frozenset())) == 1
+        unigram = plan.signature(key_of(1))
+        assert sum(g is unigram for g, _ in plan.overlaps) == 1
 
-    def test_all_oov_gram_yields_pure_oov_vector(self, setting):
+    def test_all_oov_gram_yields_pure_oov_vector(self, setting, monkeypatch):
         graph, dictionary, engine = setting
-        pair = PairScorer(tokenize("xa1 xb2"), tokenize("w2"), engine, dictionary)
-        sig = pair.gram_signature(NGram(("xa1", "xb2")))
+        sig = _signature(engine, frozenset(), frozenset({"xb2", "xa1"}))
         assert len(sig.idx) == 0
         assert sig.oov_terms == ("xa1", "xb2")
+        plan = Plan(monkeypatch, engine, dictionary, "w2", ["xa1 xb2"], families=("2",))
+        assert content(plan.signature((), ("xa1", "xb2"))) == content(sig)
 
-    def test_skip_gram_uses_endpoint_terms_and_marker_pairs_use_real_term(self, setting):
+    def test_skip_gram_uses_endpoint_terms_and_marker_pairs_use_real_term(
+        self, setting, monkeypatch
+    ):
         graph, dictionary, engine = setting
-        pair = PairScorer(tokenize("w0 w1 w2"), tokenize("w3"), engine, dictionary)
-        skip = pair.gram_signature(NGram(("w0", "w2")))
+        plan = Plan(monkeypatch, engine, dictionary, "w3", ["w0 w1 w2"], families=("su4",))
+        skip = plan.signature(key_of(1, 6))  # the skip-bigram (w0, w2)
         assert set(skip.idx.tolist()) == set(
             engine.ppr_for_sense_set([sense(1), sense(6)]).idx.tolist()
         )
-        marker = pair.gram_signature(NGram((BOS_MARKER, "w1")))
-        assert marker is engine.ppr_for_sense(sense(2))
+        assert plan.signature(key_of(2)) is engine.ppr_for_sense(sense(2))  # (<s>, w1)
+
+    def test_oov_disabled_keys_drop_oov_terms(self, setting, monkeypatch):
+        graph, dictionary, engine = setting
+        plan = Plan(monkeypatch, engine, dictionary, "xq1 w2", ["w0 xq1"],
+                    families=("1", "2"), oov_enabled=False)
+        assert all(oov == frozenset() for (_, oov), _ in plan.built)
+        # the gram xq1 has no seeds and no OOV dimension: it is compared with nothing
+        assert plan.signature() is None
+        assert len(plan.overlaps) == 1  # w0 and the bigram (w0, xq1) share one key
+
+
+class TestOverlapPlan:
+    def test_each_distinct_overlap_computed_once_per_peer(self, setting, monkeypatch):
+        """Two models, each with a skip-bigram in both orders: every
+        distinct (gram seed set, OOV set, peer signature) is compared once."""
+        graph, dictionary, engine = setting
+        families = ("1", "2", "su4")
+        peer_text = "w1 w3 xz. w0 poly0"
+        model_texts = ["w0 w2 w1. w1 w3 w0", "w1 xz w0. w0 w4 w1 w2"]
+        peer, models = tokenize(peer_text), [tokenize(m) for m in model_texts]
+        for model in models:
+            skips = grams_for(model, "su4")
+            assert NGram(("w0", "w1")) in skips and NGram(("w1", "w0")) in skips
+
+        expected = set()
+        peer_words = build_word_types(peer, dictionary)
+        for model in models:
+            model_side, peer_side = disambiguate_pair(
+                build_word_types(model, dictionary), peer_words, engine
+            )
+            peer_sig = _signature(
+                engine, frozenset(peer_side.senses()), frozenset(peer_side.oov_stems())
+            )
+            sense_of = {e.word.stem: e.sense for e in model_side}
+            for family in families:
+                for gram, _ in grams_for(model, family).items():
+                    terms = gram.content_terms()
+                    seeds = frozenset(sense_of[t] for t in terms if sense_of[t] is not None)
+                    oov = frozenset(t for t in terms if sense_of[t] is None)
+                    expected.add((content(_signature(engine, seeds, oov)), content(peer_sig)))
+
+        plan = Plan(monkeypatch, engine, dictionary, peer_text, model_texts, families)
+        calls = Counter((content(a), content(b)) for a, b in plan.overlaps)
+        assert calls == Counter(expected)
+        assert len(plan.built) == len({key for key, _ in plan.built})
 
 
 def one_occurrence(gram: NGram) -> NGramMultiset:
     return NGramMultiset([gram])
 
 
+def single_gram_parts(peer, model, gram, engine, dictionary) -> ScoreParts:
+    """Unigram parts of one occurrence of gram of model against peer, both
+    texts disambiguated in full."""
+    gram_sets = {model: {"1": one_occurrence(gram)}, peer: {"1": grams_for(peer, "1")}}
+    return parts_by_family(peer, [model], ("1",), engine, dictionary, gram_sets=gram_sets)["1"]
+
+
 class TestSimLs:
-    """PairScorer.parts over a single model occurrence is that occurrence's
+    """parts_by_family over a single model occurrence is that occurrence's
     blend of clipped match and overlap."""
 
     def test_beta_one_equals_count_match(self, setting):
         graph, dictionary, engine = setting
-        peer = tokenize("w0 w2")
-        pair = PairScorer(tokenize("w0 w1"), peer, engine, dictionary)
-        peer_grams = grams_for(peer, "1")
-        assert pair.parts(one_occurrence(NGram(("w0",))), peer_grams).blend(1.0) == 1.0
-        assert pair.parts(one_occurrence(NGram(("w1",))), peer_grams).blend(1.0) == 0.0
+        peer, model = tokenize("w0 w2"), tokenize("w0 w1")
+        assert single_gram_parts(peer, model, NGram(("w0",)), engine, dictionary).blend(1.0) == 1.0
+        assert single_gram_parts(peer, model, NGram(("w1",)), engine, dictionary).blend(1.0) == 0.0
 
     def test_beta_zero_equals_sim_sem(self, setting):
         graph, dictionary, engine = setting
-        peer = tokenize("w0 w2")
-        pair = PairScorer(tokenize("w0 w1"), peer, engine, dictionary)
-        peer_grams = grams_for(peer, "1")
-        gram = NGram(("w1",))
-        expected = sim_sem(pair.gram_signature(gram), pair.peer_signature)
-        assert pair.parts(one_occurrence(gram), peer_grams).blend(0.0) == expected
+        peer, model = tokenize("w0 w2"), tokenize("w0 w1")
+        expected = sim_sem(
+            _signature(engine, key_of(2), frozenset()),  # w1
+            _signature(engine, key_of(1, 6), frozenset()),  # the peer: w0 and w2
+        )
+        parts = single_gram_parts(peer, model, NGram(("w1",)), engine, dictionary)
+        assert parts.blend(0.0) == expected
 
     def test_exact_match_with_identical_signature_scores_one(self, setting):
         graph, dictionary, engine = setting
-        peer = tokenize("w0")
-        pair = PairScorer(tokenize("w0"), peer, engine, dictionary)
-        peer_grams = grams_for(peer, "1")
-        assert pair.parts(one_occurrence(NGram(("w0",))), peer_grams).blend(0.5) == 1.0
+        text = tokenize("w0")
+        assert single_gram_parts(text, text, NGram(("w0",)), engine, dictionary).blend(0.5) == 1.0
 
 
 class TestGrougeScore:
@@ -275,11 +389,11 @@ class TestGrougeScore:
         denom = 0.0
         peer_occurrences = [g for g, c in grams_for(peer, "1").items() for _ in range(c)]
         for model in models:
-            pair = PairScorer(model, peer, engine, dictionary)
             occurrences = [g for g, c in grams_for(model, "1").items() for _ in range(c)]
             matched = consumed_matches(occurrences, peer_occurrences)
             for gram, match in zip(occurrences, matched):
-                total += beta * match + (1.0 - beta) * pair.gram_overlap(gram)
+                overlap = single_gram_parts(peer, model, gram, engine, dictionary).semantic
+                total += beta * match + (1.0 - beta) * overlap
                 denom += 1
         direct = grouge_score(peer, models, cfg_for("g1", beta), engine, dictionary)
         assert direct == pytest.approx(total / denom, abs=1e-12)
