@@ -7,9 +7,9 @@ the working directory. A ``--config`` file of ``key = value`` lines supplies
 defaults that explicit flags override; unknown keys are rejected.
 
 Each run setting has one owner, which holds its default and checks its
-range: ``GrougeConfig`` (beta), ``PprConfig`` (alpha, iterations,
-truncation), ``PprEngine`` (cache capacity) and ``grouge.stats``
-(meta-eval's alpha, resamples, seed and Kendall variant). A command's
+range: ``GrougeConfig`` (beta), ``PprConfig`` (alpha, iterations),
+``PprEngine`` (cache capacity) and ``grouge.stats`` (meta-eval's alpha,
+resamples, seed and Kendall variant). A command's
 settings are built from them straight after parsing, so an out-of-range
 value is a usage error before any data file is opened, and
 ``.meta.json`` records the objects that were built.
@@ -114,14 +114,24 @@ def _parse_variants(text: str) -> tuple[str, ...]:
     return variants
 
 
+def _check_betas(betas, text: str) -> None:
+    for beta in betas:
+        if not 0.0 <= beta <= 1.0:
+            raise UsageError(f"beta {beta:g} in grid {text!r} is outside [0, 1]")
+
+
 def _parse_betas(text: str) -> list[float]:
-    """A comma list or start:stop:step grid of blend weights, each in [0, 1]."""
+    """A comma list or start:stop[:step] grid of blend weights, each in
+    [0, 1]. A grid's ends are checked before it is expanded."""
     try:
         if ":" in text:
-            start_s, stop_s, step_s = (text.split(":") + ["", ""])[:3]
+            if text.count(":") > 2:
+                raise ValueError(text)
+            start_s, stop_s, step_s = (text.split(":") + [""])[:3]
             start, stop, step = float(start_s), float(stop_s), float(step_s or 0.1)
             if step <= 0:
                 raise UsageError("beta step must be positive")
+            _check_betas((start, stop), text)
             out = []
             while (value := start + len(out) * step) <= stop + 1e-9:
                 out.append(round(value, 10))
@@ -129,9 +139,7 @@ def _parse_betas(text: str) -> list[float]:
             out = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
         raise UsageError(f"malformed beta grid {text!r}") from None
-    for beta in out:
-        if not 0.0 <= beta <= 1.0:
-            raise UsageError(f"beta {beta:g} in grid {text!r} is outside [0, 1]")
+    _check_betas(out, text)
     if not out:
         raise UsageError("empty beta grid")
     return out
@@ -150,8 +158,6 @@ def _version_text() -> str:
 def _add_ppr_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--alpha", type=float, help="restart probability, in (0, 1)")
     sub.add_argument("--iterations", type=int, help="walk iterations, at least 1")
-    sub.add_argument("--truncation", type=int,
-                     help="keep only the top-K vector dimensions, K >= 1 (approximation)")
 
 
 def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
@@ -304,7 +310,7 @@ def _run_settings(args) -> RunSettings:
 
     return RunSettings(
         GrougeConfig(oov_enabled=not given.get("no_oov", False), **pick("beta")),
-        PprConfig(**pick("alpha", "iterations", "truncation")),
+        PprConfig(**pick("alpha", "iterations")),
         PprEngine.check_capacity(given.get("cache_capacity", DEFAULT_CACHE_CAPACITY)),
     )
 

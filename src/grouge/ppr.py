@@ -20,19 +20,17 @@ the same terms in the same order; adding the 0.0 that c * V(0) holds off
 the seeds leaves a non-negative entry unchanged.
 
 A seed set's vector is defined as follows. A single seed is walked. A set
-with more than one seed, none of them isolated (degree 0), and no
-truncation is composed: the mean of its seeds' single-seed walk columns,
-summed in ascending node index, multiplied by 1/len(seeds) and then ranked
-by ``_compress``. On an undirected graph a walk from a seed with
-neighbours never reaches a dangling node, so the update is linear in V(0)
-and the mean equals the multi-seed walk in real arithmetic (Jeh & Widom,
-"Scaling Personalized Web Search", WWW 2003); the two differ in rounding
-only. Every other set is walked from its uniform seed distribution: an
-isolated seed's restart mass leaks to the other seeds, and a truncated
-single vector has lost the tail that the mean needs. A single vector
-stores every positive entry of its column when not truncated, so
-scattering its weights back through its rank table restores the column
-bit for bit.
+with more than one seed, none of them isolated (degree 0), is composed:
+the mean of its seeds' single-seed walk columns, summed in ascending node
+index, multiplied by 1/len(seeds) and then ranked by ``_compress``. On an
+undirected graph a walk from a seed with neighbours never reaches a
+dangling node, so the update is linear in V(0) and the mean equals the
+multi-seed walk in real arithmetic (Jeh & Widom, "Scaling Personalized
+Web Search", WWW 2003); the two differ in rounding only. A set with an
+isolated seed is walked from its uniform seed distribution, because that
+seed's restart mass leaks to the other seeds. A single vector stores every
+positive entry of its column, so scattering its weights back through its
+rank table restores the column bit for bit.
 """
 
 from __future__ import annotations
@@ -50,24 +48,18 @@ from .graph import SemanticGraph, SenseId
 _BATCH_COLUMNS = 256
 DEFAULT_CACHE_CAPACITY = 200_000  # walk vectors an engine keeps
 _SIM_MEMO_CAPACITY = 1 << 20  # sense pairs whose similarity the engine keeps
-# Cache files from version 1 hold walked vectors of seed sets that are now
-# composed; only their other entries are loaded.
-_CACHE_VERSION = 2
 
 
 @dataclass(frozen=True, slots=True)
 class PprConfig:
     alpha: float = 0.15
     iterations: int = 30
-    truncation: int | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {self.iterations}")
-        if self.truncation is not None and self.truncation < 1:
-            raise ValueError(f"truncation must be >= 1, got {self.truncation}")
 
 
 class PprVector:
@@ -157,7 +149,7 @@ def _run_walk(graph: SemanticGraph, v0: np.ndarray, cfg: PprConfig) -> np.ndarra
     return v
 
 
-def _compress(graph: SemanticGraph, column: np.ndarray, cfg: PprConfig) -> PprVector:
+def _compress(graph: SemanticGraph, column: np.ndarray) -> PprVector:
     """The column's positive entries in rank order: descending weight, ties
     by ascending SenseId.
 
@@ -177,8 +169,7 @@ def _compress(graph: SemanticGraph, column: np.ndarray, cfg: PprConfig) -> PprVe
         # One int64 key per tied entry, (run, position): sorting it orders
         # each run by position and leaves the runs where they are.
         order[tied] = np.sort(run * n + order[tied]) % n
-    top = len(ranked) if cfg.truncation is None else min(len(ranked), cfg.truncation)
-    return PprVector(graph, graph.sid_order[order[:top]], ranked[:top].copy())
+    return PprVector(graph, graph.sid_order[order[: len(ranked)]], ranked.copy())
 
 
 def _walk(
@@ -190,30 +181,30 @@ def _walk(
     for col, key in enumerate(keys):
         v0[list(key), col] = 1.0 / len(key)
     v = _run_walk(graph, v0, cfg)
-    return [_compress(graph, v[:, col], cfg) for col in range(len(keys))]
+    return [_compress(graph, v[:, col]) for col in range(len(keys))]
 
 
-def _composes(graph: SemanticGraph, key: tuple[int, ...], cfg: PprConfig) -> bool:
+def _composes(graph: SemanticGraph, key: tuple[int, ...]) -> bool:
     """Whether a seed set's vector is composed from its seeds' single-sense
-    columns: it has more than one seed, no isolated seed and no truncation."""
-    return len(key) > 1 and cfg.truncation is None and bool(graph.degree[list(key)].all())
+    columns: it has more than one seed and no isolated seed."""
+    return len(key) > 1 and bool(graph.degree[list(key)].all())
 
 
 def _compose(
-    graph: SemanticGraph, key: tuple[int, ...], singles: dict[int, PprVector], cfg: PprConfig
+    graph: SemanticGraph, key: tuple[int, ...], singles: dict[int, PprVector]
 ) -> PprVector:
     """The mean of the seeds' walk columns, summed in ascending node index.
 
     A single vector's column is its weights read through its rank table,
-    where rank 0 (absent) reads a 0.0 put in front of them; without
-    truncation these are the walk column's exact bits.
+    where rank 0 (absent) reads a 0.0 put in front of them: the walk
+    column's exact bits.
     """
     total = np.zeros(graph.node_count, dtype=np.float64)
     for i in key:
         vec = singles[i]
         total[: len(vec.ranks)] += np.concatenate(([0.0], vec.weights))[vec.ranks]
     total *= 1.0 / len(key)
-    return _compress(graph, total, cfg)
+    return _compress(graph, total)
 
 
 def _seed_set_vectors(
@@ -233,7 +224,7 @@ def _seed_set_vectors(
     singles: dict[int, PprVector] = {}
     walks: dict[tuple[int, ...], None] = {}
     for key in keys:
-        if not _composes(graph, key, cfg):
+        if not _composes(graph, key):
             walks[key] = None
             continue
         for i in key:
@@ -249,7 +240,7 @@ def _seed_set_vectors(
         chunk = order[start : start + _BATCH_COLUMNS]
         walked.update(zip(chunk, _walk(graph, chunk, cfg)))
     singles.update((key[0], vec) for key, vec in walked.items() if len(key) == 1)
-    return [walked[key] if key in walked else _compose(graph, key, singles, cfg) for key in keys]
+    return [walked[key] if key in walked else _compose(graph, key, singles) for key in keys]
 
 
 def compute_ppr(
@@ -439,7 +430,6 @@ class PprEngine:
             (key, vec.idx, vec.weights) for key, vec in self._vectors.items()
         ]
         payload = {
-            "version": _CACHE_VERSION,
             "meta": self._cache_meta(meta),
             "stats": self.stats().as_dict(),
             "entries": entries,
@@ -451,24 +441,19 @@ class PprEngine:
         """Load a persisted cache; returns False (and loads nothing) when the
         stored meta (graph/dict fingerprints) or walk settings differ from
         expect_meta and this engine's. A file that does not unpickle to a
-        cache payload raises CacheFileError. From a version 1 file, whose
-        seed-set vectors were all walked, the sets this version composes are
-        left out."""
+        cache payload raises CacheFileError."""
         payload = _read_payload(path)
         if payload.get("meta") != self._cache_meta(expect_meta):
             return False
-        walked_only = payload.get("version", 1) < _CACHE_VERSION
         for key, idx, weights in payload["entries"]:
-            if walked_only and _composes(self.graph, key, self.cfg):
-                continue
             vec = PprVector(self.graph, idx, weights)
             self._vectors.put(key, vec, preloaded=True)
         return True
 
 
 class CacheFileError(ValueError):
-    """A persisted cache file that cannot be read, such as an empty or
-    truncated one."""
+    """A persisted cache file that cannot be read, such as an empty file or
+    one cut short."""
 
 
 def _read_payload(path) -> dict:

@@ -394,6 +394,9 @@ def load_judgments(path: str | Path) -> tuple[str, list[str], dict[str, np.ndarr
         header = next(reader, None)
         if not header or len(header) < 2:
             raise ValueError(f"{path}: expected a header with at least 2 columns")
+        repeated = [name for i, name in enumerate(header) if name in header[:i]]
+        if repeated:
+            raise ValueError(f"{path}: column {repeated[0]!r} appears more than once")
         join_name, *metric_names = header
         ids: list[str] = []
         values: list[list[float]] = [[] for _ in metric_names]

@@ -67,7 +67,7 @@ def seed_set_reference(graph, seeds, alpha: float = 0.15, iterations: int = 30) 
     return walk_reference(graph, v0, alpha, iterations)[:, 0]
 
 
-def compress_reference(graph, column: np.ndarray, truncation: int | None = None):
+def compress_reference(graph, column: np.ndarray):
     """(node indices, weights) of a column's positive entries, ranked by
     descending weight with ties by ascending SenseId text, by one lexsort."""
     n = graph.node_count
@@ -77,10 +77,7 @@ def compress_reference(graph, column: np.ndarray, truncation: int | None = None)
     nz = np.flatnonzero(column > 0.0)
     w = column[nz]
     ranked = np.lexsort((sid_rank[nz], -w))
-    idx, w = nz[ranked].astype(np.int64), w[ranked]
-    if truncation is not None:
-        idx, w = idx[:truncation], w[:truncation]
-    return idx, w
+    return nz[ranked].astype(np.int64), w[ranked]
 
 
 def weighted_overlap_direct(w1: dict, w2: dict) -> float:

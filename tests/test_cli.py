@@ -140,8 +140,7 @@ def missing_data_args(command, missing, out):
     }[command]
 
 
-WALK_SETTINGS = [("--alpha", "0"), ("--alpha", "1"), ("--alpha", "2"), ("--iterations", "0"),
-                 ("--truncation", "0")]
+WALK_SETTINGS = [("--alpha", "0"), ("--alpha", "1"), ("--alpha", "2"), ("--iterations", "0")]
 SCORING_SETTINGS = [*WALK_SETTINGS, ("--cache-capacity", "-3")]
 OUT_OF_RANGE = (
     [("score", flag, value) for flag, value in
@@ -195,6 +194,17 @@ class TestSettingsCheckedFirst:
         )
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["score", "lexical", "sweep-beta", "ppr"])
+    def test_truncation_is_not_a_setting(self, tmp_path, capsys, command):
+        argv = missing_data_args(command, tmp_path / "missing", tmp_path / "out.csv")
+        assert main([*argv, "--truncation", "5000"]) == EX_USAGE
+        assert "unrecognized arguments: --truncation 5000" in capsys.readouterr().err
+        config = tmp_path / "run.conf"
+        config.write_text("truncation = 5000\n")
+        assert main([*argv, "--config", str(config)]) == EX_USAGE
+        assert "unknown config key 'truncation'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
     def test_sweep_beta_takes_no_beta(self, tmp_path, capsys):
         argv = missing_data_args("sweep-beta", tmp_path / "missing", tmp_path / "out.csv")
         assert main([*argv, "--beta", "0.5"]) == EX_USAGE
@@ -212,7 +222,7 @@ class TestSettingsCheckedFirst:
         ]) == EX_OK
         assert json.loads(out.with_suffix(".csv.meta.json").read_text()) == {
             "variants": ["r1", "r2"], "beta": GrougeConfig().beta,
-            "alpha": PprConfig().alpha, "iterations": 7, "truncation": None,
+            "alpha": PprConfig().alpha, "iterations": 7,
             "stemming": True, "remove_stopwords": False, "oov_enabled": False,
         }
 
@@ -422,6 +432,20 @@ class TestMetaEvalCommand:
             "--baseline", "bleu", "--out", str(tmp_path / "c.csv"),
         ]) == EX_USAGE
 
+    @pytest.mark.parametrize("command", ["meta-eval", "sweep-beta"])
+    def test_repeated_judgment_column_is_fatal(self, world, score_csv, tmp_path, capsys,
+                                               command):
+        human = tmp_path / "human.csv"
+        human.write_text("system,pyramid,pyramid\nA,0.9,0.1\nB,0.5,0.5\n")
+        out = tmp_path / "out.csv"
+        if command == "meta-eval":
+            argv = ["meta-eval", "--scores", str(score_csv), "--out", str(out)]
+        else:
+            argv = ["sweep-beta", *score_args(world, out, variant="g1")[1:]]
+        assert main([*argv, "--human", str(human)]) == EX_FATAL
+        assert "column 'pyramid' appears more than once" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_system_missing_a_topic_row_is_fatal(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text(
@@ -536,7 +560,8 @@ class TestSweepBeta:
 
     @pytest.mark.parametrize("grid, named", [
         ("0:2:1", "beta 2 "), ("0,1.5", "beta 1.5 "), ("-0.1:0.5", "beta -0.1 "),
-        ("abc", "'abc'"), ("0:1:x", "'0:1:x'"),
+        ("abc", "'abc'"), ("0:1:x", "'0:1:x'"), ("0:1:0.1:junk", "'0:1:0.1:junk'"),
+        ("0:inf:0.1", "beta inf "),
     ])
     def test_bad_grid_is_usage_error(self, world, tmp_path, capsys, grid, named):
         out = tmp_path / "sweep.csv"
@@ -684,9 +709,11 @@ class TestCacheWorkflow:
             assert main(["cache-stats", "--cache", str(cache)]) == EX_OK  # overwritten
             assert "hits: 0" in capsys.readouterr().out
 
-    def test_cache_file_from_before_composition_gives_cold_bytes(self, world, tmp_path):
-        # A version 1 file holds the walked vectors of seed sets that this
-        # version composes; a warm run from it writes the cold run's bytes.
+    @pytest.mark.parametrize("version", [1, 2], ids=["version-1", "version-2"])
+    def test_cache_file_in_the_old_format_is_refused(self, world, tmp_path, caplog, version):
+        # Files written while the walk settings had a truncation field hold a
+        # format version and "truncation": None in their meta; version 1
+        # files hold walked vectors of the seed sets that are now composed.
         cache = tmp_path / "cache.pkl"
         cold = tmp_path / "cold.csv"
         assert main(score_args(world, cold, variant="g1,g2",
@@ -695,17 +722,25 @@ class TestCacheWorkflow:
         graph = load_graph(world["graph"])
         entries = []
         for key, idx, weights in payload["entries"]:
-            if len(key) > 1:
+            if version == 1 and len(key) > 1:
                 walked = _walk(graph, [key], PprConfig())[0]
                 idx, weights = walked.idx, walked.weights
             entries.append((key, idx, weights))
         assert any(len(key) > 1 for key, _, _ in entries)
-        cache.write_bytes(pickle.dumps({**payload, "version": 1, "entries": entries}))
+        cache.write_bytes(pickle.dumps({
+            **payload, "version": version, "entries": entries,
+            "meta": {**payload["meta"], "truncation": None},
+        }))
+        caplog.clear()
         warm = tmp_path / "warm.csv"
         assert main(score_args(world, warm, variant="g1,g2",
                                extra=("--cache-persist", str(cache)))) == EX_OK
+        assert f"persisted cache {cache} does not match" in caplog.text
         assert warm.read_bytes() == cold.read_bytes()
-        assert pickle.loads(cache.read_bytes())["version"] == 2
+        saved = pickle.loads(cache.read_bytes())
+        assert saved["stats"]["preloaded"] == 0
+        assert saved["stats"] == payload["stats"]  # the cold run's work, written over
+        assert saved.keys() == payload.keys() and saved["meta"] == payload["meta"]
 
     def test_missing_cache_file_fatal(self, tmp_path):
         assert main(["cache-stats", "--cache", str(tmp_path / "none.pkl")]) == EX_FATAL

@@ -97,13 +97,6 @@ class TestComputePpr:
             k.canonical for k, _ in entries[1:3]
         )
 
-    def test_truncation_keeps_top_k_without_renormalizing(self, path_graph):
-        full = compute_ppr(path_graph, [sense(1)])
-        cut = compute_ppr(path_graph, [sense(1)], PprConfig(truncation=2))
-        assert len(cut) == 2
-        assert list(cut.items()) == list(full.items())[:2]
-        assert float(cut.weights.sum()) < 1.0
-
 
 class TestOracleEquivalence:
     def test_matches_dense_oracle_on_random_graphs(self):
@@ -168,12 +161,11 @@ class TestKernelOracle:
                     positive = column[column > 0.0]
                     tied += len(np.unique(positive)) < len(positive)
                     columns += 1
-                    for truncation in (None, 3):
-                        vec = _compress(graph, column, PprConfig(truncation=truncation))
-                        idx, weights = compress_reference(graph, column, truncation)
-                        assert vec.idx.dtype == idx.dtype
-                        assert np.array_equal(vec.idx, idx)
-                        assert np.array_equal(vec.weights, weights)
+                    vec = _compress(graph, column)
+                    idx, weights = compress_reference(graph, column)
+                    assert vec.idx.dtype == idx.dtype
+                    assert np.array_equal(vec.idx, idx)
+                    assert np.array_equal(vec.weights, weights)
         return columns, tied
 
     def test_ring_graphs_with_mirror_ties(self):
@@ -231,9 +223,9 @@ def linked_seed_sets(graph, rng, sizes=(2, 3, 5)):
 
 
 class TestComposition:
-    """A seed set with more than one seed, none of them isolated, and no
-    truncation is the mean of its seeds' single-sense walk columns; every
-    other seed set is walked."""
+    """A seed set with more than one seed, none of them isolated, is the
+    mean of its seeds' single-sense walk columns; every other seed set is
+    walked."""
 
     def test_composed_vectors_match_both_oracles_on_random_graphs(self):
         rng = np.random.default_rng(13)
@@ -285,9 +277,7 @@ class TestComposition:
                     assert np.array_equal(got.idx, want.idx)
                     assert np.array_equal(got.weights, want.weights)
 
-    def test_only_isolated_seed_sets_and_truncated_sets_walk_multi_seed_columns(
-        self, monkeypatch
-    ):
+    def test_only_isolated_seed_sets_walk_multi_seed_columns(self, monkeypatch):
         g = graph_from_edges([(1, 2), (2, 3), (3, 4)], isolated=[9])
         columns = walked_columns(monkeypatch)
         compute_ppr(g, [sense(1), sense(3)])
@@ -303,15 +293,6 @@ class TestComposition:
                                 [sense(2), sense(9)]])
         assert columns == [2]
         assert engine.stats().misses == engine.stats().size == 5 + 3
-
-        truncated = PprEngine(g, PprConfig(truncation=3))
-        truncated.prime_senses([sense(i) for i in (1, 2, 3, 4)])
-        columns.clear()
-        truncated.prime_seed_sets([[sense(1), sense(3)], [sense(2), sense(3), sense(4)]])
-        assert columns == [2, 3]
-        columns.clear()
-        compute_ppr(g, [sense(1), sense(3)], PprConfig(truncation=3))
-        assert columns == [2]
 
     def test_tie_graph_rank_differences_are_rounding(self):
         """On ring and star graphs mirror seeds tie exactly in real
@@ -451,8 +432,8 @@ class TestEngine:
             read_cache_file(cache_file)
 
     @pytest.mark.parametrize("other", [
-        PprConfig(alpha=0.5), PprConfig(iterations=7), PprConfig(truncation=2),
-    ], ids=["alpha", "iterations", "truncation"])
+        PprConfig(alpha=0.5), PprConfig(iterations=7),
+    ], ids=["alpha", "iterations"])
     def test_cache_from_other_walk_settings_refused(self, tmp_path, path_graph, other):
         engine = PprEngine(path_graph)
         engine.ppr_for_sense(sense(3))
@@ -467,68 +448,28 @@ class TestEngine:
             fresh.ppr_for_sense(sense(3)).weights, compute_ppr(path_graph, [sense(3)], other).weights
         )
 
-    def test_cache_file_in_command_line_meta_format_loads(self, tmp_path, path_graph):
-        # the command line used to put the walk settings into meta itself
+    @pytest.mark.parametrize("version", [1, 2], ids=["version-1", "version-2"])
+    def test_cache_file_in_the_old_format_refused(self, tmp_path, path_graph, version):
+        # Files written while the walk settings had a truncation field hold a
+        # format version and "truncation": None in their meta.
         vec = compute_ppr(path_graph, [sense(3)])
+        meta = {"graph_sha256": "abc", "dict_sha256": "def"}
         payload = {
-            "version": 1,
-            "meta": {"graph_sha256": "abc", "dict_sha256": "def",
-                     "alpha": 0.15, "iterations": 30, "truncation": None},
+            "version": version,
+            "meta": {**meta, "alpha": 0.15, "iterations": 30, "truncation": None},
             "stats": {"enabled": True},
             "entries": [((path_graph.node_index(sense(3)),), vec.idx, vec.weights)],
         }
         cache_file = tmp_path / "cache.pkl"
         cache_file.write_bytes(pickle.dumps(payload))
-
         engine = PprEngine(path_graph)
-        assert engine.load_cache(cache_file, {"graph_sha256": "abc", "dict_sha256": "def"})
-        reloaded = engine.ppr_for_sense(sense(3))
-        assert np.array_equal(reloaded.idx, vec.idx)
-        assert np.array_equal(reloaded.weights, vec.weights)
-        assert engine.stats().preloaded_hits == 1
-        assert not PprEngine(path_graph, PprConfig(alpha=0.3)).load_cache(
-            cache_file, {"graph_sha256": "abc", "dict_sha256": "def"}
-        )
+        assert not engine.load_cache(cache_file, meta)
+        assert engine.stats().size == engine.stats().preloaded == 0
 
-    def test_version_1_cache_file_loads_only_the_sets_that_are_walked(self, tmp_path):
-        # Files written before composition hold walked vectors of seed sets
-        # that now compose. A planted vector under such a key is not loaded;
-        # the single sense and the set with an isolated seed are.
-        g = graph_from_edges([(1, 2), (2, 3), (3, 4)], isolated=[9])
-        single = (g.node_index(sense(2)),)
-        composable = tuple(sorted(g.node_index(sense(i)) for i in (1, 4)))
-        isolated = tuple(sorted(g.node_index(sense(i)) for i in (1, 9)))
-        planted = compute_ppr(g, [sense(3)])
-        entries = [
-            (key, vec.idx, vec.weights)
-            for key, vec in ((single, compute_ppr(g, [sense(2)])), (composable, planted),
-                             (isolated, compute_ppr(g, [sense(1), sense(9)])))
-        ]
-        payload = {
-            "version": 1,
-            "meta": {"graph_sha256": "abc", "alpha": 0.15, "iterations": 30, "truncation": None},
-            "stats": {"enabled": True},
-            "entries": entries,
-        }
-        cache_file = tmp_path / "cache.pkl"
+        del payload["version"], payload["meta"]["truncation"]  # this format
         cache_file.write_bytes(pickle.dumps(payload))
-
-        engine = PprEngine(g)
-        assert engine.load_cache(cache_file, {"graph_sha256": "abc"})
-        assert engine.stats().preloaded == engine.stats().size == 2
-        composed = engine.ppr_for_sense_set([sense(1), sense(4)])
-        expected = compute_ppr(g, [sense(1), sense(4)])
-        assert np.array_equal(composed.idx, expected.idx)
-        assert np.array_equal(composed.weights, expected.weights)
-        engine.ppr_for_sense_set([sense(9), sense(1)])
-        engine.ppr_for_sense(sense(2))
-        assert engine.stats().preloaded_hits == 2
-
-        payload["version"] = 2  # this version's files hold composed vectors
-        cache_file.write_bytes(pickle.dumps(payload))
-        current = PprEngine(g)
-        assert current.load_cache(cache_file, {"graph_sha256": "abc"})
-        assert current.stats().size == 3
+        assert engine.load_cache(cache_file, meta)
+        assert engine.stats().preloaded == 1
 
     def test_capacity_zero_priming_walks_nothing(self, path_graph, monkeypatch):
         walks = []
@@ -582,7 +523,7 @@ class TestRankTable:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
-        {"alpha": 0.0}, {"alpha": 1.0}, {"iterations": 0}, {"truncation": 0},
+        {"alpha": 0.0}, {"alpha": 1.0}, {"iterations": 0},
     ])
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):

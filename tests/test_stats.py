@@ -499,3 +499,11 @@ class TestLoadJudgments:
         path.write_text("system,pyramid\nA,high\n")
         with pytest.raises(ValueError, match="non-numeric"):
             load_judgments(path)
+
+    @pytest.mark.parametrize("header", ["system,pyramid,pyramid", "system,pyramid,system"])
+    def test_repeated_column_rejected(self, tmp_path, header):
+        path = tmp_path / "judgments.csv"
+        path.write_text(f"{header}\nA,0.5,0.1\n")
+        repeated = header.rsplit(",", 1)[1]
+        with pytest.raises(ValueError, match=f"column '{repeated}' appears more than once"):
+            load_judgments(path)
