@@ -466,10 +466,28 @@ class TestEngine:
         assert not engine.load_cache(cache_file, meta)
         assert engine.stats().size == engine.stats().preloaded == 0
 
-        del payload["version"], payload["meta"]["truncation"]  # this format
+    def test_cache_file_in_command_line_meta_format_loads(self, tmp_path, path_graph):
+        # the command line used to put the walk settings into meta itself;
+        # the same file, without the old format's keys, loads
+        vec = compute_ppr(path_graph, [sense(3)])
+        payload = {
+            "meta": {"graph_sha256": "abc", "dict_sha256": "def",
+                     "alpha": 0.15, "iterations": 30},
+            "stats": {"enabled": True},
+            "entries": [((path_graph.node_index(sense(3)),), vec.idx, vec.weights)],
+        }
+        cache_file = tmp_path / "cache.pkl"
         cache_file.write_bytes(pickle.dumps(payload))
-        assert engine.load_cache(cache_file, meta)
-        assert engine.stats().preloaded == 1
+
+        engine = PprEngine(path_graph)
+        assert engine.load_cache(cache_file, {"graph_sha256": "abc", "dict_sha256": "def"})
+        reloaded = engine.ppr_for_sense(sense(3))
+        assert np.array_equal(reloaded.idx, vec.idx)
+        assert np.array_equal(reloaded.weights, vec.weights)
+        assert engine.stats().preloaded_hits == 1
+        assert not PprEngine(path_graph, PprConfig(alpha=0.3)).load_cache(
+            cache_file, {"graph_sha256": "abc", "dict_sha256": "def"}
+        )
 
     def test_capacity_zero_priming_walks_nothing(self, path_graph, monkeypatch):
         walks = []
