@@ -62,6 +62,7 @@ EX_PARTIAL = 2
 EX_USAGE = 64
 
 DEFAULT_CACHE_FILE = "grouge-cache.pkl"
+_MAX_BETAS = 10_001  # a step of 1e-4 over [0, 1]; a finer grid is a typo, not a sweep
 
 
 class UsageError(Exception):
@@ -122,7 +123,7 @@ def _check_betas(betas, text: str) -> None:
 
 def _parse_betas(text: str) -> list[float]:
     """A comma list or start:stop[:step] grid of blend weights, each in
-    [0, 1]. A grid's ends are checked before it is expanded."""
+    [0, 1]. A grid's ends and length are checked before it is expanded."""
     try:
         if ":" in text:
             if text.count(":") > 2:
@@ -132,6 +133,9 @@ def _parse_betas(text: str) -> list[float]:
             if step <= 0:
                 raise UsageError("beta step must be positive")
             _check_betas((start, stop), text)
+            count = (stop + 1e-9 - start) // step + 1
+            if count > _MAX_BETAS:
+                raise UsageError(f"grid {text!r} has {count:.0f} betas, more than {_MAX_BETAS}")
             out = []
             while (value := start + len(out) * step) <= stop + 1e-9:
                 out.append(round(value, 10))

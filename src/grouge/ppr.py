@@ -38,7 +38,7 @@ from __future__ import annotations
 import pickle
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -207,52 +207,6 @@ def _compose(
     return _compress(graph, total)
 
 
-def _seed_set_vectors(
-    graph: SemanticGraph,
-    keys: Sequence[tuple[int, ...]],
-    cfg: PprConfig,
-    cached: Callable[[int], PprVector | None],
-) -> list[PprVector]:
-    """The vectors of distinct seed keys, in key order.
-
-    A key that composes (``_composes``) is the mean of its seeds' single-sense
-    vectors, taken from ``cached`` (node index -> vector or None) or walked;
-    every other key is walked. The walks run in batched passes of
-    ``_BATCH_COLUMNS`` columns, and the singles are held here until every
-    key is composed, so none is read back from a cache that may evict it.
-    """
-    singles: dict[int, PprVector] = {}
-    walks: dict[tuple[int, ...], None] = {}
-    for key in keys:
-        if not _composes(graph, key):
-            walks[key] = None
-            continue
-        for i in key:
-            if i not in singles:
-                vec = cached(i)
-                if vec is None:
-                    walks[(i,)] = None
-                else:
-                    singles[i] = vec
-    walked: dict[tuple[int, ...], PprVector] = {}
-    order = list(walks)
-    for start in range(0, len(order), _BATCH_COLUMNS):
-        chunk = order[start : start + _BATCH_COLUMNS]
-        walked.update(zip(chunk, _walk(graph, chunk, cfg)))
-    singles.update((key[0], vec) for key, vec in walked.items() if len(key) == 1)
-    return [walked[key] if key in walked else _compose(graph, key, singles) for key in keys]
-
-
-def compute_ppr(
-    graph: SemanticGraph,
-    seeds: Iterable[SenseId],
-    cfg: PprConfig = PprConfig(),
-) -> PprVector:
-    """The vector of a uniform distribution over the seed set, composed or
-    walked as the module docstring defines."""
-    return _seed_set_vectors(graph, [_seed_key(graph, seeds)], cfg, lambda i: None)[0]
-
-
 class _LruCache:
     """LRU map of walk vectors with hit/miss/eviction counters.
 
@@ -325,7 +279,10 @@ class CacheStats:
 class PprEngine:
     """Walk-vector provider with an LRU cache keyed by seed set.
 
-    Every output is a pure function of (graph, config, seeds).
+    ``prime_seed_sets`` is the one path that reads, computes and stores
+    vectors; the other vector methods ask it for one or two sets. The cache
+    capacity decides only which vectors outlive a call. Every output is a
+    pure function of (graph, config, seeds).
     """
 
     def __init__(
@@ -347,42 +304,54 @@ class PprEngine:
 
     # -- vector access ------------------------------------------------
 
+    def prime_seed_sets(self, seed_sets: Sequence[Iterable[SenseId]]) -> list[PprVector]:
+        """The vectors of the given seed sets, one per set in input order.
+
+        Each distinct set is looked up in the cache once, counting one hit
+        or one miss. The missing sets that are walked, and the uncached
+        single senses of the missing sets that are composed, share batched
+        walk passes of ``_BATCH_COLUMNS`` columns, which are far cheaper
+        than per-seed passes on large graphs. The singles are held here
+        until every set is composed, so none is read back from a cache that
+        may evict it. Each new vector is put in the cache; a cache that
+        keeps nothing (capacity 0) makes no difference to what is returned.
+        """
+        graph = self.graph
+        keys = [_seed_key(graph, seeds) for seeds in seed_sets]
+        vectors = {key: self._vectors.get(key) for key in dict.fromkeys(keys)}
+        missing = [key for key, vec in vectors.items() if vec is None]
+        singles: dict[int, PprVector] = {}
+        walks: dict[tuple[int, ...], None] = {}
+        for key in missing:
+            if not _composes(graph, key):
+                walks[key] = None
+                continue
+            for i in key:
+                if i not in singles:
+                    vec = self._vectors.peek((i,))
+                    if vec is None:
+                        walks[(i,)] = None
+                    else:
+                        singles[i] = vec
+        walked: dict[tuple[int, ...], PprVector] = {}
+        order = list(walks)
+        for start in range(0, len(order), _BATCH_COLUMNS):
+            chunk = order[start : start + _BATCH_COLUMNS]
+            walked.update(zip(chunk, _walk(graph, chunk, self.cfg)))
+        singles.update((key[0], vec) for key, vec in walked.items() if len(key) == 1)
+        for key in missing:
+            vectors[key] = walked[key] if key in walked else _compose(graph, key, singles)
+            self._vectors.put(key, vectors[key])
+        return [vectors[key] for key in keys]
+
     def vector_for_seeds(self, seeds: Iterable[SenseId]) -> PprVector:
-        key = _seed_key(self.graph, seeds)
-        vec = self._vectors.get(key)
-        if vec is None:
-            vec = self._compute([key])[0]
-            self._vectors.put(key, vec)
-        return vec
+        return self.prime_seed_sets([seeds])[0]
 
     def ppr_for_sense(self, sense: SenseId) -> PprVector:
         return self.vector_for_seeds((sense,))
 
     def ppr_for_sense_set(self, senses: Iterable[SenseId]) -> PprVector:
         return self.vector_for_seeds(senses)
-
-    def _compute(self, keys: Sequence[tuple[int, ...]]) -> list[PprVector]:
-        """The vectors of distinct uncached keys, composing from the cached
-        single-sense vectors where they are present."""
-        return _seed_set_vectors(self.graph, keys, self.cfg, lambda i: self._vectors.peek((i,)))
-
-    # -- batch priming --------------------------------------------------
-
-    def prime_seed_sets(self, seed_sets: Sequence[Iterable[SenseId]]) -> None:
-        """Compute and cache any uncached vectors for the given seed sets.
-
-        The sets that are walked, and the missing single senses of the sets
-        that are composed, share batched walk passes, which are far cheaper
-        than per-seed passes on large graphs. Each uncached set counts one
-        cache miss. A cache that keeps nothing (capacity 0) walks nothing
-        here.
-        """
-        if self._vectors.capacity <= 0:
-            return
-        distinct = dict.fromkeys(_seed_key(self.graph, seeds) for seeds in seed_sets)
-        keys = [key for key in distinct if self._vectors.get(key) is None]
-        for key, vec in zip(keys, self._compute(keys)):
-            self._vectors.put(key, vec)
 
     def prime_senses(self, senses: Iterable[SenseId]) -> None:
         self.prime_seed_sets([(s,) for s in dict.fromkeys(senses)])
@@ -400,7 +369,7 @@ class PprEngine:
             return cached
         from .similarity import sim_sem  # read at call time: tracers replace it
 
-        value = sim_sem(self.ppr_for_sense(a), self.ppr_for_sense(b))
+        value = sim_sem(*self.prime_seed_sets([(a,), (b,)]))
         if len(self._sim_memo) < _SIM_MEMO_CAPACITY:
             self._sim_memo[key] = value
         return value
@@ -449,6 +418,16 @@ class PprEngine:
             vec = PprVector(self.graph, idx, weights)
             self._vectors.put(key, vec, preloaded=True)
         return True
+
+
+def compute_ppr(
+    graph: SemanticGraph,
+    seeds: Iterable[SenseId],
+    cfg: PprConfig = PprConfig(),
+) -> PprVector:
+    """The vector of a uniform distribution over the seed set, composed or
+    walked as the module docstring defines."""
+    return PprEngine(graph, cfg, cache_capacity=0).vector_for_seeds(seeds)
 
 
 class CacheFileError(ValueError):

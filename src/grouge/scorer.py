@@ -29,7 +29,7 @@ import numpy as np
 
 from .disambiguation import SenseAssignment, SimilarityTable, build_word_types, disambiguate_pair
 from .fileio import write_atomic
-from .graph import Dictionary, SenseId
+from .graph import Dictionary, SemanticGraph, SenseId
 from .ppr import PprEngine, PprVector
 from .rouge import NGramMultiset, clipped_matches, grams_for
 from .similarity import insert_oov, sim_sem
@@ -111,13 +111,12 @@ def _signature_key(
 
 
 def _signature(
-    engine: PprEngine, seeds: frozenset[SenseId], oov: frozenset[str]
+    graph: SemanticGraph, vec: PprVector | None, oov: frozenset[str]
 ) -> PprVector | None:
-    """Walk vector seeded by senses plus OOV dimensions; None when empty."""
-    if seeds:
-        vec = engine.ppr_for_sense_set(seeds)
-    else:
-        vec = PprVector(engine.graph, np.empty(0, np.int64), np.empty(0, np.float64))
+    """A seed set's walk vector (None without seeds) plus OOV dimensions;
+    None when empty."""
+    if vec is None:
+        vec = PprVector(graph, np.empty(0, np.int64), np.empty(0, np.float64))
     vec = insert_oov(vec, oov)
     return vec if vec else None
 
@@ -153,12 +152,13 @@ def parts_by_family(
     and its models is walked in one batch, then one ``SimilarityTable`` of
     model senses × peer senses is filled, each cell once, and each
     (model, peer) pair is disambiguated from it. The pair's peer side and
-    each of its model grams get a ``SignatureKey``, and every seed set
-    among them is walked or composed in a second batch. Each distinct
-    signature is then built once, and each distinct (gram key, peer key)
-    overlap computed once, for all of the peer's models and families.
-    Planning per peer bounds the batch width and the table, and so a
-    peer's memory.
+    each of its model grams get a ``SignatureKey``, and the vectors of
+    every distinct seed set among them come from a second batch. Each
+    distinct signature is then built once from its batch vector, and each
+    distinct (gram key, peer key) overlap computed once, for all of the
+    peer's models and families. Planning per peer bounds the batch width
+    and the table, and so a peer's memory; the engine's cache decides only
+    which vectors outlive the peer.
     """
     if not models:
         raise ValueError("at least one model summary is required")
@@ -188,10 +188,13 @@ def parts_by_family(
                 gram: _signature_key(gram.content_terms(), model_senses, oov_enabled)
                 for gram in grams
             }))
-        engine.prime_seed_sets([
+        seed_sets = list(dict.fromkeys(
             seeds for _, peer_key, keys in plans for seeds, _ in (peer_key, *keys.values()) if seeds
-        ])
-        signature = functools.cache(lambda key: _signature(engine, *key))  # each built once
+        ))
+        vectors = dict(zip(seed_sets, engine.prime_seed_sets(seed_sets)))
+        signature = functools.cache(  # each built once
+            lambda key: _signature(engine.graph, vectors.get(key[0]), key[1])
+        )
         overlaps: dict[tuple[SignatureKey, SignatureKey], float] = {}
         for i, peer_key, keys in plans:
             peer_sig = signature(peer_key)

@@ -280,8 +280,8 @@ class JudgmentTable:
         for name, column in list(self.human.items()) + list(self.auto.items()):
             if len(column) != len(self.systems):
                 raise ValueError(f"column {name!r} length mismatch")
-            if np.any(np.isnan(column)):
-                raise ValueError(f"column {name!r} has missing values")
+            if not np.all(np.isfinite(column)):
+                raise ValueError(f"column {name!r} has missing or non-finite values")
 
     @property
     def n(self) -> int:

@@ -446,6 +446,20 @@ class TestMetaEvalCommand:
         assert "column 'pyramid' appears more than once" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_judgment_is_fatal(self, world, score_csv, tmp_path, capsys):
+        lines = world["judgments"].read_text().splitlines()
+        header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+        rows[3][1] = "inf"
+        human = tmp_path / "human.csv"
+        human.write_text("\n".join(",".join(row) for row in [header, *rows]) + "\n")
+        out = tmp_path / "corr.csv"
+        assert main([
+            "meta-eval", "--scores", str(score_csv), "--human", str(human),
+            "--resamples", "10", "--out", str(out),
+        ]) == EX_FATAL
+        assert f"column {header[1]!r} has missing or non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_system_missing_a_topic_row_is_fatal(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text(
@@ -562,6 +576,8 @@ class TestSweepBeta:
         ("0:2:1", "beta 2 "), ("0,1.5", "beta 1.5 "), ("-0.1:0.5", "beta -0.1 "),
         ("abc", "'abc'"), ("0:1:x", "'0:1:x'"), ("0:1:0.1:junk", "'0:1:0.1:junk'"),
         ("0:inf:0.1", "beta inf "),
+        ("0:1:1e-6", "has 1000001 betas, more than 10001"),
+        ("0:1:1e-12", "has 1000000001001 betas, more than 10001"),
     ])
     def test_bad_grid_is_usage_error(self, world, tmp_path, capsys, grid, named):
         out = tmp_path / "sweep.csv"

@@ -489,22 +489,32 @@ class TestEngine:
             cache_file, {"graph_sha256": "abc", "dict_sha256": "def"}
         )
 
-    def test_capacity_zero_priming_walks_nothing(self, path_graph, monkeypatch):
-        walks = []
+    def test_capacity_zero_priming_returns_vectors_and_keeps_none(self, path_graph, monkeypatch):
+        walked = []  # the seed nodes of every walked column
         run_walk = grouge.ppr._run_walk
 
-        def counted_walk(*args):
-            walks.append(args[1].shape[1])
-            return run_walk(*args)
+        def recorded_walk(graph, v0, cfg):
+            walked.extend(tuple(np.flatnonzero(v0[:, col])) for col in range(v0.shape[1]))
+            return run_walk(graph, v0, cfg)
 
-        monkeypatch.setattr(grouge.ppr, "_run_walk", counted_walk)
+        monkeypatch.setattr(grouge.ppr, "_run_walk", recorded_walk)
         engine = PprEngine(path_graph, cache_capacity=0)
-        engine.prime_seed_sets([[sense(1)], [sense(2)], [sense(1), sense(5)]])
-        engine.prime_senses([sense(3), sense(4)])
-        assert walks == []
-        vec = engine.ppr_for_sense(sense(2))  # a lookup still walks its own vector
-        assert walks == [1]
-        assert np.array_equal(vec.idx, compute_ppr(path_graph, [sense(2)]).idx)
+        sets = [[sense(2)], [sense(1), sense(5)], [sense(2)], [sense(5), sense(1)],
+                [sense(3), sense(5)]]
+        node = {i: path_graph.node_index(sense(i)) for i in (1, 2, 3, 5)}
+        for _ in range(2):  # nothing is kept, so the second call walks again
+            walked.clear()
+            vectors = engine.prime_seed_sets(sets)
+            assert sorted(walked) == sorted((node[i],) for i in (2, 1, 5, 3))
+            assert len(vectors) == len(sets)
+            assert vectors[0] is vectors[2] and vectors[1] is vectors[3]
+            for seeds, vec in zip(sets, vectors):
+                want = compute_ppr(path_graph, seeds)
+                assert np.array_equal(vec.idx, want.idx)
+                assert np.array_equal(vec.weights, want.weights)
+        stats = engine.stats()
+        assert stats.size == stats.memory_bytes == stats.hits == 0
+        assert stats.misses == 2 * 3  # one per distinct set and call
 
     def test_failed_save_keeps_previous_cache_file(self, tmp_path, path_graph, monkeypatch):
         engine = PprEngine(path_graph)

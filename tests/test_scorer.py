@@ -19,6 +19,7 @@ from grouge import (
     tokenize,
 )
 from grouge.cli import system_means
+from grouge.ppr import DEFAULT_CACHE_CAPACITY
 from grouge.rouge import grams_for
 from grouge.disambiguation import build_word_types, disambiguate_pair
 from grouge.scorer import (
@@ -58,24 +59,40 @@ def content(vec):
     return vec.ranks.tobytes(), vec.oov_terms
 
 
+def signature_of(engine, seeds, oov=()):
+    """The signature the plan builds for a key: the engine's vector of the
+    seed set, or none without seeds, plus the OOV dimensions."""
+    vec = engine.ppr_for_sense_set(seeds) if seeds else None
+    return _signature(engine.graph, vec, frozenset(oov))
+
+
 class Plan:
     """parts_by_family run for one peer, with every ``_signature`` key it
-    builds and every ``sim_sem`` call it makes recorded."""
+    builds and every ``sim_sem`` call it makes recorded. A key's seed set is
+    the one whose batch vector the signature was built from."""
 
     def __init__(self, monkeypatch, engine, dictionary, peer, models, families=("1",), **kwargs):
         self.built: list = []  # (key, signature) per _signature call
         self.overlaps: list = []  # (gram signature, peer signature) per sim_sem call
-        signature = grouge.scorer._signature
+        prime_seed_sets = engine.prime_seed_sets
+        seeds_of = {id(None): frozenset()}  # id of a batch vector -> its seed set
 
-        def recording_signature(engine, seeds, oov):
-            vec = signature(engine, seeds, oov)
-            self.built.append(((seeds, oov), vec))
-            return vec
+        def recording_prime(seed_sets):
+            seed_sets = [frozenset(seeds) for seeds in seed_sets]
+            vectors = prime_seed_sets(seed_sets)
+            seeds_of.update((id(vec), seeds) for seeds, vec in zip(seed_sets, vectors))
+            return vectors
+
+        def recording_signature(graph, vec, oov):
+            sig = _signature(graph, vec, oov)
+            self.built.append(((seeds_of[id(vec)], oov), sig))
+            return sig
 
         def recording_sim_sem(a, b):
             self.overlaps.append((a, b))
             return sim_sem(a, b)
 
+        monkeypatch.setattr(engine, "prime_seed_sets", recording_prime)
         monkeypatch.setattr(grouge.scorer, "_signature", recording_signature)
         monkeypatch.setattr(grouge.scorer, "sim_sem", recording_sim_sem)
         self.parts = parts_by_family(
@@ -114,7 +131,7 @@ class TestSignatures:
 
     def test_empty_peer_short_circuits_to_none(self, setting, monkeypatch):
         graph, dictionary, engine = setting
-        assert _signature(engine, frozenset(), frozenset()) is None
+        assert _signature(graph, None, frozenset()) is None
         plan = Plan(monkeypatch, engine, dictionary, "", ["w0"])
         assert plan.built == [] and plan.overlaps == []
         assert plan.parts["1"] == ScoreParts(0.0, 0.0, 1.0)
@@ -131,7 +148,7 @@ class TestSignatures:
 
     def test_unigram_signature_is_cached_sense_vector(self, setting, monkeypatch):
         graph, dictionary, engine = setting
-        sig = _signature(engine, key_of(1), frozenset())
+        sig = signature_of(engine, key_of(1))
         assert sig is engine.ppr_for_sense(sense(1))
         assert sig.oov_terms == ()
         plan = Plan(monkeypatch, engine, dictionary, "w2", ["w0 w1"])
@@ -139,7 +156,7 @@ class TestSignatures:
 
     def test_bigram_with_oov_term(self, setting, monkeypatch):
         graph, dictionary, engine = setting
-        sig = _signature(engine, key_of(1), frozenset({"xranq"}))
+        sig = signature_of(engine, key_of(1), {"xranq"})
         assert sig.oov_terms == ("xranq",)
         assert set(sig.idx.tolist()) == set(engine.ppr_for_sense(sense(1)).idx.tolist())
         plan = Plan(monkeypatch, engine, dictionary, "w2", ["w0 xranq"], families=("2",))
@@ -187,7 +204,7 @@ class TestSignatures:
 
     def test_all_oov_gram_yields_pure_oov_vector(self, setting, monkeypatch):
         graph, dictionary, engine = setting
-        sig = _signature(engine, frozenset(), frozenset({"xb2", "xa1"}))
+        sig = signature_of(engine, (), {"xb2", "xa1"})
         assert len(sig.idx) == 0
         assert sig.oov_terms == ("xa1", "xb2")
         plan = Plan(monkeypatch, engine, dictionary, "w2", ["xa1 xb2"], families=("2",))
@@ -233,16 +250,14 @@ class TestOverlapPlan:
             model_side, peer_side = disambiguate_pair(
                 build_word_types(model, dictionary), peer_words, engine
             )
-            peer_sig = _signature(
-                engine, frozenset(peer_side.senses()), frozenset(peer_side.oov_stems())
-            )
+            peer_sig = signature_of(engine, frozenset(peer_side.senses()), peer_side.oov_stems())
             sense_of = {e.word.stem: e.sense for e in model_side}
             for family in families:
                 for gram, _ in grams_for(model, family).items():
                     terms = gram.content_terms()
                     seeds = frozenset(sense_of[t] for t in terms if sense_of[t] is not None)
                     oov = frozenset(t for t in terms if sense_of[t] is None)
-                    expected.add((content(_signature(engine, seeds, oov)), content(peer_sig)))
+                    expected.add((content(signature_of(engine, seeds, oov)), content(peer_sig)))
 
         plan = Plan(monkeypatch, engine, dictionary, peer_text, model_texts, families)
         calls = Counter((content(a), content(b)) for a, b in plan.overlaps)
@@ -275,8 +290,8 @@ class TestSimLs:
         graph, dictionary, engine = setting
         peer, model = tokenize("w0 w2"), tokenize("w0 w1")
         expected = sim_sem(
-            _signature(engine, key_of(2), frozenset()),  # w1
-            _signature(engine, key_of(1, 6), frozenset()),  # the peer: w0 and w2
+            signature_of(engine, key_of(2)),  # w1
+            signature_of(engine, key_of(1, 6)),  # the peer: w0 and w2
         )
         parts = single_gram_parts(peer, model, NGram(("w1",)), engine, dictionary)
         assert parts.blend(0.0) == expected
@@ -528,6 +543,44 @@ class TestScoreBatch:
             outputs.append(report.to_csv_bytes())
         assert engine.stats().size == 0
         assert outputs[0] == outputs[1]
+
+    def test_cache_capacity_changes_no_part(self, tmp_path, monkeypatch):
+        """The cache decides only which vectors outlive a peer: once a peer
+        builds its first signature, it asks the engine for no vector."""
+        world = build_synthetic_eval(
+            tmp_path, n_nodes=300, n_words=40, n_systems=3, n_models=2, seed=5
+        )
+        graph = load_graph(world["graph"])
+        dictionary = load_dictionary(world["dict"], graph)
+        building = []  # non-empty from a peer's first signature to its end
+        plan, prime_seed_sets = grouge.scorer.parts_by_family, PprEngine.prime_seed_sets
+
+        def guarded_plan(*args, **kwargs):
+            building.clear()
+            return plan(*args, **kwargs)
+
+        def guarded_signature(*args):
+            building.append(args)
+            return _signature(*args)
+
+        def guarded_prime(engine, seed_sets):
+            assert not building, "a signature reached the engine"
+            return prime_seed_sets(engine, seed_sets)
+
+        monkeypatch.setattr(grouge.scorer, "parts_by_family", guarded_plan)
+        monkeypatch.setattr(grouge.scorer, "_signature", guarded_signature)
+        monkeypatch.setattr(PprEngine, "prime_seed_sets", guarded_prime)
+        parts = {}
+        for capacity in (DEFAULT_CACHE_CAPACITY, 0, 4):
+            engine = PprEngine(graph, cache_capacity=capacity)
+            parts[capacity] = score_batch(
+                world["peers"], world["models"], cfg_for(), engine, dictionary,
+                variants=("g1", "g2", "gsu4"),
+            ).parts
+        assert engine.stats().evictions > 0
+        assert parts[0] == parts[4] == parts[DEFAULT_CACHE_CAPACITY]
+        assert any(p.semantic for p in parts[0].values())
+        assert building
 
     def test_csv_shape_and_precision(self, tmp_path, setting):
         graph, dictionary, engine = setting

@@ -483,6 +483,9 @@ class TestCorrelate:
             JudgmentTable(
                 systems=["a", "b"], human={"h": np.array([1.0, np.nan])}, auto={}
             )
+        for value in (np.inf, -np.inf):
+            with pytest.raises(ValueError, match="column 'm' has missing or non-finite"):
+                JudgmentTable(systems=["a", "b"], human={}, auto={"m": np.array([1.0, value])})
 
 
 class TestLoadJudgments:
