@@ -200,7 +200,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     meta = subparsers.add_parser("meta-eval", description="Correlate scores with judgments.")
     meta.add_argument("--scores", required=True, help="score CSV from the score command")
     meta.add_argument("--human", required=True, help="judgments CSV (system, metrics...)")
-    meta.add_argument("--join", default="system", help="join column name in the judgments CSV")
     meta.add_argument("--baseline", default=None, help="variant for Williams significance")
     meta.add_argument("--alpha", type=float, help="significance level, in (0, 1)")
     meta.add_argument("--seed", type=int, help="bootstrap seed")
@@ -213,7 +212,6 @@ def build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
                                   description="Correlation as a function of beta.")
     _add_scoring_flags(sweep)
     sweep.add_argument("--human", required=True, help="judgments CSV")
-    sweep.add_argument("--join", default="system", help="join column name")
     sweep.add_argument("--betas", type=_parse_betas, default="0:1:0.1",
                        help="comma list or start:stop:step, each beta in [0, 1]")
     sweep.add_argument("--out", required=True, help="output CSV path")
@@ -298,7 +296,9 @@ def _run_settings(args) -> RunSettings:
     """The blend, walk and cache settings of score, sweep-beta and ppr; an
     option that was not given (None) takes its owner's default. The
     options that need no data to check are checked here too: the data
-    paths that semantic variants need, and ppr's --top and --sense."""
+    paths that semantic variants need, ppr's --top and --sense, and a
+    persisted cache with capacity 0, which would be saved empty over the
+    file it loaded."""
     given = {name: value for name, value in vars(args).items() if value is not None}
     if any(variant_is_semantic(v) for v in given.get("variant", ())) and not (
         given.get("graph") and given.get("dict_path")
@@ -308,6 +308,8 @@ def _run_settings(args) -> RunSettings:
         raise UsageError(f"top must be >= 1, got {args.top}")
     if given.get("sense", 1) < 1:
         raise UsageError(f"sense must be >= 1, got {args.sense}")
+    if given.get("cache_capacity") == 0 and given.get("cache_persist"):
+        raise UsageError("--cache-persist needs a cache: --cache-capacity is 0")
 
     def pick(*names: str) -> dict:
         return {name: given[name] for name in names if name in given}
@@ -329,13 +331,6 @@ def _correlate_settings(args) -> dict:
     if "resamples" in settings:
         check_resamples(settings["resamples"])
     return settings
-
-
-def _load_judgments(args) -> tuple[list[str], dict[str, np.ndarray]]:
-    join_name, ids, columns = load_judgments(_require(args.human, "judgments CSV"))
-    if join_name != args.join:
-        log.warning("judgments join column is %r, expected %r", join_name, args.join)
-    return ids, columns
 
 
 def _run_scoring(args, settings: RunSettings) -> tuple[ScoreReport, dict]:
@@ -463,7 +458,7 @@ def _read_score_rows(path: Path) -> dict[tuple[str, str, str], float]:
 
 def run_meta_eval(args, settings: dict) -> int:
     scores_path = _require(args.scores, "scores CSV")
-    ids, columns = _load_judgments(args)
+    ids, columns = load_judgments(_require(args.human, "judgments CSV"))
     means = system_means(_read_score_rows(scores_path))
     table = _system_table(means, ids, columns)
     if args.baseline is not None and args.baseline not in table.auto:
@@ -474,7 +469,7 @@ def run_meta_eval(args, settings: dict) -> int:
 
 
 def run_sweep_beta(args, settings: RunSettings) -> int:
-    ids, columns = _load_judgments(args)
+    ids, columns = load_judgments(_require(args.human, "judgments CSV"))
     report, _ = _run_scoring(args, settings)
 
     buf = io.StringIO()

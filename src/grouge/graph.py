@@ -63,27 +63,37 @@ class SenseId:
 class SemanticGraph:
     """Immutable undirected sense graph with dense integer indexing.
 
-    Edges are stored symmetrically in CSR form; the random-walk kernel
+    Nodes are numbered in ascending SenseId order, so ascending node index
+    is ascending sense id, whatever order the senses and edges were given
+    in. Edges are stored symmetrically in CSR form; the random-walk kernel
     treats column j as a uniform distribution over j's neighbours. Nothing
     changes after construction, so what a run computes on the graph never
     depends on what it computed before.
     """
 
     def __init__(self, senses: list[SenseId], pairs: np.ndarray):
-        """pairs: (m, 2) int64 node-index pairs (u < v), sorted and unique."""
-        self._senses = list(senses)
+        """senses: the nodes, in any order. pairs: (m, 2) int indices into
+        senses, in any order and either orientation; repeated pairs count
+        once and self-loops add no edge (their node is still registered)."""
+        canonical = np.array([s.canonical for s in senses], dtype="U10")
+        order = np.argsort(canonical, kind="stable")
+        self._senses = [senses[i] for i in order]
         self._index = {s: i for i, s in enumerate(self._senses)}
         if len(self._index) != len(self._senses):
             raise ValueError("duplicate sense ids in node list")
         n = len(self._senses)
 
-        if len(pairs):
-            rows = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            cols = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            data = np.ones(len(rows), dtype=np.float64)
-            self.adjacency = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-        else:
-            self.adjacency = sparse.csr_matrix((n, n), dtype=np.float64)
+        renumber = np.empty(n, dtype=np.int64)
+        renumber[order] = np.arange(n)
+        pairs = renumber[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)]
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        # the distinct (min, max) pairs in ascending order, keyed by u*n + v
+        keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+        u, v = keys // n, keys % n
+        data = np.ones(2 * len(keys), dtype=np.float64)
+        self.adjacency = sparse.csr_matrix(
+            (data, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)
+        )
         self.degree = np.asarray(self.adjacency.sum(axis=1)).ravel()
         self.dangling = np.flatnonzero(self.degree == 0)
         # Column-stochastic walk matrix P[i, j] = 1/deg(j), sharing the
@@ -93,11 +103,6 @@ class SemanticGraph:
         self.transition = sparse.csr_matrix(
             (adj.data * inv[adj.indices], adj.indices, adj.indptr), shape=(n, n)
         )
-
-        # Node indices in ascending SenseId order; used to break equal-weight
-        # ties deterministically.
-        canonical = np.array([s.canonical for s in self._senses], dtype="U10")
-        self.sid_order = np.argsort(canonical, kind="stable").astype(np.int64)
 
     @property
     def node_count(self) -> int:
@@ -132,20 +137,16 @@ class SemanticGraph:
         return int(self.degree[self.node_index(sense)])
 
     def edge_list(self) -> list[tuple[SenseId, SenseId]]:
-        """Canonical sorted list of undirected edges (u < v)."""
-        coo = self.adjacency.tocoo()
-        pairs = {
-            (min(i, j), max(i, j)) for i, j in zip(coo.row, coo.col) if i != j
-        }
-        return sorted((self._senses[i], self._senses[j]) for i, j in pairs)
+        """The undirected edges (u < v) in ascending order: the adjacency's
+        upper triangle, read row by row."""
+        upper = sparse.triu(self.adjacency, k=1)
+        return [(self._senses[i], self._senses[j])
+                for i, j in zip(upper.row.tolist(), upper.col.tolist())]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SemanticGraph):
             return NotImplemented
-        return (
-            set(self._senses) == set(other._senses)
-            and self.edge_list() == other.edge_list()
-        )
+        return self._senses == other._senses and self.edge_list() == other.edge_list()
 
     def __hash__(self) -> int:  # identity hash; graphs are large and immutable
         return id(self)
@@ -165,12 +166,14 @@ def load_graph(relations_source: str | Path | IO[str] | Iterable[str]) -> Semant
     Each non-comment line holds whitespace-separated ``key:value`` tokens and
     must include ``u`` and ``v`` with canonical sense-id values. Other keys
     are ignored. The result is the deduplicated symmetric closure with
-    self-loops dropped (their endpoints are still registered as nodes).
+    self-loops dropped (their endpoints are still registered as nodes),
+    numbered in sense-id order by ``SemanticGraph``; the order of the lines
+    does not matter.
     """
     senses: list[SenseId] = []
-    # Distinct token text -> node index. The sense-id pattern is anchored and
-    # a SenseId keeps its offset text, so distinct tokens are distinct
-    # senses and each one is parsed once.
+    # Distinct token text -> position in senses. The sense-id pattern is
+    # anchored and a SenseId keeps its offset text, so distinct tokens are
+    # distinct senses and each one is parsed once.
     index: dict[str, int] = {}
     ends: list[int] = []  # u0, v0, u1, v1, ...
 
@@ -198,14 +201,10 @@ def load_graph(relations_source: str | Path | IO[str] | Iterable[str]) -> Semant
                 senses.append(sense)
             ends.append(idx)
 
-    pairs = np.array(ends, dtype=np.int64).reshape(-1, 2)
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # self-loops only register nodes
-    if not len(pairs):
+    graph = SemanticGraph(senses, np.array(ends, dtype=np.int64).reshape(-1, 2))
+    if not graph.edge_count:
         raise ParseError("no edges loaded")
-    # the deduplicated (min, max) pairs in ascending order, keyed by u*n + v
-    n = len(senses)
-    keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
-    return SemanticGraph(senses, np.stack([keys // n, keys % n], axis=1))
+    return graph
 
 
 class Dictionary:
@@ -235,17 +234,14 @@ class Dictionary:
 def load_dictionary(
     dict_source: str | Path | IO[str] | Iterable[str],
     graph: SemanticGraph,
-    on_unknown_sense: str = "drop",
 ) -> Dictionary:
     """Load a UKB-style dictionary: ``lemma sense1:count sense2:count ...``.
 
     The lemma may carry a ``#pos`` suffix; senses are grouped under each
     sense's own pos either way, and a suffix that contradicts a sense's pos
-    drops that sense. Senses missing from the graph follow
-    ``on_unknown_sense``: "drop" (default, warns) or "error".
+    drops that sense. Senses missing from the graph are dropped with a
+    warning.
     """
-    if on_unknown_sense not in ("drop", "error"):
-        raise ValueError(f"unknown policy {on_unknown_sense!r}")
     entries: dict[tuple[str, str], list[SenseId]] = {}
 
     for lineno, raw in enumerate(_as_lines(dict_source), start=1):
@@ -274,8 +270,6 @@ def load_dictionary(
                 )
                 continue
             if sense not in graph:
-                if on_unknown_sense == "error":
-                    raise ParseError(f"line {lineno}: sense {sense} not in graph")
                 log.warning("line %d: sense %s not in graph, dropped", lineno, sense)
                 continue
             ranked = entries.setdefault((lemma, sense.pos), [])

@@ -19,6 +19,10 @@ c * V(0) everywhere: the adjacency's entries are all 1.0, so each product
 the same terms in the same order; adding the 0.0 that c * V(0) holds off
 the seeds leaves a non-negative entry unchanged.
 
+Nodes are numbered in ascending SenseId order (``SemanticGraph``), so
+"ascending node index" below is ascending sense id, and a vector does not
+depend on the order in which the relation file lists its edges.
+
 A seed set's vector is defined as follows. A single seed is walked. A set
 with more than one seed, none of them isolated (degree 0), is composed:
 the mean of its seeds' single-seed walk columns, summed in ascending node
@@ -151,25 +155,23 @@ def _run_walk(graph: SemanticGraph, v0: np.ndarray, cfg: PprConfig) -> np.ndarra
 
 def _compress(graph: SemanticGraph, column: np.ndarray) -> PprVector:
     """The column's positive entries in rank order: descending weight, ties
-    by ascending SenseId.
+    by ascending node index, which is ascending SenseId.
 
-    Entries are laid out in SenseId order and sorted by weight with the fast
-    unstable sort; only the entries in runs of equal weight are then put
-    back in ascending position, which is ascending SenseId.
+    Entries are sorted by weight with the fast unstable sort; only the
+    entries in runs of equal weight are then put back in ascending index.
     """
     n = len(column)
-    by_sid = column[graph.sid_order]
-    order = np.argsort(-by_sid)
-    ranked = by_sid[order]
+    order = np.argsort(-column)
+    ranked = column[order]
     ranked = ranked[: np.count_nonzero(ranked > 0.0)]
     same = ranked[1:] == ranked[:-1]
     if same.any():
         tied = np.flatnonzero(np.r_[same, False] | np.r_[False, same])
         run = np.cumsum(np.r_[True, ~same[tied[1:] - 1]])
-        # One int64 key per tied entry, (run, position): sorting it orders
-        # each run by position and leaves the runs where they are.
+        # One int64 key per tied entry, (run, index): sorting it orders
+        # each run by index and leaves the runs where they are.
         order[tied] = np.sort(run * n + order[tied]) % n
-    return PprVector(graph, graph.sid_order[order[: len(ranked)]], ranked.copy())
+    return PprVector(graph, order[: len(ranked)], ranked.copy())
 
 
 def _walk(
@@ -391,8 +393,10 @@ class PprEngine:
         )
 
     def _cache_meta(self, meta: dict) -> dict:
-        """meta plus the walk settings, which are part of a cache's identity."""
-        return {**meta, **asdict(self.cfg)}
+        """meta plus the walk settings and the node order, which are part of
+        a cache's identity: vectors are stored by node index, and files
+        written before nodes were numbered in sense-id order lack the entry."""
+        return {**meta, **asdict(self.cfg), "node_order": "sense_id"}
 
     def save_cache(self, path, meta: dict) -> None:
         entries = [

@@ -386,9 +386,9 @@ def correlate(
     return report
 
 
-def load_judgments(path: str | Path) -> tuple[str, list[str], dict[str, np.ndarray]]:
+def load_judgments(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:
     """Read a judgments CSV: header row, first column is the system id,
-    remaining columns numeric. Returns (join column name, ids, columns)."""
+    remaining columns numeric. Returns (ids, columns)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -397,7 +397,7 @@ def load_judgments(path: str | Path) -> tuple[str, list[str], dict[str, np.ndarr
         repeated = [name for i, name in enumerate(header) if name in header[:i]]
         if repeated:
             raise ValueError(f"{path}: column {repeated[0]!r} appears more than once")
-        join_name, *metric_names = header
+        metric_names = header[1:]
         ids: list[str] = []
         values: list[list[float]] = [[] for _ in metric_names]
         for lineno, row in enumerate(reader, start=2):
@@ -412,4 +412,4 @@ def load_judgments(path: str | Path) -> tuple[str, list[str], dict[str, np.ndarr
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
     columns = {name: np.array(vals, dtype=np.float64) for name, vals in zip(metric_names, values)}
-    return join_name, ids, columns
+    return ids, columns

@@ -37,7 +37,8 @@ def dictionary_from(graph: SemanticGraph, entries: dict[str, list[int]]) -> Dict
 
 def labelled_graph(edges, n, rng, isolated=()):
     """Graph on nodes 0..n-1 whose SenseIds are a random relabelling with
-    mixed parts of speech, so node index order and SenseId order differ."""
+    mixed parts of speech, so the relation lines list the senses in an
+    order other than SenseId order."""
     labels = rng.permutation(n) + 1
     pos = "nvar"
 

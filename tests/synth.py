@@ -8,6 +8,7 @@ are adjacent graph nodes, giving paraphrased peers a real semantic signal.
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,34 @@ def write_graph(path: Path, n_nodes: int, extra_edges: int, seed: int) -> None:
         if i != j:
             lines.append(f"u:{node_id(int(i))} v:{node_id(int(j))} t:chord w:1")
     path.write_text("\n".join(lines) + "\n", "utf-8")
+
+
+def symmetric_relation_lines() -> list[str]:
+    """A ring over 24 nodes plus the chords (0, 12), (3, 9) and (15, 21).
+
+    Mirror senses of this graph have equal walk weights in real
+    arithmetic, so the order in which the walk sums its terms decides how
+    rounding breaks their ties.
+    """
+    edges = [(i, (i + 1) % 24) for i in range(24)] + [(0, 12), (3, 9), (15, 21)]
+    return [f"u:{node_id(i)} v:{node_id(j)}" for i, j in edges]
+
+
+def relist_lines(lines: list[str], seed: int) -> list[str]:
+    """The same edges listed another way: lines shuffled, about half of
+    them with u and v swapped, some repeated, and a self-loop on a few
+    listed nodes (which adds no edge)."""
+    rng = random.Random(seed)
+    out = []
+    for line in lines:
+        u, v = (token.partition(":")[2] for token in line.split()[:2])
+        if rng.random() < 0.5:
+            u, v = v, u
+        out += [f"u:{u} v:{v}"] * rng.choice((1, 1, 2))
+        if rng.random() < 0.1:
+            out.append(f"u:{u} v:{u}")
+    rng.shuffle(out)
+    return out
 
 
 def primary_sense(k: int, n_nodes: int) -> int:

@@ -15,7 +15,13 @@ from grouge.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, build_parser, main
 from grouge.ppr import _walk
 from grouge.stats import correlate
 
-from synth import build_synthetic_eval
+from synth import (
+    build_synthetic_eval,
+    relist_lines,
+    symmetric_relation_lines,
+    write_corpus,
+    write_dictionary,
+)
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +119,25 @@ class TestScoreCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_relation_line_order_does_not_change_scores(self, tmp_path):
+        # mirror senses of the symmetric graph tie; listing its edges in
+        # another order must not change which way a tie is broken
+        lines = symmetric_relation_lines()
+        small = {"graph": tmp_path / "relations.txt", "dict": tmp_path / "dictionary.txt"}
+        small["graph"].write_text("\n".join(lines) + "\n")
+        vocab = write_dictionary(small["dict"], 16, 24, seed=5)
+        small["peers"], small["models"], _, _ = write_corpus(
+            tmp_path, vocab, n_systems=4, n_models=2, seed=6
+        )
+        relisted = dict(small, graph=tmp_path / "relisted.txt")
+        relisted["graph"].write_text("\n".join(relist_lines(lines, 0)) + "\n")
+        outputs = []
+        for label, paths in (("listed", small), ("relisted", relisted)):
+            out = tmp_path / f"{label}.csv"
+            assert main(score_args(paths, out, variant="g1,g2,gsu4")) == EX_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_data_dir_env_fallback(self, world, tmp_path, monkeypatch):
         monkeypatch.setenv("GROUGE_DATA_DIR", str(world["graph"].parent))
         out = tmp_path / "report.csv"
@@ -204,6 +229,26 @@ class TestSettingsCheckedFirst:
         assert main([*argv, "--config", str(config)]) == EX_USAGE
         assert "unknown config key 'truncation'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
+    @pytest.mark.parametrize("command", ["meta-eval", "sweep-beta"])
+    def test_join_is_not_a_setting(self, tmp_path, capsys, command):
+        argv = missing_data_args(command, tmp_path / "missing", tmp_path / "out.csv")
+        assert main([*argv, "--join", "system"]) == EX_USAGE
+        assert "unrecognized arguments: --join system" in capsys.readouterr().err
+        config = tmp_path / "run.conf"
+        config.write_text("join = system\n")
+        assert main([*argv, "--config", str(config)]) == EX_USAGE
+        assert "unknown config key 'join'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
+    @pytest.mark.parametrize("command", ["score", "sweep-beta"])
+    def test_persisted_cache_with_capacity_zero_is_usage_error(self, tmp_path, capsys,
+                                                                command):
+        argv = missing_data_args(command, tmp_path / "missing", tmp_path / "out.csv")
+        cache = ["--cache-persist", str(tmp_path / "cache.pkl")]
+        assert main([*argv, *cache, "--cache-capacity", "0"]) == EX_USAGE
+        assert "usage error: --cache-persist needs a cache" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_beta_takes_no_beta(self, tmp_path, capsys):
         argv = missing_data_args("sweep-beta", tmp_path / "missing", tmp_path / "out.csv")
@@ -688,13 +733,27 @@ class TestCacheWorkflow:
         out = capsys.readouterr().out
         assert "hits: 0" in out
 
-    def test_disabled_cache_reported(self, world, tmp_path, capsys):
+    def test_capacity_zero_keeps_the_persisted_cache(self, world, tmp_path, capsys):
         cache = tmp_path / "cache.pkl"
         assert main(score_args(world, tmp_path / "r.csv", variant="g1",
-                               extra=("--cache-persist", str(cache),
-                                      "--cache-capacity", "0"))) == EX_OK
+                               extra=("--cache-persist", str(cache)))) == EX_OK
+        saved = cache.read_bytes()
+        for command in ("score", "sweep-beta"):
+            args = score_args(world, tmp_path / f"{command}.csv", variant="g1",
+                              extra=("--cache-persist", str(cache), "--cache-capacity", "0"))
+            args[0] = command
+            if command == "sweep-beta":
+                args += ["--human", str(world["judgments"])]
+            assert main(args) == EX_USAGE
+            assert not (tmp_path / f"{command}.csv").exists()
+        assert cache.read_bytes() == saved
+        # a file that an earlier version saved from a capacity-0 run
+        payload = pickle.loads(saved)
+        cache.write_bytes(pickle.dumps({**payload, "entries": [],
+                                        "stats": {**payload["stats"], "enabled": False}}))
+        capsys.readouterr()
         assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
-        assert "disabled" in capsys.readouterr().out
+        assert capsys.readouterr().out == "cache: disabled\n"
 
     @pytest.mark.parametrize("damage", ["empty", "truncated"])
     def test_unreadable_cache_file_ignored_with_warning(self, world, tmp_path, capsys, caplog,
@@ -757,6 +816,29 @@ class TestCacheWorkflow:
         assert saved["stats"]["preloaded"] == 0
         assert saved["stats"] == payload["stats"]  # the cold run's work, written over
         assert saved.keys() == payload.keys() and saved["meta"] == payload["meta"]
+
+    def test_cache_file_from_before_sense_id_node_order_is_refused(self, world, tmp_path,
+                                                                   caplog):
+        # Vectors are stored by node index. Files written while nodes were
+        # numbered in the relation file's first-seen order lack the
+        # "node_order" meta entry, and their indices may name other senses.
+        cache = tmp_path / "cache.pkl"
+        cold = tmp_path / "cold.csv"
+        assert main(score_args(world, cold, variant="g1,g2",
+                               extra=("--cache-persist", str(cache)))) == EX_OK
+        payload = pickle.loads(cache.read_bytes())
+        assert payload["meta"]["node_order"] == "sense_id"
+        meta = {k: v for k, v in payload["meta"].items() if k != "node_order"}
+        cache.write_bytes(pickle.dumps({**payload, "meta": meta}))
+        caplog.clear()
+        warm = tmp_path / "warm.csv"
+        assert main(score_args(world, warm, variant="g1,g2",
+                               extra=("--cache-persist", str(cache)))) == EX_OK
+        assert f"persisted cache {cache} does not match" in caplog.text
+        assert warm.read_bytes() == cold.read_bytes()
+        saved = pickle.loads(cache.read_bytes())
+        assert saved["stats"]["preloaded"] == 0
+        assert saved["meta"] == payload["meta"]
 
     def test_missing_cache_file_fatal(self, tmp_path):
         assert main(["cache-stats", "--cache", str(tmp_path / "none.pkl")]) == EX_FATAL

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from grouge import ParseError, SenseId, load_dictionary, load_graph
+from grouge import ParseError, SemanticGraph, SenseId, load_dictionary, load_graph
 from grouge.graph import POS_TAGS
 
 from conftest import dictionary_from, graph_from_edges, sense, sid
 from oracles import load_graph_reference
-from synth import write_graph
+from synth import relist_lines, symmetric_relation_lines, write_graph
 
 
 class TestSenseId:
@@ -89,8 +89,6 @@ def assert_same_graph(graph, expected):
         for part in ("indptr", "indices", "data"):
             x, y = getattr(a, part), getattr(b, part)
             assert x.dtype == y.dtype and np.array_equal(x, y), (name, part)
-    assert graph.sid_order.dtype == expected.sid_order.dtype
-    assert np.array_equal(graph.sid_order, expected.sid_order)
 
 
 class TestLoaderOracle:
@@ -141,6 +139,29 @@ class TestLoaderOracle:
         assert str(new.value) == str(old.value)
 
 
+class TestNodeOrder:
+    """Nodes are numbered in SenseId order, whatever order the senses and
+    pairs come in; the pairs are normalized to distinct edges."""
+
+    def test_constructor_normalizes_nodes_and_pairs(self):
+        senses = [sense(3), sense(1), sense(2), sense(9)]
+        pairs = np.array([[0, 1], [1, 0], [0, 1], [1, 2], [2, 2], [3, 3]])
+        g = SemanticGraph(senses, pairs)
+        assert list(g.senses()) == [sense(1), sense(2), sense(3), sense(9)]
+        assert [g.node_index(s) for s in senses] == [2, 0, 1, 3]
+        assert g.edge_list() == [(sense(1), sense(2)), (sense(1), sense(3))]
+        assert g.adjacency.data.tolist() == [1.0] * 4
+        assert g.degree.tolist() == [2, 1, 1, 0]  # each node's neighbour count
+        assert g.dangling.tolist() == [3]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_line_order_does_not_change_the_graph(self, seed):
+        lines = symmetric_relation_lines()
+        relisted = relist_lines(lines, seed)
+        assert relisted != lines
+        assert_same_graph(load_graph(relisted), load_graph(lines))
+
+
 class TestGraphInvariants:
     def test_symmetry_full_scan(self):
         g = graph_from_edges([(1, 2), (2, 3), (1, 3), (3, 4)])
@@ -189,11 +210,7 @@ class TestDictionary:
         g = load_graph(["u:00000001-n v:00000002-n"])
         d = load_dictionary(["word 00000001-n:1 09999999-n:1"], g)
         assert d.senses_of("word") == [sense(1)]
-
-    def test_unknown_sense_error_policy(self):
-        g = load_graph(["u:00000001-n v:00000002-n"])
-        with pytest.raises(ParseError, match="line 1"):
-            load_dictionary(["word 09999999-n:1"], g, on_unknown_sense="error")
+        assert "line 1: sense 09999999-n not in graph, dropped" in caplog.text
 
     def test_entry_omitted_when_all_senses_dropped(self):
         g = load_graph(["u:00000001-n v:00000002-n"])

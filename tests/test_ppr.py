@@ -1,4 +1,5 @@
 import pickle
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,12 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import grouge.ppr
-from grouge import PprConfig, PprEngine, PprVector, compute_ppr, load_graph
+from grouge import PprConfig, PprEngine, PprVector, SenseId, compute_ppr, load_graph
 from grouge.ppr import CacheFileError, _compress, _run_walk, _walk, read_cache_file
 
 from conftest import graph_from_edges, labelled_graph, ring_graphs, sense, sid, star_graphs
 from oracles import compress_reference, dense_ppr, seed_set_reference, walk_reference, weight_in
-from synth import write_graph
+from synth import node_id, relist_lines, symmetric_relation_lines, write_graph
 
 
 def exact_two_node_iterate(iterations: int, alpha: float = 0.15) -> tuple[float, float]:
@@ -468,7 +469,8 @@ class TestEngine:
 
     def test_cache_file_in_command_line_meta_format_loads(self, tmp_path, path_graph):
         # the command line used to put the walk settings into meta itself;
-        # the same file, without the old format's keys, loads
+        # the same file, without the old format's keys, loads once its meta
+        # names the sense-id node order its indices follow
         vec = compute_ppr(path_graph, [sense(3)])
         payload = {
             "meta": {"graph_sha256": "abc", "dict_sha256": "def",
@@ -477,6 +479,10 @@ class TestEngine:
             "entries": [((path_graph.node_index(sense(3)),), vec.idx, vec.weights)],
         }
         cache_file = tmp_path / "cache.pkl"
+        cache_file.write_bytes(pickle.dumps(payload))
+        expect = {"graph_sha256": "abc", "dict_sha256": "def"}
+        assert not PprEngine(path_graph).load_cache(cache_file, expect)
+        payload["meta"]["node_order"] = "sense_id"
         cache_file.write_bytes(pickle.dumps(payload))
 
         engine = PprEngine(path_graph)
@@ -533,6 +539,29 @@ class TestEngine:
             engine.save_cache(cache_file, {"graph_sha256": "abc"})
         assert cache_file.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cache.pkl"]
+
+
+class TestLineOrder:
+    """On a graph whose mirror senses tie, vectors and similarities do not
+    depend on how the relation file lists the edges."""
+
+    @staticmethod
+    def outputs(lines):
+        engine = PprEngine(load_graph(lines))
+        senses = [SenseId.parse(node_id(i)) for i in range(24)]
+        sets = [[senses[i] for i in key] for key in ((0, 12), (3, 9, 15), (1, 23))]
+        return (
+            [list(engine.ppr_for_sense(s).items()) for s in senses],
+            [list(engine.ppr_for_sense_set(seeds).items()) for seeds in sets],
+            [engine.sense_similarity(a, b) for a, b in combinations(senses, 2)],
+        )
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_vectors_and_similarities_are_bit_identical(self, seed):
+        lines = symmetric_relation_lines()
+        singles, composed, sims = self.outputs(lines)
+        assert self.outputs(relist_lines(lines, seed)) == (singles, composed, sims)
+        assert len(composed) == 3 and len(sims) == 276
 
 
 _ROUND_TRIP_GRAPH = graph_from_edges([(i, i + 1) for i in range(1, 40)])

@@ -492,8 +492,7 @@ class TestLoadJudgments:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "judgments.csv"
         path.write_text("system,pyramid,readability\nA,0.5,0.1\nB,0.75,0.2\n")
-        join, ids, columns = load_judgments(path)
-        assert join == "system"
+        ids, columns = load_judgments(path)
         assert ids == ["A", "B"]
         assert columns["pyramid"].tolist() == [0.5, 0.75]
 
