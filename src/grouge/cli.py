@@ -47,11 +47,9 @@ from .stats import (
     JudgmentTable,
     check_resamples,
     check_significance_level,
+    coefficients,
     correlate,
-    kendall,
     load_judgments,
-    pearson,
-    spearman,
 )
 
 log = logging.getLogger("grouge")
@@ -147,16 +145,6 @@ def _parse_betas(text: str) -> list[float]:
     if not out:
         raise UsageError("empty beta grid")
     return out
-
-
-def _version_text() -> str:
-    lines = [f"grouge {__version__}"]
-    # Only the file's existence is reported: reading a cache file unpickles
-    # it, and printing the version must not run code from the working
-    # directory. `cache-stats` reads an explicitly named file.
-    cache_path = Path(os.environ.get("GROUGE_CACHE_FILE", DEFAULT_CACHE_FILE))
-    lines.append(f"last cache: {cache_path if cache_path.exists() else 'none'}")
-    return "\n".join(lines)
 
 
 def _add_ppr_flags(sub: argparse.ArgumentParser) -> None:
@@ -400,48 +388,36 @@ def run_score(args, settings: RunSettings) -> int:
 
 
 def _system_table(
-    means: dict[str, dict[str, float]],
-    human_ids: list[str],
-    human_columns: dict[str, np.ndarray],
+    rows: dict[tuple[str, str, str], float],
+    ids: list[str],
+    columns: dict[str, np.ndarray],
 ) -> JudgmentTable:
-    """Inner-join per-system metric means with judgment rows."""
-    variants = sorted(means)
-    scored_systems = set()
-    for per_system in means.values():
-        scored_systems.update(per_system)
-    systems = [s for s in human_ids if s in scored_systems]
-    if not systems:
-        raise CliError("no systems shared between scores and judgments")
-    index = [human_ids.index(s) for s in systems]
-    human = {name: col[index] for name, col in human_columns.items()}
-    auto = {
-        variant: np.array([means[variant][s] for s in systems], dtype=np.float64)
-        for variant in variants
-    }
-    return JudgmentTable(systems=systems, human=human, auto=auto)
-
-
-def system_means(rows: dict[tuple[str, str, str], float]) -> dict[str, dict[str, float]]:
     """Per variant, each system's (topic, system, variant) scores averaged
-    over every topic in rows.
+    over every topic in rows, inner-joined with the judgment rows.
 
     Every system must have a row for every topic, so that all systems are
     compared over the same topic set.
     """
     topics = sorted({topic for topic, _, _ in rows})
-    systems = sorted({system for _, system, _ in rows})
-    means: dict[str, dict[str, float]] = {}
-    for variant in sorted({variant for _, _, variant in rows}):
-        per_system = {}
-        for system in systems:
-            values = []
-            for topic in topics:
-                if (topic, system, variant) not in rows:
-                    raise CliError(f"system {system} has no {variant} score for topic {topic}")
-                values.append(rows[(topic, system, variant)])
-            per_system[system] = sum(values) / len(values)
-        means[variant] = per_system
-    return means
+    scored = sorted({system for _, system, _ in rows})
+    variants = sorted({variant for _, _, variant in rows})
+    means: dict[tuple[str, str], float] = {}
+    for variant in variants:
+        for system in scored:
+            missing = [t for t in topics if (t, system, variant) not in rows]
+            if missing:
+                raise CliError(f"system {system} has no {variant} score for topic {missing[0]}")
+            means[variant, system] = sum(rows[t, system, variant] for t in topics) / len(topics)
+    systems = [s for s in ids if s in scored]
+    if not systems:
+        raise CliError("no systems shared between scores and judgments")
+    index = [ids.index(s) for s in systems]
+    human = {name: col[index] for name, col in columns.items()}
+    auto = {
+        variant: np.array([means[variant, s] for s in systems], dtype=np.float64)
+        for variant in variants
+    }
+    return JudgmentTable(systems=systems, human=human, auto=auto)
 
 
 def _read_score_rows(path: Path) -> dict[tuple[str, str, str], float]:
@@ -459,8 +435,7 @@ def _read_score_rows(path: Path) -> dict[tuple[str, str, str], float]:
 def run_meta_eval(args, settings: dict) -> int:
     scores_path = _require(args.scores, "scores CSV")
     ids, columns = load_judgments(_require(args.human, "judgments CSV"))
-    means = system_means(_read_score_rows(scores_path))
-    table = _system_table(means, ids, columns)
+    table = _system_table(_read_score_rows(scores_path), ids, columns)
     if args.baseline is not None and args.baseline not in table.auto:
         raise UsageError(f"baseline {args.baseline!r} is not a scored variant")
     report = correlate(table, significance_against=args.baseline, **settings)
@@ -482,16 +457,12 @@ def run_sweep_beta(args, settings: RunSettings) -> int:
             key: float(f"{variant_score(key[2], p, beta)[1]:.12g}")
             for key, p in report.parts.items()
         }
-        means = system_means(rows)
-        table = _system_table(means, ids, columns)
+        table = _system_table(rows, ids, columns)
         for variant in args.variant:
-            a = table.auto[variant]
             for human_name in sorted(table.human):
-                h = table.human[human_name]
-                writer.writerow([
-                    f"{beta:g}", variant, human_name,
-                    f"{pearson(a, h):.12g}", f"{spearman(a, h):.12g}", f"{kendall(a, h):.12g}",
-                ])
+                values = coefficients(table.auto[variant], table.human[human_name])
+                writer.writerow([f"{beta:g}", variant, human_name,
+                                 *(f"{value:.12g}" for value in values)])
     write_atomic(args.out, buf.getvalue().encode("utf-8"))
     return _report_problems(report, Path(args.out))
 
@@ -526,7 +497,7 @@ def run_cache_stats(args, settings: None) -> int:
     meta = payload["meta"]
     print(f"cache: {path}")
     print(f"graph: {meta.get('graph_sha256', '?')}  dict: {meta.get('dict_sha256', '?')}")
-    print(f"hits: {stats.get('preloaded_hits', 0)}")
+    print(f"hits: {stats.get('hits', 0)}")
     print(f"misses: {stats.get('misses', 0)}")
     print(f"vectors: {stats.get('size', 0)}")
     print(f"memory: {stats.get('memory_bytes', 0)} bytes")
@@ -552,7 +523,7 @@ def main(argv: list[str] | None = None) -> int:
             argv[1:1] = _config_tokens(config, submap[argv[0]])
         args = parser.parse_args(argv)
         if getattr(args, "version", False):
-            print(_version_text())
+            print(f"grouge {__version__}")
             return EX_OK
         if not args.command:
             parser.print_help()

@@ -22,7 +22,6 @@ from .text import SummaryText
 class WordType:
     surface: str
     stem: str
-    pos: str | None = None
     senses: tuple[SenseId, ...] = ()
 
     @property
@@ -52,25 +51,17 @@ class SenseAssignment:
         return tuple(dict.fromkeys(e.word.stem for e in self.entries if e.sense is None))
 
 
-def build_word_types(
-    text: SummaryText,
-    dictionary: Dictionary,
-    pos_tags: dict[str, str] | None = None,
-) -> list[WordType]:
+def build_word_types(text: SummaryText, dictionary: Dictionary) -> list[WordType]:
     """Distinct final tokens of a text with their ranked dictionary senses.
 
     Lookup tries the surface form first, then the stem, since stemming can
     destroy dictionary lemmas. A word with no senses under either form is
-    out of vocabulary. Without pos_tags all pos categories' senses compete;
-    a pos_tags map (surface or stem -> pos) restricts candidates.
+    out of vocabulary. The senses of every pos category compete.
     """
     out = []
     for token, surface in text.word_types():
-        pos = None
-        if pos_tags is not None:
-            pos = pos_tags.get(surface) or pos_tags.get(token)
-        senses = dictionary.senses_of(surface, pos) or dictionary.senses_of(token, pos)
-        out.append(WordType(surface=surface, stem=token, pos=pos, senses=tuple(senses)))
+        senses = dictionary.senses_of(surface) or dictionary.senses_of(token)
+        out.append(WordType(surface=surface, stem=token, senses=tuple(senses)))
     return out
 
 

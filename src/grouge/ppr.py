@@ -80,20 +80,13 @@ class PprVector:
 
     __slots__ = ("graph", "ranks", "weights", "oov_terms", "oov_weight")
 
-    def __init__(
-        self,
-        graph: SemanticGraph,
-        idx: np.ndarray,
-        weights: np.ndarray,
-        oov_terms: tuple[str, ...] = (),
-        oov_weight: float = 0.0,
-    ):
+    def __init__(self, graph: SemanticGraph, idx: np.ndarray, weights: np.ndarray):
         self.graph = graph
         self.ranks = np.zeros(int(idx.max(initial=-1)) + 1, dtype=np.int32)
         self.ranks[idx] = np.arange(1, len(idx) + 1, dtype=np.int32)
         self.weights = weights
-        self.oov_terms = oov_terms
-        self.oov_weight = oov_weight
+        self.oov_terms: tuple[str, ...] = ()
+        self.oov_weight = 0.0
 
     @property
     def idx(self) -> np.ndarray:
@@ -222,10 +215,6 @@ class _LruCache:
         self.misses = 0
         self.evictions = 0
         self.stored_bytes = 0
-        # Entries loaded from a persisted cache file; hits on them measure
-        # cross-run reuse, which is what the cache-stats command reports.
-        self.preloaded: set = set()
-        self.preloaded_hits = 0
 
     def get(self, key: tuple[int, ...]) -> PprVector | None:
         value = self._data.get(key)
@@ -233,8 +222,6 @@ class _LruCache:
             self.misses += 1
             return None
         self.hits += 1
-        if key in self.preloaded:
-            self.preloaded_hits += 1
         self._data.move_to_end(key)
         return value
 
@@ -242,17 +229,14 @@ class _LruCache:
         """The cached vector, without counting a lookup or refreshing it."""
         return self._data.get(key)
 
-    def put(self, key: tuple[int, ...], vec: PprVector, preloaded: bool = False) -> None:
+    def put(self, key: tuple[int, ...], vec: PprVector) -> None:
         if self.capacity <= 0 or key in self._data:
             return
         self._data[key] = vec
         self.stored_bytes += vec.nbytes()
-        if preloaded:
-            self.preloaded.add(key)
         while len(self._data) > self.capacity:
-            evicted_key, evicted = self._data.popitem(last=False)
+            _, evicted = self._data.popitem(last=False)
             self.evictions += 1
-            self.preloaded.discard(evicted_key)
             self.stored_bytes -= evicted.nbytes()
 
     def __len__(self) -> int:
@@ -264,6 +248,10 @@ class _LruCache:
 
 @dataclass
 class CacheStats:
+    """An engine's cache counters over its whole life. A hit on a vector
+    loaded from a file counts like any other; ``save_cache`` stores these
+    counts in the file, where ``cache-stats`` reads them."""
+
     enabled: bool
     hits: int = 0
     misses: int = 0
@@ -271,8 +259,6 @@ class CacheStats:
     size: int = 0
     capacity: int = 0
     memory_bytes: int = 0
-    preloaded: int = 0
-    preloaded_hits: int = 0
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
@@ -388,8 +374,6 @@ class PprEngine:
             size=len(c),
             capacity=c.capacity,
             memory_bytes=c.stored_bytes,
-            preloaded=len(c.preloaded),
-            preloaded_hits=c.preloaded_hits,
         )
 
     def _cache_meta(self, meta: dict) -> dict:
@@ -419,8 +403,7 @@ class PprEngine:
         if payload.get("meta") != self._cache_meta(expect_meta):
             return False
         for key, idx, weights in payload["entries"]:
-            vec = PprVector(self.graph, idx, weights)
-            self._vectors.put(key, vec, preloaded=True)
+            self._vectors.put(key, PprVector(self.graph, idx, weights))
         return True
 
 

@@ -300,8 +300,9 @@ def score_batch(
 
     Missing peer summaries score 0 and are flagged so every system covers
     the same topic set; unreadable files become error entries and the rest
-    of the batch continues. Peers are scored one after another on the
-    calling thread, and one topic's texts and grams are held at a time.
+    of the batch continues. Every topic's model texts are read before the
+    first peer is scored; the models' grams are then built one topic at a
+    time, and peers are scored one after another on the calling thread.
     The engine and dictionary are used only when some variant is semantic.
     """
     families = sorted({variant_family(v) for v in variants})

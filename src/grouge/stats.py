@@ -20,6 +20,7 @@ import numpy as np
 from .fileio import write_atomic
 
 COEFFICIENTS = ("pearson", "spearman", "kendall")
+_MAX_RESAMPLES = 100_000  # 100 times correlate's default
 
 
 def _as_array(x: Sequence[float]) -> np.ndarray:
@@ -106,9 +107,12 @@ def _check_variant(variant: str) -> None:
 
 
 def check_resamples(resamples: int) -> None:
-    """The range of ``bootstrap_ci``'s resample count."""
+    """The range of ``bootstrap_ci``'s resample count. Memory grows with
+    it: meta-eval over 50 systems peaks near 0.5 GiB at the upper bound."""
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
+    if resamples > _MAX_RESAMPLES:
+        raise ValueError(f"resamples must be <= {_MAX_RESAMPLES}, got {resamples}")
 
 
 def check_significance_level(alpha: float) -> None:
@@ -141,6 +145,13 @@ def kendall(x: Sequence[float], y: Sequence[float], variant: str = "b") -> float
     x, y = _as_array(x), _as_array(y)
     _check_pair(x, y)
     return float(_kendall_rows(x, y, np.arange(len(x))[None, :], variant)[0])
+
+
+def coefficients(
+    x: Sequence[float], y: Sequence[float], kendall_variant: str = "b"
+) -> tuple[float, float, float]:
+    """The Pearson, Spearman and Kendall coefficients of one column pair."""
+    return pearson(x, y), spearman(x, y), kendall(x, y, kendall_variant)
 
 
 def _coefficient_rows(
@@ -358,25 +369,23 @@ def correlate(
         a = table.auto[auto_name]
         for human_name in table.human:
             h = table.human[human_name]
-            row_kendall = kendall(a, h, variant=kendall_variant)
+            r_pearson, r_spearman, r_kendall = coefficients(a, h, kendall_variant)
             williams_p: float | None = None
             significant: bool | None = None
             if significance_against is not None and auto_name != significance_against:
                 base = table.auto[significance_against]
-                result = williams_test(
-                    pearson(a, h), pearson(base, h), pearson(base, a), table.n
-                )
+                result = williams_test(r_pearson, pearson(base, h), pearson(base, a), table.n)
                 williams_p = result.p
                 significant = result.p < alpha
             report.rows.append(CorrelationRow(
                 auto_metric=auto_name,
                 human_metric=human_name,
                 n=table.n,
-                pearson=pearson(a, h),
+                pearson=r_pearson,
                 pearson_ci=bootstrap_ci(a, h, "pearson", resamples, confidence, seed),
-                spearman=spearman(a, h),
+                spearman=r_spearman,
                 spearman_ci=bootstrap_ci(a, h, "spearman", resamples, confidence, seed),
-                kendall=row_kendall,
+                kendall=r_kendall,
                 kendall_ci=bootstrap_ci(
                     a, h, "kendall", resamples, confidence, seed, kendall_variant
                 ),

@@ -46,6 +46,12 @@ def score_args(world, out, variant="g1,r1", extra=()):
     ]
 
 
+def cache_counts(report):
+    """The numbers on cache-stats's hits, misses, vectors and memory lines."""
+    lines = dict(line.split(": ", 1) for line in report.splitlines())
+    return {name: int(lines[name].split()[0]) for name in ("hits", "misses", "vectors", "memory")}
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -176,7 +182,7 @@ OUT_OF_RANGE = (
        [*WALK_SETTINGS, ("--top", "-1"), ("--top", "0"), ("--sense", "0"), ("--sense", "-2")]]
     + [("meta-eval", flag, value) for flag, value in
        [("--alpha", "0"), ("--alpha", "1"), ("--alpha", "7"), ("--resamples", "0"),
-        ("--resamples", "-1")]]
+        ("--resamples", "-1"), ("--resamples", "100001")]]
 )
 
 
@@ -710,16 +716,39 @@ class TestCacheWorkflow:
         assert main(score_args(world, out, variant="g1",
                                extra=("--cache-persist", str(cache)))) == EX_OK
         assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
-        fresh = capsys.readouterr().out
-        assert "hits: 0" in fresh
-        assert "vectors:" in fresh
+        fresh = cache_counts(capsys.readouterr().out)
+        assert fresh["misses"] > 0 and fresh["vectors"] > 0
 
         assert main(score_args(world, tmp_path / "r2.csv", variant="g1",
                                extra=("--cache-persist", str(cache)))) == EX_OK
         assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
-        warm = capsys.readouterr().out
-        hits = int([l for l in warm.splitlines() if l.startswith("hits:")][0].split()[1])
-        assert hits > 0
+        warm = cache_counts(capsys.readouterr().out)
+        # every vector the warm run looked up was in the file
+        assert warm["misses"] == 0
+        assert warm["hits"] == fresh["hits"] + fresh["misses"]
+        assert warm["vectors"] == fresh["vectors"]
+
+    def test_cache_stats_reports_the_saving_runs_counts(self, world, tmp_path, capsys,
+                                                        monkeypatch):
+        engines = []
+
+        class RecordingEngine(grouge.cli.PprEngine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                engines.append(self)
+
+        monkeypatch.setattr(grouge.cli, "PprEngine", RecordingEngine)
+        cache = tmp_path / "cache.pkl"
+        assert main(score_args(world, tmp_path / "r.csv", variant="g1,g2",
+                               extra=("--cache-persist", str(cache)))) == EX_OK
+        stats = engines[0].stats()
+        assert stats.hits > 0 and stats.misses > 0
+        capsys.readouterr()
+        assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
+        assert cache_counts(capsys.readouterr().out) == {
+            "hits": stats.hits, "misses": stats.misses, "vectors": stats.size,
+            "memory": stats.memory_bytes,
+        }
 
     def test_cache_not_reused_across_walk_settings(self, world, tmp_path, capsys):
         cache = tmp_path / "cache.pkl"
@@ -730,8 +759,14 @@ class TestCacheWorkflow:
                                extra=("--cache-persist", str(cache),
                                       "--alpha", "0.3"))) == EX_OK
         assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
-        out = capsys.readouterr().out
-        assert "hits: 0" in out
+        cold = cache_counts(capsys.readouterr().out)
+        # the file holds the second run's own work: nothing was reused
+        assert main(score_args(world, tmp_path / "r3.csv", variant="g1",
+                               extra=("--cache-persist", str(tmp_path / "cold.pkl"),
+                                      "--alpha", "0.3"))) == EX_OK
+        assert main(["cache-stats", "--cache", str(tmp_path / "cold.pkl")]) == EX_OK
+        assert cold == cache_counts(capsys.readouterr().out)
+        assert cold["misses"] > 0
 
     def test_capacity_zero_keeps_the_persisted_cache(self, world, tmp_path, capsys):
         cache = tmp_path / "cache.pkl"
@@ -762,6 +797,7 @@ class TestCacheWorkflow:
         assert main(score_args(world, tmp_path / "warm.csv", variant="g1,r2",
                                extra=("--cache-persist", str(cache)))) == EX_OK
         whole = cache.read_bytes()
+        cold_stats = pickle.loads(whole)["stats"]
         damaged = b"" if damage == "empty" else whole[: len(whole) // 2]
         cache.write_bytes(damaged)
         assert main(["cache-stats", "--cache", str(cache)]) == EX_FATAL
@@ -782,7 +818,9 @@ class TestCacheWorkflow:
             assert runs["damaged"] == runs["cold"]
             assert "cannot read cache file" in caplog.text
             assert main(["cache-stats", "--cache", str(cache)]) == EX_OK  # overwritten
-            assert "hits: 0" in capsys.readouterr().out
+            counts = cache_counts(capsys.readouterr().out)
+            assert counts["misses"] == cold_stats["misses"] > 0
+            assert counts["hits"] == cold_stats["hits"]
 
     @pytest.mark.parametrize("version", [1, 2], ids=["version-1", "version-2"])
     def test_cache_file_in_the_old_format_is_refused(self, world, tmp_path, caplog, version):
@@ -813,8 +851,8 @@ class TestCacheWorkflow:
         assert f"persisted cache {cache} does not match" in caplog.text
         assert warm.read_bytes() == cold.read_bytes()
         saved = pickle.loads(cache.read_bytes())
-        assert saved["stats"]["preloaded"] == 0
         assert saved["stats"] == payload["stats"]  # the cold run's work, written over
+        assert saved["stats"]["misses"] > 0
         assert saved.keys() == payload.keys() and saved["meta"] == payload["meta"]
 
     def test_cache_file_from_before_sense_id_node_order_is_refused(self, world, tmp_path,
@@ -837,7 +875,8 @@ class TestCacheWorkflow:
         assert f"persisted cache {cache} does not match" in caplog.text
         assert warm.read_bytes() == cold.read_bytes()
         saved = pickle.loads(cache.read_bytes())
-        assert saved["stats"]["preloaded"] == 0
+        assert saved["stats"] == payload["stats"]  # the cold run's work, written over
+        assert saved["stats"]["misses"] > 0
         assert saved["meta"] == payload["meta"]
 
     def test_missing_cache_file_fatal(self, tmp_path):
@@ -861,9 +900,7 @@ class TestImport:
 class TestVersion:
     def test_version_prints(self, capsys):
         assert main(["--version"]) == EX_OK
-        out = capsys.readouterr().out
-        assert "grouge 0.1.0" in out
-        assert "last cache" in out
+        assert capsys.readouterr().out == "grouge 0.1.0\n"
 
     def test_version_does_not_unpickle_cache_file(self, tmp_path, monkeypatch, capsys):
         class Planted:
@@ -873,10 +910,9 @@ class TestVersion:
         marker = tmp_path / "marker"
         payload = pickle.dumps(Planted())
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("GROUGE_CACHE_FILE", raising=False)
         (tmp_path / "grouge-cache.pkl").write_bytes(payload)
         assert main(["--version"]) == EX_OK
-        assert "last cache: grouge-cache.pkl" in capsys.readouterr().out
+        assert capsys.readouterr().out == "grouge 0.1.0\n"
         assert not marker.exists()
         pickle.loads(payload).close()  # the planted file does run code when unpickled
         assert marker.exists()

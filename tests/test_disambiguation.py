@@ -7,7 +7,6 @@ from grouge import (
     align_disambiguate,
     build_word_types,
     disambiguate_pair,
-    load_dictionary,
     load_graph,
     tokenize,
 )
@@ -125,16 +124,6 @@ class TestDisambiguatePair:
         assert by_stem["stroll"].senses == (sense(1),)
         assert by_stem["walk"].senses == (sense(3),)
         assert by_stem["jump"].is_oov
-
-    def test_build_word_types_pos_tags_restrict_candidates(self):
-        g = load_graph(["u:00000001-n v:00000002-v"])
-        d = load_dictionary(["fire 00000001-n:2 00000002-v:1"], g)
-        text = tokenize("fire")
-        unrestricted = build_word_types(text, d)[0]
-        assert len(unrestricted.senses) == 2
-        restricted = build_word_types(text, d, pos_tags={"fire": "v"})[0]
-        assert restricted.pos == "v"
-        assert [s.pos for s in restricted.senses] == ["v"]
 
 
 class TestBruteForceOracle:

@@ -407,7 +407,7 @@ class TestEngine:
         reloaded = fresh.ppr_for_sense(sense(3))
         assert np.array_equal(reloaded.idx, vec.idx)
         assert np.array_equal(reloaded.weights, vec.weights)
-        assert fresh.stats().preloaded_hits == 1
+        assert (fresh.stats().hits, fresh.stats().misses) == (1, 0)
 
         mismatched = PprEngine(path_graph)
         assert not mismatched.load_cache(cache_file, {"graph_sha256": "zzz"})
@@ -465,7 +465,9 @@ class TestEngine:
         cache_file.write_bytes(pickle.dumps(payload))
         engine = PprEngine(path_graph)
         assert not engine.load_cache(cache_file, meta)
-        assert engine.stats().size == engine.stats().preloaded == 0
+        assert engine.stats().size == 0
+        engine.ppr_for_sense(sense(3))
+        assert (engine.stats().hits, engine.stats().misses) == (0, 1)
 
     def test_cache_file_in_command_line_meta_format_loads(self, tmp_path, path_graph):
         # the command line used to put the walk settings into meta itself;
@@ -490,7 +492,7 @@ class TestEngine:
         reloaded = engine.ppr_for_sense(sense(3))
         assert np.array_equal(reloaded.idx, vec.idx)
         assert np.array_equal(reloaded.weights, vec.weights)
-        assert engine.stats().preloaded_hits == 1
+        assert (engine.stats().hits, engine.stats().misses) == (1, 0)
         assert not PprEngine(path_graph, PprConfig(alpha=0.3)).load_cache(
             cache_file, {"graph_sha256": "abc", "dict_sha256": "def"}
         )

@@ -18,7 +18,7 @@ from grouge import (
     sim_sem,
     tokenize,
 )
-from grouge.cli import system_means
+from grouge.cli import _system_table
 from grouge.ppr import DEFAULT_CACHE_CAPACITY
 from grouge.rouge import grams_for
 from grouge.disambiguation import build_word_types, disambiguate_pair
@@ -601,10 +601,10 @@ class TestScoreBatch:
         (models / "t2.M0.txt").write_text("w0\n")
         report = score_batch(peers, models, cfg_for(), engine, dictionary,
                              variants=("r1",))
-        means = system_means(report.rows)["r1"]
-        assert set(means) == {"A", "B"}
+        table = _system_table(report.rows, ["A", "B"], {"human": np.array([1.0, 2.0])})
+        assert table.systems == ["A", "B"]
         expected_a = (report.score("t1", "A", "r1") + report.score("t2", "A", "r1")) / 2
-        assert means["A"] == expected_a
+        assert table.auto["r1"][0] == expected_a
 
     def test_debug_lines_collected(self, tmp_path, setting):
         graph, dictionary, engine = setting
