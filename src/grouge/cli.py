@@ -165,7 +165,7 @@ def _add_scoring_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-oov", action="store_true",
                      help="do not inject out-of-vocabulary dimensions")
     sub.add_argument("--jobs", type=int, default=1,
-                     help="accepted for compatibility and ignored; scoring runs on one thread")
+                     help="accepted for compatibility and ignored; walks use every usable CPU")
     sub.add_argument("--cache-capacity", type=int,
                      help="walk-vector cache size, at least 0; 0 disables caching")
     sub.add_argument("--cache-persist", nargs="?", const=DEFAULT_CACHE_FILE, default=None,

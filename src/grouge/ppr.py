@@ -35,14 +35,22 @@ isolated seed is walked from its uniform seed distribution, because that
 seed's restart mass leaks to the other seeds. A single vector stores every
 positive entry of its column, so scattering its weights back through its
 rank table restores the column bit for bit.
+
+Columns are independent: a column's bits do not depend on the other
+columns of its pass, nor a composed vector on the other sets of its batch.
+So each walk pass is split by columns, and each batch of composed sets by
+set, into one share per CPU the process may run on (``_by_share``); the
+calling thread computes one share, and only it touches the cache.
 """
 
 from __future__ import annotations
 
+import os
 import pickle
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +60,44 @@ from .graph import SemanticGraph, SenseId
 _BATCH_COLUMNS = 256
 DEFAULT_CACHE_CAPACITY = 200_000  # walk vectors an engine keeps
 _SIM_MEMO_CAPACITY = 1 << 20  # sense pairs whose similarity the engine keeps
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+_THREADS = _usable_cpus()  # shares per walk pass and per batch of composed sets
+_pools: dict[int, ThreadPoolExecutor] = {}  # by worker count; threads start on first use
+
+
+def _by_share(fn: Callable[[Sequence], list], items: Sequence) -> list:
+    """fn applied to consecutive shares of items, one share per usable CPU,
+    with the results joined in item order.
+
+    The calling thread computes the last share, which is the largest, and
+    then waits for the worker threads' shares. fn must only read what is
+    shared, so a result does not depend on the number of shares or on
+    scheduling.
+    """
+    parts = min(_THREADS, len(items))
+    if parts <= 1:
+        return fn(items)
+    pool = _pools.get(parts - 1)
+    if pool is None:
+        pool = _pools[parts - 1] = ThreadPoolExecutor(parts - 1, "grouge-ppr")
+    bounds = [len(items) * i // parts for i in range(parts + 1)]
+    futures = [pool.submit(fn, items[a:b]) for a, b in zip(bounds[:-2], bounds[1:-1])]
+    try:
+        last = fn(items[bounds[-2] :])
+    finally:
+        wait(futures)
+    results = []
+    for future in futures:
+        results += future.result()
+    return results + last
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,16 +176,25 @@ def _seed_key(graph: SemanticGraph, seeds: Iterable[SenseId]) -> tuple[int, ...]
 
 
 def _run_walk(graph: SemanticGraph, v0: np.ndarray, cfg: PprConfig) -> np.ndarray:
-    """Apply the walk update to every column of v0 simultaneously."""
-    trans, dangling = graph.transition, graph.dangling
+    """Apply the walk update to every column of v0 simultaneously.
+
+    A column's bits do not depend on the other columns of v0. Mass reaches
+    a dangling node only where it is a seed (it has no neighbours), so a
+    column's dangling mass is the sum of its own dangling seed entries in
+    ascending node index, which ``np.bincount`` adds one by one.
+    """
+    trans = graph.transition
     keep = 1.0 - cfg.alpha
     rows, cols = np.nonzero(v0)
     seeds = v0[rows, cols]
+    dead = graph.degree[rows] == 0
+    dead_rows, dead_cols = rows[dead], cols[dead]
     restart = seeds * cfg.alpha
     v = v0
     for _ in range(cfg.iterations):
-        if len(dangling):
-            restart = seeds * (keep * v[dangling, :].sum(axis=0) + cfg.alpha)[cols]
+        if len(dead_rows):
+            mass = np.bincount(dead_cols, weights=v[dead_rows, dead_cols], minlength=v0.shape[1])
+            restart = seeds * (keep * mass + cfg.alpha)[cols]
         v = trans @ v
         v *= keep
         v[rows, cols] += restart
@@ -171,12 +226,17 @@ def _walk(
     graph: SemanticGraph, keys: Sequence[tuple[int, ...]], cfg: PprConfig
 ) -> list[PprVector]:
     """One walk pass, one column per seed key, each starting uniform over
-    its seeds; the vectors come back in key order."""
-    v0 = np.zeros((graph.node_count, len(keys)), dtype=np.float64)
-    for col, key in enumerate(keys):
-        v0[list(key), col] = 1.0 / len(key)
-    v = _run_walk(graph, v0, cfg)
-    return [_compress(graph, v[:, col]) for col in range(len(keys))]
+    its seeds; the vectors come back in key order. Each share of the keys
+    (``_by_share``) is walked and compressed on a thread of its own."""
+
+    def walk_share(share: Sequence[tuple[int, ...]]) -> list[PprVector]:
+        v0 = np.zeros((graph.node_count, len(share)), dtype=np.float64)
+        for col, key in enumerate(share):
+            v0[list(key), col] = 1.0 / len(key)
+        v = _run_walk(graph, v0, cfg)
+        return [_compress(graph, v[:, col]) for col in range(len(share))]
+
+    return _by_share(walk_share, keys)
 
 
 def _composes(graph: SemanticGraph, key: tuple[int, ...]) -> bool:
@@ -321,14 +381,18 @@ class PprEngine:
                         walks[(i,)] = None
                     else:
                         singles[i] = vec
-        walked: dict[tuple[int, ...], PprVector] = {}
+        computed: dict[tuple[int, ...], PprVector] = {}
         order = list(walks)
         for start in range(0, len(order), _BATCH_COLUMNS):
             chunk = order[start : start + _BATCH_COLUMNS]
-            walked.update(zip(chunk, _walk(graph, chunk, self.cfg)))
-        singles.update((key[0], vec) for key, vec in walked.items() if len(key) == 1)
+            computed.update(zip(chunk, _walk(graph, chunk, self.cfg)))
+        singles.update((key[0], vec) for key, vec in computed.items() if len(key) == 1)
+        composed = [key for key in missing if key not in computed]
+        computed.update(zip(composed, _by_share(
+            lambda share: [_compose(graph, key, singles) for key in share], composed
+        )))
         for key in missing:
-            vectors[key] = walked[key] if key in walked else _compose(graph, key, singles)
+            vectors[key] = computed[key]
             self._vectors.put(key, vectors[key])
         return [vectors[key] for key in keys]
 

@@ -42,7 +42,9 @@ def walk_reference(graph, v0: np.ndarray, alpha: float = 0.15, iterations: int =
     apply the adjacency, and add the restart times V(0) at every entry.
 
     Sums the same terms in the same order as the library kernel, so the
-    two must agree bit for bit.
+    two must agree bit for bit. A column's dangling mass adds its entries
+    at the dangling nodes one at a time in ascending node index, whatever
+    other columns v0 holds.
     """
     adj = graph.adjacency
     degree = np.asarray(adj.sum(axis=1)).ravel()
@@ -54,7 +56,9 @@ def walk_reference(graph, v0: np.ndarray, alpha: float = 0.15, iterations: int =
     v = v0.copy()
     for _ in range(iterations):
         flow = adj @ (v * inv_deg)
-        dangling_mass = v[dangling, :].sum(axis=0) if len(dangling) else 0.0
+        dangling_mass = np.zeros(v.shape[1])
+        for i in dangling:
+            dangling_mass += v[i, :]
         v = (1.0 - alpha) * flow + v0 * ((1.0 - alpha) * dangling_mass + alpha)
     return v
 

@@ -353,19 +353,19 @@ def test_walk_plan_walks_each_seed_set_once_in_two_passes_per_peer(big_world, mo
     graph, dictionary = load_world(big_world)
     passes: list[int] = []
     seeds_per_column: list[int] = []
-    run_walk = grouge.ppr._run_walk
+    walk = grouge.ppr._walk
     parts_by_family = grouge.scorer.parts_by_family
 
-    def counted_walk(graph, v0, cfg):
+    def counted_walk(graph, keys, cfg):
         passes[-1] += 1
-        seeds_per_column.extend(np.count_nonzero(v0, axis=0).tolist())
-        return run_walk(graph, v0, cfg)
+        seeds_per_column.extend(len(key) for key in keys)
+        return walk(graph, keys, cfg)
 
     def planned(*args, **kwargs):
         passes.append(0)
         return parts_by_family(*args, **kwargs)
 
-    monkeypatch.setattr(grouge.ppr, "_run_walk", counted_walk)
+    monkeypatch.setattr(grouge.ppr, "_walk", counted_walk)
     monkeypatch.setattr(grouge.scorer, "parts_by_family", planned)
     engine = PprEngine(graph)
     score_batch(

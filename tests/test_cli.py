@@ -125,6 +125,22 @@ class TestScoreCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_byte_identical_across_thread_counts(self, world, tmp_path, monkeypatch, capsys):
+        """Walk passes and composed batches split into 1, 2 or 3 shares
+        give the same CSV, .meta.json, --debug-senses lines and cache file."""
+        outputs = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(grouge.ppr, "_THREADS", threads)
+            run = tmp_path / str(threads)
+            run.mkdir()
+            out = run / "report.csv"
+            extra = ("--debug-senses", "--cache-persist", str(tmp_path / f"cache{threads}.pkl"))
+            assert main(score_args(world, out, "g1,g2,gsu4,r1", extra)) == EX_OK
+            outputs.append((out.read_bytes(), out.with_suffix(".csv.meta.json").read_bytes(),
+                            (tmp_path / f"cache{threads}.pkl").read_bytes(),
+                            capsys.readouterr().out))
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_relation_line_order_does_not_change_scores(self, tmp_path):
         # mirror senses of the symmetric graph tie; listing its edges in
         # another order must not change which way a tie is broken

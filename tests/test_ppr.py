@@ -1,4 +1,5 @@
 import pickle
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -136,6 +137,20 @@ def random_graphs(rng):
         yield labelled_graph(edges, n, rng, [i for i in range(n) if i not in touched])
 
 
+def ring_with_isolated(rng):
+    """A 30-node ring beside 30 isolated nodes, and seed sets of 6 to 27
+    isolated seeds plus 0 to 2 ring seeds: sets whose dangling mass can
+    change in the last bits when it is summed in another grouping."""
+    g = labelled_graph([(i, (i + 1) % 30) for i in range(30)], 60, rng, range(30, 60))
+    linked, isolated = np.flatnonzero(g.degree), g.dangling
+    sets = [
+        sorted(rng.choice(isolated, size=k, replace=False).tolist()
+               + rng.choice(linked, size=int(rng.integers(0, 3)), replace=False).tolist())
+        for k in range(6, 28)
+    ]
+    return g, sets
+
+
 def seed_sets(graph, rng, count):
     n = graph.node_count
     sets = [[int(i)] for i in rng.choice(n, size=min(n, count), replace=False)]
@@ -186,6 +201,18 @@ class TestKernelOracle:
         for g in graphs:
             self.check(g, seed_sets(g, rng, 10))
 
+    def test_a_column_does_not_depend_on_its_pass(self):
+        """Seed sets with many isolated seeds walk to the same bits alone
+        and beside another column: each column sums its own dangling mass."""
+        g, sets = ring_with_isolated(np.random.default_rng(16))
+        for seeds in sets:
+            v0 = np.zeros((g.node_count, 2))
+            v0[seeds, 0] = 1.0 / len(seeds)
+            v0[np.flatnonzero(g.degree)[0], 1] = 1.0
+            beside = _run_walk(g, v0, PprConfig())[:, 0]
+            assert np.array_equal(_run_walk(g, v0[:, :1], PprConfig())[:, 0], beside)
+        self.check(g, sets)
+
     def test_acceptance_world(self, tmp_path):
         path = tmp_path / "relations.txt"
         write_graph(path, 10_000, extra_edges=10_000, seed=202)
@@ -202,15 +229,15 @@ def dense(vec, n):
 
 
 def walked_columns(monkeypatch) -> list[int]:
-    """The seed count of every column ``_run_walk`` walks from now on."""
+    """The seed count of every column a ``_walk`` pass walks from now on."""
     columns: list[int] = []
-    run_walk = grouge.ppr._run_walk
+    walk = grouge.ppr._walk
 
-    def counted(graph, v0, cfg):
-        columns.extend(np.count_nonzero(v0, axis=0).tolist())
-        return run_walk(graph, v0, cfg)
+    def counted(graph, keys, cfg):
+        columns.extend(len(key) for key in keys)
+        return walk(graph, keys, cfg)
 
-    monkeypatch.setattr(grouge.ppr, "_run_walk", counted)
+    monkeypatch.setattr(grouge.ppr, "_walk", counted)
     return columns
 
 
@@ -320,6 +347,71 @@ class TestComposition:
                 assert np.max(np.abs(difference)) <= 1e-15
         print(f"\n{differ} of {total} tie-graph seed sets rank differently from the walk")
         assert total > 300
+
+
+def as_bytes(vectors):
+    return [(vec.idx.tobytes(), vec.weights.tobytes()) for vec in vectors]
+
+
+class TestThreadCounts:
+    """Each walk pass is split by columns, and each batch of composed sets
+    by set, into one share per usable CPU (``_THREADS``); no bit of a
+    vector, a count or a cache file depends on the number of shares."""
+
+    def graphs(self):
+        rng = np.random.default_rng(21)
+        for g, sets in [*((g, []) for g in random_graphs(rng)), ring_with_isolated(rng)]:
+            sets = sets + seed_sets(g, rng, 10) + linked_seed_sets(g, rng, (2, 3, 4, 5, 6))
+            yield g, [tuple(sorted(set(nodes))) for nodes in sets]
+
+    def test_a_pass_is_one_share_per_thread_and_the_caller_walks_one(self, path_graph,
+                                                                    monkeypatch):
+        shares = []  # (width, walked on the calling thread) per _run_walk call
+        run_walk = grouge.ppr._run_walk
+        caller = threading.current_thread()
+
+        def recorded(graph, v0, cfg):
+            shares.append((v0.shape[1], threading.current_thread() is caller))
+            return run_walk(graph, v0, cfg)
+
+        monkeypatch.setattr(grouge.ppr, "_run_walk", recorded)
+        monkeypatch.setattr(grouge.ppr, "_THREADS", 3)
+        keys = [(i,) for i in range(5)]
+        for width, want in ((5, [(1, False), (2, False), (2, True)]),
+                            (2, [(1, False), (1, True)]), (1, [(1, True)])):
+            shares.clear()
+            _walk(path_graph, keys[:width], PprConfig())
+            assert sorted(shares) == want
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_walk_passes_are_bit_identical(self, monkeypatch, threads):
+        for g, keys in self.graphs():
+            for width in (1, 2, 3, 7, len(keys)):
+                vectors = []
+                for count in (1, threads):
+                    monkeypatch.setattr(grouge.ppr, "_THREADS", count)
+                    vectors.append(as_bytes(_walk(g, keys[:width], PprConfig())))
+                assert vectors[0] == vectors[1]
+
+    @pytest.mark.parametrize("capacity", [0, 4, grouge.ppr.DEFAULT_CACHE_CAPACITY])
+    def test_engine_vectors_stats_and_cache_file_are_identical(self, monkeypatch, tmp_path,
+                                                               capacity):
+        runs = []
+        for threads in (1, 2, 3):
+            monkeypatch.setattr(grouge.ppr, "_THREADS", threads)
+            run = []
+            for n, (g, keys) in enumerate(self.graphs()):
+                sets = [[g.sense_at(i) for i in key] for key in keys]
+                engine = PprEngine(g, cache_capacity=capacity)
+                run.append(as_bytes(engine.prime_seed_sets(sets)))
+                run.append(as_bytes(engine.prime_seed_sets(sets[::-1])))
+                run.append(as_bytes(compute_ppr(g, seeds) for seeds in sets))
+                run.append(engine.stats())
+                path = tmp_path / f"{threads}-{n}.pkl"
+                engine.save_cache(path, {"graph": n})
+                run.append(path.read_bytes())
+            runs.append(run)
+        assert runs[0] == runs[1] == runs[2]
 
 
 class TestEngine:
@@ -499,13 +591,13 @@ class TestEngine:
 
     def test_capacity_zero_priming_returns_vectors_and_keeps_none(self, path_graph, monkeypatch):
         walked = []  # the seed nodes of every walked column
-        run_walk = grouge.ppr._run_walk
+        walk = grouge.ppr._walk
 
-        def recorded_walk(graph, v0, cfg):
-            walked.extend(tuple(np.flatnonzero(v0[:, col])) for col in range(v0.shape[1]))
-            return run_walk(graph, v0, cfg)
+        def recorded_walk(graph, keys, cfg):
+            walked.extend(keys)
+            return walk(graph, keys, cfg)
 
-        monkeypatch.setattr(grouge.ppr, "_run_walk", recorded_walk)
+        monkeypatch.setattr(grouge.ppr, "_walk", recorded_walk)
         engine = PprEngine(path_graph, cache_capacity=0)
         sets = [[sense(2)], [sense(1), sense(5)], [sense(2)], [sense(5), sense(1)],
                 [sense(3), sense(5)]]
