@@ -16,7 +16,6 @@ from .ppr import (
 )
 from .similarity import insert_oov, sim_sem
 from .disambiguation import (
-    SenseAssignment,
     WordType,
     align_disambiguate,
     build_word_types,
@@ -25,8 +24,6 @@ from .disambiguation import (
 from .text import SummaryText, stem, stopwords, tokenize
 from .rouge import (
     BOS_MARKER,
-    NGram,
-    NGramMultiset,
     extract_ngrams,
     extract_su4,
 )
@@ -60,8 +57,6 @@ __all__ = [
     "Dictionary",
     "GrougeConfig",
     "JudgmentTable",
-    "NGram",
-    "NGramMultiset",
     "ParseError",
     "PprConfig",
     "PprEngine",
@@ -69,7 +64,6 @@ __all__ = [
     "ScoreParts",
     "ScoreReport",
     "SemanticGraph",
-    "SenseAssignment",
     "SenseId",
     "SummaryText",
     "WilliamsResult",

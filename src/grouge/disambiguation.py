@@ -9,7 +9,7 @@ signal, so the procedure is symmetric and deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -34,21 +34,6 @@ class AssignedWord:
     word: WordType
     sense: SenseId | None  # None marks OOV
     support: float
-
-
-@dataclass(frozen=True)
-class SenseAssignment:
-    entries: tuple[AssignedWord, ...]
-
-    def __iter__(self) -> Iterator[AssignedWord]:
-        return iter(self.entries)
-
-    def senses(self) -> tuple[SenseId, ...]:
-        """Assigned senses, duplicate-free, in entry order."""
-        return tuple(dict.fromkeys(e.sense for e in self.entries if e.sense is not None))
-
-    def oov_stems(self) -> tuple[str, ...]:
-        return tuple(dict.fromkeys(e.word.stem for e in self.entries if e.sense is None))
 
 
 def build_word_types(text: SummaryText, dictionary: Dictionary) -> list[WordType]:
@@ -78,7 +63,7 @@ class SimilarityTable:
         self.values = np.array(cells, dtype=np.float64).reshape(len(self.rows), len(self.columns))
 
 
-def _assign(words: Sequence[WordType], index: dict, best: np.ndarray) -> SenseAssignment:
+def _assign(words: Sequence[WordType], index: dict, best: np.ndarray) -> tuple[AssignedWord, ...]:
     """Give each word its candidate sense s with the largest best[index[s]];
     np.argmax returns the first maximum, so a tie keeps the lowest rank."""
     if not words:
@@ -91,22 +76,23 @@ def _assign(words: Sequence[WordType], index: dict, best: np.ndarray) -> SenseAs
         scores = best[[index[s] for s in word.senses]]
         k = int(np.argmax(scores))
         entries.append(AssignedWord(word, word.senses[k], float(scores[k])))
-    return SenseAssignment(tuple(entries))
+    return tuple(entries)
 
 
 def align_disambiguate(
     item: Sequence[WordType],
     context: Sequence[WordType],
     engine: PprEngine,
-) -> SenseAssignment:
+) -> tuple[AssignedWord, ...]:
     """Assign each item word the sense closest to any context sense.
 
     An item sense's score is its row maximum in the item × context
     ``SimilarityTable``. Ties prefer the lower sense rank. When the context
     has no senses at all, every word keeps its rank-1 sense with support 0
-    (the maximum's initial value). OOV words are marked as such. Sense vectors
-    missing from the engine's cache are walked one at a time, so callers
-    scoring many words prime them first (see ``PprEngine.prime_senses``).
+    (the maximum's initial value). OOV words are marked as such. A cell
+    missing from the engine's similarity memo gets both of its sense vectors
+    from one ``PprEngine.prime_seed_sets`` call, which walks the uncached
+    ones together in one pass.
     """
     table = SimilarityTable(item, context, engine)
     return _assign(item, table.rows, table.values.max(axis=1, initial=0.0))
@@ -117,7 +103,7 @@ def disambiguate_pair(
     peer_text: Sequence[WordType],
     engine: PprEngine,
     table: SimilarityTable | None = None,
-) -> tuple[SenseAssignment, SenseAssignment]:
+) -> tuple[tuple[AssignedWord, ...], tuple[AssignedWord, ...]]:
     """Disambiguate each side against the other as context.
 
     table's rows include the model's senses and its columns are the peer's

@@ -70,7 +70,9 @@ def _usable_cpus() -> int:
 
 
 _THREADS = _usable_cpus()  # shares per walk pass and per batch of composed sets
-_pools: dict[int, ThreadPoolExecutor] = {}  # by worker count; threads start on first use
+# The one pool of _THREADS - 1 worker threads, with the _THREADS it was made for.
+# It is remade only when _THREADS changes; its threads start on the first split.
+_pool: tuple[int, ThreadPoolExecutor] | None = None
 
 
 def _by_share(fn: Callable[[Sequence], list], items: Sequence) -> list:
@@ -82,12 +84,15 @@ def _by_share(fn: Callable[[Sequence], list], items: Sequence) -> list:
     shared, so a result does not depend on the number of shares or on
     scheduling.
     """
+    global _pool
     parts = min(_THREADS, len(items))
     if parts <= 1:
         return fn(items)
-    pool = _pools.get(parts - 1)
-    if pool is None:
-        pool = _pools[parts - 1] = ThreadPoolExecutor(parts - 1, "grouge-ppr")
+    if _pool is None or _pool[0] != _THREADS:
+        if _pool is not None:
+            _pool[1].shutdown()
+        _pool = _THREADS, ThreadPoolExecutor(_THREADS - 1, "grouge-ppr")
+    pool = _pool[1]
     bounds = [len(items) * i // parts for i in range(parts + 1)]
     futures = [pool.submit(fn, items[a:b]) for a, b in zip(bounds[:-2], bounds[1:-1])]
     try:

@@ -21,17 +21,18 @@ from __future__ import annotations
 import csv
 import functools
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .disambiguation import SenseAssignment, SimilarityTable, build_word_types, disambiguate_pair
+from .disambiguation import AssignedWord, SimilarityTable, build_word_types, disambiguate_pair
 from .fileio import write_atomic
 from .graph import Dictionary, SemanticGraph, SenseId
 from .ppr import PprEngine, PprVector
-from .rouge import NGramMultiset, clipped_matches, grams_for
+from .rouge import clipped_matches, content_terms, grams_for
 from .similarity import insert_oov, sim_sem
 from .text import SummaryText, tokenize
 
@@ -121,7 +122,7 @@ def _signature(
     return vec if vec else None
 
 
-def _debug_lines(pair: tuple[SenseAssignment, SenseAssignment] | None) -> list[str]:
+def _debug_lines(pair: tuple[tuple[AssignedWord, ...], ...] | None) -> list[str]:
     lines = []
     for label, assignment in zip(("model", "peer"), pair or ()):
         lines.append(f"# side={label}")
@@ -138,12 +139,12 @@ def parts_by_family(
     engine: PprEngine | None,
     dictionary: Dictionary | None,
     oov_enabled: bool = True,
-    gram_sets: Mapping[SummaryText, Mapping[str, NGramMultiset]] | None = None,
+    gram_sets: Mapping[SummaryText, Mapping[str, Counter[tuple[str, ...]]]] | None = None,
     debug: list[list[str]] | None = None,
 ) -> dict[str, ScoreParts]:
     """Score parts of one peer per gram family, summed over its models.
 
-    gram_sets maps every text to its gram multisets by family; without it
+    gram_sets maps every text to its gram counts by family; without it
     they are extracted here. Without an engine only the lexical parts are
     computed. When debug is given, each pair's sense assignment lines are
     appended to it, one list per model.
@@ -167,7 +168,7 @@ def parts_by_family(
             text: {family: grams_for(text, family) for family in families}
             for text in (peer, *models)
         }
-    pairs: list[tuple[SenseAssignment, SenseAssignment] | None] = [None] * len(models)
+    pairs: list[tuple[tuple[AssignedWord, ...], ...] | None] = [None] * len(models)
     semantic = [dict.fromkeys(families, 0.0) for _ in models]
     if engine is not None and peer.token_count:
         word_types = {
@@ -183,9 +184,9 @@ def parts_by_family(
                 continue
             pairs[i] = disambiguate_pair(word_types[model], word_types[peer], engine, table)
             model_senses, peer_senses = ({e.word.stem: e.sense for e in side} for side in pairs[i])
-            grams = dict.fromkeys(g for f in families for g, _ in gram_sets[model][f].items())
+            grams = dict.fromkeys(g for f in families for g in gram_sets[model][f])
             plans.append((i, _signature_key(list(peer_senses), peer_senses, oov_enabled), {
-                gram: _signature_key(gram.content_terms(), model_senses, oov_enabled)
+                gram: _signature_key(content_terms(gram), model_senses, oov_enabled)
                 for gram in grams
             }))
         seed_sets = list(dict.fromkeys(
@@ -213,7 +214,7 @@ def parts_by_family(
         for family in families:
             grams = gram_sets[model][family]
             lexical = float(clipped_matches(grams, peer_grams[family]))
-            out[family] = out[family] + ScoreParts(lexical, semantic[i][family], float(grams.total))
+            out[family] += ScoreParts(lexical, semantic[i][family], float(grams.total()))
     return out
 
 
@@ -324,7 +325,7 @@ def score_batch(
             remove_stopwords=remove_stopwords,
         )
 
-    def gram_sets_of(text: SummaryText) -> dict[str, NGramMultiset]:
+    def gram_sets_of(text: SummaryText) -> dict[str, Counter[tuple[str, ...]]]:
         return {family: grams_for(text, family) for family in families}
 
     model_topics = sorted({topic for topic, _ in models})
@@ -350,7 +351,7 @@ def score_batch(
     systems = sorted({system for _, system in peers})
 
     def score_peer(
-        topic: str, system: str, model_grams: dict[SummaryText, dict[str, NGramMultiset]]
+        topic: str, system: str, model_grams: dict[SummaryText, dict[str, Counter[tuple[str, ...]]]]
     ) -> tuple[dict[str, ScoreParts], list[str]]:
         peer_path = peers.get((topic, system))
         if peer_path is None:

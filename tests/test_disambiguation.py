@@ -37,8 +37,8 @@ class TestAlignDisambiguate:
         poly = word("poly", sense(1), sense(3))
         ctx = word("ctx", sense(2))
         assignment = align_disambiguate([poly], [ctx], engine)
-        assert assignment.entries[0].sense == sense(1)
-        assert assignment.entries[0].support > 0.0
+        assert assignment[0].sense == sense(1)
+        assert assignment[0].support > 0.0
 
     def test_monosemous_word_keeps_its_only_sense(self):
         g = graph_from_edges([(1, 2), (3, 4)])
@@ -46,7 +46,7 @@ class TestAlignDisambiguate:
         mono = word("mono", sense(4))
         ctx = word("ctx", sense(1))
         assignment = align_disambiguate([mono], [ctx], engine)
-        assert assignment.entries[0].sense == sense(4)
+        assert assignment[0].sense == sense(4)
 
     def test_no_context_senses_falls_back_to_rank_one(self):
         g = graph_from_edges([(1, 2), (3, 4)])
@@ -54,22 +54,22 @@ class TestAlignDisambiguate:
         poly = word("poly", sense(3), sense(1))
         oov_ctx = word("xyz")
         assignment = align_disambiguate([poly], [oov_ctx], engine)
-        assert assignment.entries[0].sense == sense(3)
-        assert assignment.entries[0].support == 0.0
+        assert assignment[0].sense == sense(3)
+        assert assignment[0].support == 0.0
 
     def test_oov_words_marked(self):
         g = graph_from_edges([(1, 2)])
         engine = PprEngine(g)
         assignment = align_disambiguate([word("xyz")], [word("ctx", sense(1))], engine)
-        assert assignment.entries[0].sense is None
-        assert assignment.oov_stems() == ("xyz",)
+        assert assignment[0].sense is None
+        assert tuple(e.word.stem for e in assignment if e.sense is None) == ("xyz",)
 
     def test_every_word_receives_exactly_one_outcome(self):
         g = graph_from_edges([(1, 2), (2, 3)])
         engine = PprEngine(g)
         items = [word("a", sense(1)), word("b"), word("c", sense(2), sense(3))]
         assignment = align_disambiguate(items, [word("ctx", sense(2))], engine)
-        assert len(assignment.entries) == len(items)
+        assert len(assignment) == len(items)
         for entry in assignment:
             assert (entry.sense is None) == entry.word.is_oov
 
@@ -78,7 +78,7 @@ class TestAlignDisambiguate:
         engine = PprEngine(g)
         items = [word("a", sense(1), sense(4))]
         assignment = align_disambiguate(items, [word("ctx", sense(2))], engine)
-        assert assignment.entries[0].sense in items[0].senses
+        assert assignment[0].sense in items[0].senses
 
     def test_empty_item_rejected(self):
         g = graph_from_edges([(1, 2)])
@@ -109,10 +109,10 @@ class TestDisambiguatePair:
         model = [word("a", sense(3), sense(1))]
         peer = [word("x"), word("y")]
         model_assignment, peer_assignment = disambiguate_pair(model, peer, engine)
-        assert model_assignment.entries[0].sense == sense(3)
-        assert model_assignment.entries[0].support == 0.0
-        assert peer_assignment.senses() == ()
-        assert peer_assignment.oov_stems() == ("x", "y")
+        assert model_assignment[0].sense == sense(3)
+        assert model_assignment[0].support == 0.0
+        assert tuple(e.sense for e in peer_assignment if e.sense is not None) == ()
+        assert tuple(e.word.stem for e in peer_assignment if e.sense is None) == ("x", "y")
 
     def test_build_word_types_surface_first_then_stem(self):
         g = graph_from_edges([(1, 2), (3, 4)])

@@ -383,6 +383,18 @@ class TestThreadCounts:
             _walk(path_graph, keys[:width], PprConfig())
             assert sorted(shares) == want
 
+    def test_one_pool_serves_every_share_count(self, monkeypatch):
+        """Splits of any size share one pool of _THREADS - 1 worker threads,
+        and the shares' results come back in item order."""
+        monkeypatch.setattr(grouge.ppr, "_THREADS", 4)
+        for n in (2, 3, 4, 5, 2, 3):
+            items = list(range(n))
+            assert grouge.ppr._by_share(lambda share: [x * 10 for x in share], items) == [
+                x * 10 for x in items
+            ]
+        workers = [t for t in threading.enumerate() if t.name.startswith("grouge-ppr")]
+        assert len(workers) <= 3
+
     @pytest.mark.parametrize("threads", [2, 3])
     def test_walk_passes_are_bit_identical(self, monkeypatch, threads):
         for g, keys in self.graphs():

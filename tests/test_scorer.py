@@ -8,8 +8,6 @@ import grouge.scorer
 from grouge import (
     BOS_MARKER,
     GrougeConfig,
-    NGram,
-    NGramMultiset,
     PprEngine,
     grouge_score,
     load_dictionary,
@@ -20,7 +18,7 @@ from grouge import (
 )
 from grouge.cli import _system_table
 from grouge.ppr import DEFAULT_CACHE_CAPACITY
-from grouge.rouge import grams_for
+from grouge.rouge import content_terms, grams_for
 from grouge.disambiguation import build_word_types, disambiguate_pair
 from grouge.scorer import (
     ScoreParts,
@@ -180,22 +178,21 @@ class TestSignatures:
         grams = {text: {family: grams_for(text, family) for family in families}
                  for text in (model, peer)}
         calls = []
-        content_terms = NGram.content_terms
 
         def counted(gram):
             calls.append(gram)
             return content_terms(gram)
 
-        monkeypatch.setattr(NGram, "content_terms", counted)
+        monkeypatch.setattr(grouge.scorer, "content_terms", counted)
         parts_by_family(peer, [model], families, engine, dictionary, gram_sets=grams)
-        distinct = {gram for family in families for gram, _ in grams[model][family].items()}
+        distinct = {gram for family in families for gram in grams[model][family]}
         assert sorted(calls, key=repr) == sorted(distinct, key=repr)
 
     def test_grams_with_one_seed_key_share_a_signature(self, setting, monkeypatch):
         # the unigram w0 and the marker pair (<s>, w0) have one seed set
         graph, dictionary, engine = setting
         model = tokenize("w0 w1")
-        assert NGram((BOS_MARKER, "w0")) in grams_for(model, "su4")
+        assert (BOS_MARKER, "w0") in grams_for(model, "su4")
         plan = Plan(monkeypatch, engine, dictionary, "w2", ["w0 w1"], families=("1", "su4"))
         keys = [key for key, _ in plan.built]
         assert keys.count((key_of(1), frozenset())) == 1
@@ -242,7 +239,7 @@ class TestOverlapPlan:
         peer, models = tokenize(peer_text), [tokenize(m) for m in model_texts]
         for model in models:
             skips = grams_for(model, "su4")
-            assert NGram(("w0", "w1")) in skips and NGram(("w1", "w0")) in skips
+            assert ("w0", "w1") in skips and ("w1", "w0") in skips
 
         expected = set()
         peer_words = build_word_types(peer, dictionary)
@@ -250,11 +247,15 @@ class TestOverlapPlan:
             model_side, peer_side = disambiguate_pair(
                 build_word_types(model, dictionary), peer_words, engine
             )
-            peer_sig = signature_of(engine, frozenset(peer_side.senses()), peer_side.oov_stems())
+            peer_sig = signature_of(
+                engine,
+                frozenset(e.sense for e in peer_side if e.sense is not None),
+                {e.word.stem for e in peer_side if e.sense is None},
+            )
             sense_of = {e.word.stem: e.sense for e in model_side}
             for family in families:
-                for gram, _ in grams_for(model, family).items():
-                    terms = gram.content_terms()
+                for gram in grams_for(model, family):
+                    terms = content_terms(gram)
                     seeds = frozenset(sense_of[t] for t in terms if sense_of[t] is not None)
                     oov = frozenset(t for t in terms if sense_of[t] is None)
                     expected.add((content(signature_of(engine, seeds, oov)), content(peer_sig)))
@@ -265,14 +266,10 @@ class TestOverlapPlan:
         assert len(plan.built) == len({key for key, _ in plan.built})
 
 
-def one_occurrence(gram: NGram) -> NGramMultiset:
-    return NGramMultiset([gram])
-
-
 def single_gram_parts(peer, model, gram, engine, dictionary) -> ScoreParts:
     """Unigram parts of one occurrence of gram of model against peer, both
     texts disambiguated in full."""
-    gram_sets = {model: {"1": one_occurrence(gram)}, peer: {"1": grams_for(peer, "1")}}
+    gram_sets = {model: {"1": Counter([gram])}, peer: {"1": grams_for(peer, "1")}}
     return parts_by_family(peer, [model], ("1",), engine, dictionary, gram_sets=gram_sets)["1"]
 
 
@@ -283,8 +280,8 @@ class TestSimLs:
     def test_beta_one_equals_count_match(self, setting):
         graph, dictionary, engine = setting
         peer, model = tokenize("w0 w2"), tokenize("w0 w1")
-        assert single_gram_parts(peer, model, NGram(("w0",)), engine, dictionary).blend(1.0) == 1.0
-        assert single_gram_parts(peer, model, NGram(("w1",)), engine, dictionary).blend(1.0) == 0.0
+        assert single_gram_parts(peer, model, ("w0",), engine, dictionary).blend(1.0) == 1.0
+        assert single_gram_parts(peer, model, ("w1",), engine, dictionary).blend(1.0) == 0.0
 
     def test_beta_zero_equals_sim_sem(self, setting):
         graph, dictionary, engine = setting
@@ -293,13 +290,13 @@ class TestSimLs:
             signature_of(engine, key_of(2)),  # w1
             signature_of(engine, key_of(1, 6)),  # the peer: w0 and w2
         )
-        parts = single_gram_parts(peer, model, NGram(("w1",)), engine, dictionary)
+        parts = single_gram_parts(peer, model, ("w1",), engine, dictionary)
         assert parts.blend(0.0) == expected
 
     def test_exact_match_with_identical_signature_scores_one(self, setting):
         graph, dictionary, engine = setting
         text = tokenize("w0")
-        assert single_gram_parts(text, text, NGram(("w0",)), engine, dictionary).blend(0.5) == 1.0
+        assert single_gram_parts(text, text, ("w0",), engine, dictionary).blend(0.5) == 1.0
 
 
 class TestGrougeScore:
