@@ -46,6 +46,7 @@ from .scorer import (
 from .stats import (
     JudgmentTable,
     check_resamples,
+    check_seed,
     check_significance_level,
     coefficients,
     correlate,
@@ -314,10 +315,10 @@ def _correlate_settings(args) -> dict:
     range-checked; the others take correlate's defaults."""
     names = ("alpha", "resamples", "seed", "kendall_variant")
     settings = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    if "alpha" in settings:
-        check_significance_level(settings["alpha"])
-    if "resamples" in settings:
-        check_resamples(settings["resamples"])
+    checks = {"alpha": check_significance_level, "resamples": check_resamples, "seed": check_seed}
+    for name, check in checks.items():
+        if name in settings:
+            check(settings[name])
     return settings
 
 
@@ -428,7 +429,15 @@ def _read_score_rows(path: Path) -> dict[tuple[str, str, str], float]:
         if not required.issubset(reader.fieldnames or ()):
             raise CliError(f"{path}: expected columns {sorted(required)}")
         for row in reader:
-            rows[(row["topic"], row["system"], row["variant"])] = float(row["score"])
+            key = (row["topic"], row["system"], row["variant"])
+            where = f"{path}:{reader.line_num}"
+            if key in rows:
+                raise CliError(f"{where}: repeated row for topic {key[0]}, "
+                               f"system {key[1]}, variant {key[2]}")
+            try:
+                rows[key] = float(row["score"])
+            except (TypeError, ValueError):  # None when the row is short
+                raise CliError(f"{where}: non-numeric score {row['score']!r}") from None
     return rows
 
 

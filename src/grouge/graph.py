@@ -21,7 +21,7 @@ log = logging.getLogger(__name__)
 
 POS_TAGS = ("n", "v", "a", "r")
 
-_SENSE_RE = re.compile(r"^(\d{8})-([nvar])$")
+_OFFSET_RE = re.compile(r"[0-9]{8}")
 
 
 class ParseError(ValueError):
@@ -30,7 +30,8 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True, slots=True, order=True)
 class SenseId:
-    """A sense node: 8-digit zero-padded offset plus pos in {n, v, a, r}.
+    """A sense node: zero-padded offset of 8 ASCII digits plus pos in
+    {n, v, a, r}.
 
     Ids order by (offset, pos); offsets all have 8 digits, so this is the
     order of the canonical strings.
@@ -40,17 +41,19 @@ class SenseId:
     pos: str
 
     def __post_init__(self) -> None:
-        if len(self.offset) != 8 or not self.offset.isdigit():
-            raise ValueError(f"offset must be 8 decimal digits, got {self.offset!r}")
+        if _OFFSET_RE.fullmatch(self.offset) is None:
+            raise ValueError(f"offset must be 8 ASCII digits, got {self.offset!r}")
         if self.pos not in POS_TAGS:
             raise ValueError(f"pos must be one of {POS_TAGS}, got {self.pos!r}")
 
     @classmethod
     def parse(cls, text: str) -> "SenseId":
-        m = _SENSE_RE.match(text)
-        if m is None:
-            raise ValueError(f"not a valid sense id: {text!r}")
-        return cls(m.group(1), m.group(2))
+        """The id of ``offset-pos`` text, checked by the constructor."""
+        try:
+            offset, pos = text.split("-")
+            return cls(offset, pos)
+        except ValueError:
+            raise ValueError(f"not a valid sense id: {text!r}") from None
 
     @property
     def canonical(self) -> str:
@@ -65,10 +68,12 @@ class SemanticGraph:
 
     Nodes are numbered in ascending SenseId order, so ascending node index
     is ascending sense id, whatever order the senses and edges were given
-    in. Edges are stored symmetrically in CSR form; the random-walk kernel
-    treats column j as a uniform distribution over j's neighbours. Nothing
-    changes after construction, so what a run computes on the graph never
-    depends on what it computed before.
+    in. The graph is stored once, as the column-stochastic walk matrix
+    ``transition`` (CSR, P[i, j] = 1/deg(j) for each neighbour i of j, so
+    its sparsity pattern is the symmetric edge set) and each node's
+    neighbour count ``degree``; a degree-zero column has no entries.
+    Nothing changes after construction, so what a run computes on the graph
+    never depends on what it computed before.
     """
 
     def __init__(self, senses: list[SenseId], pairs: np.ndarray):
@@ -90,19 +95,10 @@ class SemanticGraph:
         # the distinct (min, max) pairs in ascending order, keyed by u*n + v
         keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
         u, v = keys // n, keys % n
-        data = np.ones(2 * len(keys), dtype=np.float64)
-        self.adjacency = sparse.csr_matrix(
-            (data, (np.concatenate([u, v]), np.concatenate([v, u]))), shape=(n, n)
-        )
-        self.degree = np.asarray(self.adjacency.sum(axis=1)).ravel()
-        self.dangling = np.flatnonzero(self.degree == 0)
-        # Column-stochastic walk matrix P[i, j] = 1/deg(j), sharing the
-        # adjacency's structure; a dangling column has no entries.
-        adj = self.adjacency
+        rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+        self.degree = np.bincount(rows, minlength=n).astype(np.float64)
         inv = 1.0 / np.where(self.degree == 0, 1.0, self.degree)
-        self.transition = sparse.csr_matrix(
-            (adj.data * inv[adj.indices], adj.indices, adj.indptr), shape=(n, n)
-        )
+        self.transition = sparse.csr_matrix((inv[cols], (rows, cols)), shape=(n, n))
 
     @property
     def node_count(self) -> int:
@@ -111,12 +107,7 @@ class SemanticGraph:
     @property
     def edge_count(self) -> int:
         """Number of undirected edges."""
-        return self.adjacency.nnz // 2
-
-    @property
-    def arc_count(self) -> int:
-        """Number of stored directed arcs (twice the edge count)."""
-        return self.adjacency.nnz
+        return self.transition.nnz // 2
 
     def __contains__(self, sense: SenseId) -> bool:
         return sense in self._index
@@ -133,13 +124,10 @@ class SemanticGraph:
     def senses(self) -> Iterator[SenseId]:
         return iter(self._senses)
 
-    def out_degree(self, sense: SenseId) -> int:
-        return int(self.degree[self.node_index(sense)])
-
     def edge_list(self) -> list[tuple[SenseId, SenseId]]:
-        """The undirected edges (u < v) in ascending order: the adjacency's
-        upper triangle, read row by row."""
-        upper = sparse.triu(self.adjacency, k=1)
+        """The undirected edges (u < v) in ascending order: the upper
+        triangle of the walk matrix's pattern, read row by row."""
+        upper = sparse.triu(self.transition, k=1)
         return [(self._senses[i], self._senses[j])
                 for i, j in zip(upper.row.tolist(), upper.col.tolist())]
 
@@ -152,12 +140,24 @@ class SemanticGraph:
         return id(self)
 
 
-def _as_lines(source: str | Path | IO[str] | Iterable[str]) -> Iterable[str]:
+def _records(source: str | Path | IO[str] | Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line number, whitespace-separated tokens) of each line that is
+    neither blank nor a ``#`` comment."""
     if isinstance(source, (str, Path)):
         with open(source, encoding="utf-8") as fh:
-            yield from fh
+            yield from _records(fh)
         return
-    yield from source
+    for lineno, line in enumerate(source, start=1):
+        tokens = line.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield lineno, tokens
+
+
+def _sense(lineno: int, text: str) -> SenseId:
+    try:
+        return SenseId.parse(text)
+    except ValueError as exc:
+        raise ParseError(f"line {lineno}: {exc}") from None
 
 
 def load_graph(relations_source: str | Path | IO[str] | Iterable[str]) -> SemanticGraph:
@@ -171,18 +171,15 @@ def load_graph(relations_source: str | Path | IO[str] | Iterable[str]) -> Semant
     does not matter.
     """
     senses: list[SenseId] = []
-    # Distinct token text -> position in senses. The sense-id pattern is
-    # anchored and a SenseId keeps its offset text, so distinct tokens are
-    # distinct senses and each one is parsed once.
+    # Distinct token text -> position in senses. A SenseId is the whole
+    # token's text, so distinct tokens are distinct senses and each one is
+    # parsed once.
     index: dict[str, int] = {}
     ends: list[int] = []  # u0, v0, u1, v1, ...
 
-    for lineno, raw in enumerate(_as_lines(relations_source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, tokens in _records(relations_source):
         fields: dict[str, str] = {}
-        for token in line.split():
+        for token in tokens:
             key, sep, value = token.partition(":")
             if not sep:
                 raise ParseError(f"line {lineno}: malformed token {token!r}")
@@ -193,12 +190,8 @@ def load_graph(relations_source: str | Path | IO[str] | Iterable[str]) -> Semant
         for token in (fields["u"], fields["v"]):
             idx = index.get(token)
             if idx is None:
-                try:
-                    sense = SenseId.parse(token)
-                except ValueError as exc:
-                    raise ParseError(f"line {lineno}: {exc}") from None
                 idx = index[token] = len(senses)
-                senses.append(sense)
+                senses.append(_sense(lineno, token))
             ends.append(idx)
 
     graph = SemanticGraph(senses, np.array(ends, dtype=np.int64).reshape(-1, 2))
@@ -244,11 +237,7 @@ def load_dictionary(
     """
     entries: dict[tuple[str, str], list[SenseId]] = {}
 
-    for lineno, raw in enumerate(_as_lines(dict_source), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
+    for lineno, tokens in _records(dict_source):
         if len(tokens) < 2:
             raise ParseError(f"line {lineno}: expected lemma and at least one sense")
         lemma_token = tokens[0].lower()
@@ -259,10 +248,7 @@ def load_dictionary(
             sid_text, sep, _count = token.rpartition(":")
             if not sep:
                 sid_text = token
-            try:
-                sense = SenseId.parse(sid_text)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: {exc}") from None
+            sense = _sense(lineno, sid_text)
             if pos_suffix and sense.pos != pos_suffix:
                 log.warning(
                     "line %d: sense %s contradicts pos suffix #%s, dropped",

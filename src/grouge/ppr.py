@@ -10,14 +10,15 @@ neighbours) and the mass of degree-zero columns returned to the seed
 distribution V(0), so every iterate stays a probability vector. The
 iteration count is fixed (``PprConfig.iterations``) so runs are bit-for-bit reproducible.
 
-P is built once per graph (``SemanticGraph.transition``) and V(0) is
-nonzero only at the seed entries, so an iteration is one sparse product,
-one scaling and an update of the seed entries alone. This gives the same
-bits as applying the adjacency to a degree-scaled copy of V and adding
-c * V(0) everywhere: the adjacency's entries are all 1.0, so each product
-1.0 * (v * 1/deg) equals (1/deg) * v exactly and the sparse product sums
-the same terms in the same order; adding the 0.0 that c * V(0) holds off
-the seeds leaves a non-negative entry unchanged.
+P is the graph's one matrix (``SemanticGraph.transition``, with the
+node degrees beside it), built once per graph, and V(0) is nonzero only at
+the seed entries, so an iteration is one sparse product, one scaling and
+an update of the seed entries alone. This gives the same bits as applying
+the 0/1 adjacency to a degree-scaled copy of V and adding c * V(0)
+everywhere: each adjacency product 1.0 * (v * 1/deg) equals (1/deg) * v
+exactly and the sparse product sums the same terms in the same order;
+adding the 0.0 that c * V(0) holds off the seeds leaves a non-negative
+entry unchanged.
 
 Nodes are numbered in ascending SenseId order (``SemanticGraph``), so
 "ascending node index" below is ascending sense id, and a vector does not

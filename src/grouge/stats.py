@@ -7,6 +7,7 @@ the difference of two dependent correlations sharing one variable.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -115,6 +116,12 @@ def check_resamples(resamples: int) -> None:
         raise ValueError(f"resamples must be <= {_MAX_RESAMPLES}, got {resamples}")
 
 
+def check_seed(seed: int) -> None:
+    """The range of ``bootstrap_ci``'s seed: any integer >= 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 def check_significance_level(alpha: float) -> None:
     """The range of ``correlate``'s significance level."""
     if not 0.0 < alpha < 1.0:
@@ -206,6 +213,7 @@ def bootstrap_ci(
         raise ValueError(f"unknown coefficient {coefficient!r}")
     _check_variant(kendall_variant)
     check_resamples(resamples)
+    check_seed(seed)
     x, y = _as_array(x), _as_array(y)
     _check_pair(x, y)
     if len(x) < 4:
@@ -358,6 +366,9 @@ def correlate(
     intervals, plus Williams significance against a baseline auto column.
 
     The Williams test compares Pearson correlations, its classical setting.
+    A row whose three correlations the test rejects (a column equal to the
+    baseline has r23 = 1) gets no Williams p-value, like the baseline's own
+    rows.
     """
     check_significance_level(alpha)
     if table.n < 4:
@@ -374,9 +385,9 @@ def correlate(
             significant: bool | None = None
             if significance_against is not None and auto_name != significance_against:
                 base = table.auto[significance_against]
-                result = williams_test(r_pearson, pearson(base, h), pearson(base, a), table.n)
-                williams_p = result.p
-                significant = result.p < alpha
+                with contextlib.suppress(ValueError):  # the test rejects the correlations
+                    result = williams_test(r_pearson, pearson(base, h), pearson(base, a), table.n)
+                    williams_p, significant = result.p, result.p < alpha
             report.rows.append(CorrelationRow(
                 auto_metric=auto_name,
                 human_metric=human_name,

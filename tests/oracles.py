@@ -44,9 +44,16 @@ def walk_reference(graph, v0: np.ndarray, alpha: float = 0.15, iterations: int =
     Sums the same terms in the same order as the library kernel, so the
     two must agree bit for bit. A column's dangling mass adds its entries
     at the dangling nodes one at a time in ascending node index, whatever
-    other columns v0 holds.
+    other columns v0 holds. The 0/1 adjacency is built from the graph's
+    edge list, not from the walk matrix.
     """
-    adj = graph.adjacency
+    from scipy import sparse
+
+    n = graph.node_count
+    ends = [(graph.node_index(a), graph.node_index(b)) for a, b in graph.edge_list()]
+    rows = [i for i, j in ends] + [j for i, j in ends]
+    cols = [j for i, j in ends] + [i for i, j in ends]
+    adj = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n))
     degree = np.asarray(adj.sum(axis=1)).ravel()
     with np.errstate(divide="ignore"):
         inv_deg = 1.0 / degree

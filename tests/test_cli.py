@@ -198,7 +198,7 @@ OUT_OF_RANGE = (
        [*WALK_SETTINGS, ("--top", "-1"), ("--top", "0"), ("--sense", "0"), ("--sense", "-2")]]
     + [("meta-eval", flag, value) for flag, value in
        [("--alpha", "0"), ("--alpha", "1"), ("--alpha", "7"), ("--resamples", "0"),
-        ("--resamples", "-1"), ("--resamples", "100001")]]
+        ("--resamples", "-1"), ("--resamples", "100001"), ("--seed", "-1")]]
 )
 
 
@@ -220,6 +220,14 @@ class TestSettingsCheckedFirst:
         argv = missing_data_args(command, tmp_path / "missing", tmp_path / "out.csv")
         assert main([*argv, "--config", str(config)]) == EX_USAGE
         assert "usage error: alpha must be in (0, 1), got 2.0" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
+
+    def test_negative_seed_from_config_file(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("seed = -1\n")
+        argv = missing_data_args("meta-eval", tmp_path / "missing", tmp_path / "out.csv")
+        assert main([*argv, "--config", str(config)]) == EX_USAGE
+        assert "usage error: seed must be >= 0, got -1" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.conf"]
 
     @pytest.mark.parametrize("command", ["score", "lexical", "sweep-beta", "ppr", "meta-eval"])
@@ -525,6 +533,55 @@ class TestMetaEvalCommand:
             "--resamples", "10", "--out", str(out),
         ]) == EX_FATAL
         assert f"column {header[1]!r} has missing or non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_variant_equal_to_baseline_gets_no_williams_p(self, world, tmp_path):
+        """At beta 1 g1 is r1's lexical score, so its Williams test has
+        r23 = 1: its rows are left empty, and g2's rows are still tested."""
+        scores = tmp_path / "scores.csv"
+        assert main(score_args(world, scores, variant="g1,r1,g2", extra=["--beta", "1"])) == EX_OK
+        out = tmp_path / "corr.csv"
+        assert main([
+            "meta-eval", "--scores", str(scores), "--human", str(world["judgments"]),
+            "--baseline", "r1", "--resamples", "20", "--out", str(out),
+        ]) == EX_OK
+        rows = read_csv(out)
+        assert {r["auto_metric"] for r in rows} == {"g1", "g2", "r1"}
+        for row in rows:
+            tested = row["auto_metric"] == "g2"
+            assert bool(row["williams_p"]) == bool(row["significant"]) == tested
+
+    def score_rows_with(self, score_csv, tmp_path, extra):
+        """score_csv with one more line; the path and the new line's number."""
+        lines = score_csv.read_text().splitlines()
+        path = tmp_path / "scores.csv"
+        path.write_text("\n".join([*lines, extra]) + "\n")
+        return path, len(lines) + 1
+
+    def test_repeated_score_row_is_fatal(self, world, score_csv, tmp_path, capsys):
+        topic, system, variant, _ = score_csv.read_text().splitlines()[1].split(",")
+        scores, lineno = self.score_rows_with(
+            score_csv, tmp_path, f"{topic},{system},{variant},0.123")
+        out = tmp_path / "corr.csv"
+        assert main([
+            "meta-eval", "--scores", str(scores), "--human", str(world["judgments"]),
+            "--resamples", "10", "--out", str(out),
+        ]) == EX_FATAL
+        assert (f"error: {scores}:{lineno}: repeated row for topic {topic}, "
+                f"system {system}, variant {variant}") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra, shown", [
+        ("d9,Z,r1,abc", "'abc'"), ("d9,Z,r1,", "''"), ("d9,Z,r1", "None"),
+    ])
+    def test_non_numeric_score_is_fatal(self, world, score_csv, tmp_path, capsys, extra, shown):
+        scores, lineno = self.score_rows_with(score_csv, tmp_path, extra)
+        out = tmp_path / "corr.csv"
+        assert main([
+            "meta-eval", "--scores", str(scores), "--human", str(world["judgments"]),
+            "--resamples", "10", "--out", str(out),
+        ]) == EX_FATAL
+        assert f"error: {scores}:{lineno}: non-numeric score {shown}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_system_missing_a_topic_row_is_fatal(self, tmp_path, capsys):

@@ -190,7 +190,7 @@ class TestAssignmentOracle:
 
     @staticmethod
     def neighbours(graph, i: int) -> list[int]:
-        adj = graph.adjacency
+        adj = graph.transition
         return adj.indices[adj.indptr[i] : adj.indptr[i + 1]].tolist()
 
     def cases(self, graph, rng, count):

@@ -20,7 +20,11 @@ class TestSenseId:
         assert s.pos == "v"
         assert s.canonical == "00123456-v"
 
-    @pytest.mark.parametrize("bad", ["123-v", "001234567-v", "00123456-x", "00123456v", "0012345a-n"])
+    @pytest.mark.parametrize("bad", [
+        "123-v", "001234567-v", "00123456-x", "00123456v", "0012345a-n",
+        "\u0661" * 8 + "-n",  # Arabic-Indic digits
+        "00000001-n\n", "00000001-n-n",
+    ])
     def test_parse_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             SenseId.parse(bad)
@@ -45,14 +49,14 @@ class TestLoadGraph:
     def test_symmetric_closure(self):
         g = load_graph(["u:00000001-n v:00000002-n", "u:00000002-n v:00000003-n"])
         assert g.node_count == 3
-        assert g.arc_count == 4
+        assert g.transition.nnz == 4  # stored directed arcs
         assert g.edge_count == 2
 
     def test_self_loop_dropped_node_registered(self):
         g = load_graph(["u:00000001-n v:00000001-n", "u:00000002-n v:00000003-n"])
         assert g.node_count == 3
         assert g.edge_count == 1
-        assert g.out_degree(sense(1)) == 0
+        assert g.degree[g.node_index(sense(1))] == 0
 
     def test_duplicate_lines_deduplicated(self):
         once = load_graph(["u:00000001-n v:00000002-n"])
@@ -72,6 +76,15 @@ class TestLoadGraph:
         with pytest.raises(ParseError, match="line 2"):
             load_graph(["u:00000001-n v:00000002-n", "u:0000001-n v:00000002-n"])
 
+    def test_non_ascii_digits_name_line_number(self):
+        arabic_one = "\u0661"  # a Unicode decimal digit, not an ASCII one
+        lines = ["u:00000001-n v:00000002-n", f"u:00000002-n v:{arabic_one * 8}-n"]
+        with pytest.raises(ParseError, match="line 2: not a valid sense id"):
+            load_graph(lines)
+        with pytest.raises(ParseError, match="line 3: not a valid sense id"):
+            load_dictionary(["# senses", "word 00000001-n", f"other {arabic_one}0000001-n"],
+                            load_graph(lines[:1]))
+
     def test_missing_required_key(self):
         with pytest.raises(ParseError, match="line 1"):
             load_graph(["u:00000001-n w:1.0"])
@@ -83,12 +96,13 @@ class TestLoadGraph:
 
 def assert_same_graph(graph, expected):
     assert list(graph.senses()) == list(expected.senses())
-    for name in ("adjacency", "transition"):
-        a, b = getattr(graph, name), getattr(expected, name)
-        assert a.shape == b.shape, name
-        for part in ("indptr", "indices", "data"):
-            x, y = getattr(a, part), getattr(b, part)
-            assert x.dtype == y.dtype and np.array_equal(x, y), (name, part)
+    a, b = graph.transition, expected.transition
+    assert a.shape == b.shape
+    for part in ("indptr", "indices", "data"):
+        x, y = getattr(a, part), getattr(b, part)
+        assert x.dtype == y.dtype and np.array_equal(x, y), part
+    assert graph.degree.dtype == expected.degree.dtype
+    assert np.array_equal(graph.degree, expected.degree)
 
 
 class TestLoaderOracle:
@@ -150,9 +164,9 @@ class TestNodeOrder:
         assert list(g.senses()) == [sense(1), sense(2), sense(3), sense(9)]
         assert [g.node_index(s) for s in senses] == [2, 0, 1, 3]
         assert g.edge_list() == [(sense(1), sense(2)), (sense(1), sense(3))]
-        assert g.adjacency.data.tolist() == [1.0] * 4
+        assert g.transition.data.tolist() == [1.0, 1.0, 0.5, 0.5]  # 1/deg of each column
         assert g.degree.tolist() == [2, 1, 1, 0]  # each node's neighbour count
-        assert g.dangling.tolist() == [3]
+        assert np.flatnonzero(g.degree == 0).tolist() == [3]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_line_order_does_not_change_the_graph(self, seed):
@@ -165,12 +179,12 @@ class TestNodeOrder:
 class TestGraphInvariants:
     def test_symmetry_full_scan(self):
         g = graph_from_edges([(1, 2), (2, 3), (1, 3), (3, 4)])
-        adj = g.adjacency.toarray()
+        adj = g.transition.toarray() != 0
         assert (adj == adj.T).all()
 
     def test_degree_consistency(self):
         g = graph_from_edges([(1, 2), (2, 3), (1, 3)])
-        assert int(g.degree.sum()) == g.arc_count
+        assert int(g.degree.sum()) == g.transition.nnz
 
     def test_round_trip_through_edge_list(self):
         g = graph_from_edges([(1, 2), (2, 3), (1, 4), (4, 5)])

@@ -197,6 +197,17 @@ class TestBootstrap:
         with pytest.raises(ValueError, match=f"resamples must be >= 1, got {resamples}"):
             bootstrap_ci(x, y, "pearson", resamples=resamples)
 
+    @pytest.mark.parametrize("seed", [-1, -(10**38)])
+    def test_negative_seed_rejected(self, seed):
+        x, y = self._table()
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+            bootstrap_ci(x, y, "pearson", seed=seed)
+
+    def test_seed_of_any_size_accepted(self):
+        x, y = self._table()
+        lo, hi = bootstrap_ci(x, y, "pearson", resamples=20, seed=10**38)
+        assert -1.0 <= lo <= hi <= 1.0
+
     def test_degenerate_resamples_redrawn(self):
         # nearly-constant columns: most resamples are degenerate and must be
         # redrawn rather than crash
@@ -454,6 +465,23 @@ class TestCorrelate:
         g1_row = by_metric[("g1", "pyramid")]
         assert g1_row.williams_p is not None
         assert g1_row.significant == (g1_row.williams_p < 0.05)
+
+    def test_column_equal_to_baseline_gets_no_williams_p(self):
+        """r23 = 1 for a copy of the baseline: williams_test rejects it, so
+        that row is left empty and every other row keeps its bytes."""
+        table = self._table()
+        with_copy = JudgmentTable(systems=table.systems, human=table.human,
+                                  auto={**table.auto, "copy": table.auto["r1"].copy()})
+        base = table.auto["r1"]
+        with pytest.raises(ValueError, match="r23 must be in"):
+            williams_test(pearson(base, table.human["pyramid"]),
+                          pearson(base, table.human["pyramid"]), pearson(base, base), table.n)
+        report = correlate(with_copy, significance_against="r1", resamples=50)
+        copies = [r for r in report.rows if r.auto_metric == "copy"]
+        assert len(copies) == 2
+        assert all(r.williams_p is None and r.significant is None for r in copies)
+        expected = correlate(table, significance_against="r1", resamples=50)
+        assert [r for r in report.rows if r.auto_metric != "copy"] == expected.rows
 
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ValueError):
