@@ -18,21 +18,20 @@ value is a usage error before any data file is opened, and
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import logging
 import os
 import sys
 from dataclasses import asdict
+from itertools import zip_longest
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .fileio import write_atomic
+from .fileio import csv_bytes, csv_rows, write_atomic
 from .graph import Dictionary, SemanticGraph, load_dictionary, load_graph
 from .ppr import DEFAULT_CACHE_CAPACITY, CacheFileError, PprConfig, PprEngine, read_cache_file
 from .scorer import (
@@ -423,21 +422,23 @@ def _system_table(
 
 def _read_score_rows(path: Path) -> dict[tuple[str, str, str], float]:
     rows: dict[tuple[str, str, str], float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"topic", "system", "variant", "score"}
-        if not required.issubset(reader.fieldnames or ()):
-            raise CliError(f"{path}: expected columns {sorted(required)}")
-        for row in reader:
-            key = (row["topic"], row["system"], row["variant"])
-            where = f"{path}:{reader.line_num}"
-            if key in rows:
-                raise CliError(f"{where}: repeated row for topic {key[0]}, "
-                               f"system {key[1]}, variant {key[2]}")
-            try:
-                rows[key] = float(row["score"])
-            except (TypeError, ValueError):  # None when the row is short
-                raise CliError(f"{where}: non-numeric score {row['score']!r}") from None
+    records = csv_rows(path)
+    header = next(records, (0, []))[1]
+    required = {"topic", "system", "variant", "score"}
+    if not required.issubset(header):
+        raise CliError(f"{path}: expected columns {sorted(required)}")
+    for line, record in records:
+        if not record:
+            continue
+        row = dict(zip_longest(header, record))  # None for the fields of a short row
+        key = (row["topic"], row["system"], row["variant"])
+        if key in rows:
+            raise CliError(f"{path}:{line}: repeated row for topic {key[0]}, "
+                           f"system {key[1]}, variant {key[2]}")
+        try:
+            rows[key] = float(row["score"])
+        except (TypeError, ValueError):
+            raise CliError(f"{path}:{line}: non-numeric score {row['score']!r}") from None
     return rows
 
 
@@ -456,9 +457,7 @@ def run_sweep_beta(args, settings: RunSettings) -> int:
     ids, columns = load_judgments(_require(args.human, "judgments CSV"))
     report, _ = _run_scoring(args, settings)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["beta", "variant", "human_metric", "pearson", "spearman", "kendall"])
+    out = [["beta", "variant", "human_metric", "pearson", "spearman", "kendall"]]
     for beta in args.betas:
         # round through the score CSV's 12-significant-digit format so one
         # sweep row equals the score -> meta-eval composition
@@ -470,9 +469,9 @@ def run_sweep_beta(args, settings: RunSettings) -> int:
         for variant in args.variant:
             for human_name in sorted(table.human):
                 values = coefficients(table.auto[variant], table.human[human_name])
-                writer.writerow([f"{beta:g}", variant, human_name,
-                                 *(f"{value:.12g}" for value in values)])
-    write_atomic(args.out, buf.getvalue().encode("utf-8"))
+                out.append([f"{beta:g}", variant, human_name,
+                            *(f"{value:.12g}" for value in values)])
+    write_atomic(args.out, csv_bytes(out))
     return _report_problems(report, Path(args.out))
 
 

@@ -20,7 +20,6 @@ from .text import SummaryText
 
 @dataclass(frozen=True)
 class WordType:
-    surface: str
     stem: str
     senses: tuple[SenseId, ...] = ()
 
@@ -46,7 +45,7 @@ def build_word_types(text: SummaryText, dictionary: Dictionary) -> list[WordType
     out = []
     for token, surface in text.word_types():
         senses = dictionary.senses_of(surface) or dictionary.senses_of(token)
-        out.append(WordType(surface=surface, stem=token, senses=tuple(senses)))
+        out.append(WordType(stem=token, senses=tuple(senses)))
     return out
 
 
@@ -101,17 +100,16 @@ def align_disambiguate(
 def disambiguate_pair(
     model_text: Sequence[WordType],
     peer_text: Sequence[WordType],
-    engine: PprEngine,
-    table: SimilarityTable | None = None,
+    table: SimilarityTable,
 ) -> tuple[tuple[AssignedWord, ...], tuple[AssignedWord, ...]]:
     """Disambiguate each side against the other as context.
 
-    table's rows include the model's senses and its columns are the peer's
-    (``parts_by_family`` shares one per peer); without it one is built. A
-    peer sense's score is its column maximum over the model's rows.
+    table's rows include the model's senses and its columns are the peer's:
+    ``parts_by_family`` fills one per peer and shares it among the peer's
+    models. A model sense's score is its row maximum over all of the
+    table's columns, and a peer sense's its column maximum over the
+    model's rows.
     """
-    if table is None:
-        table = SimilarityTable(model_text, peer_text, engine)
     model_rows = table.values[[table.rows[s] for w in model_text for s in w.senses]]
     model_assignment = _assign(model_text, table.rows, table.values.max(axis=1, initial=0.0))
     peer_assignment = _assign(peer_text, table.columns, model_rows.max(axis=0, initial=0.0))

@@ -51,6 +51,7 @@ import pickle
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -151,9 +152,6 @@ class PprVector:
     def __len__(self) -> int:
         return len(self.weights) + len(self.oov_terms)
 
-    def __bool__(self) -> bool:
-        return len(self) > 0
-
     def items(self) -> Iterator[tuple[SenseId | str, float]]:
         for term in self.oov_terms:
             yield term, self.oov_weight
@@ -161,12 +159,7 @@ class PprVector:
             yield self.graph.sense_at(int(i)), float(w)
 
     def top(self, k: int) -> list[tuple[SenseId | str, float]]:
-        out = []
-        for key, w in self.items():
-            if len(out) >= k:
-                break
-            out.append((key, w))
-        return out
+        return list(islice(self.items(), k))
 
     def nbytes(self) -> int:
         """Bytes held by the arrays of this vector."""
@@ -417,10 +410,7 @@ class PprEngine:
     # -- sense-pair similarity memo ------------------------------------
 
     def sense_similarity(self, a: SenseId, b: SenseId) -> float:
-        try:
-            ia, ib = self.graph._index[a], self.graph._index[b]
-        except KeyError:
-            raise ValueError(f"sense {b if a in self.graph else a} is not in the graph") from None
+        ia, ib = self.graph.node_index(a), self.graph.node_index(b)
         key = (ia, ib) if ia <= ib else (ib, ia)
         cached = self._sim_memo.get(key)
         if cached is not None:

@@ -18,9 +18,7 @@ all of its models and gram families.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .disambiguation import AssignedWord, SimilarityTable, build_word_types, disambiguate_pair
-from .fileio import write_atomic
+from .fileio import csv_bytes, write_atomic
 from .graph import Dictionary, SemanticGraph, SenseId
 from .ppr import PprEngine, PprVector
 from .rouge import clipped_matches, content_terms, grams_for
@@ -182,7 +180,7 @@ def parts_by_family(
         for i, model in enumerate(models):
             if not model.token_count:
                 continue
-            pairs[i] = disambiguate_pair(word_types[model], word_types[peer], engine, table)
+            pairs[i] = disambiguate_pair(word_types[model], word_types[peer], table)
             model_senses, peer_senses = ({e.word.stem: e.sense for e in side} for side in pairs[i])
             grams = dict.fromkeys(g for f in families for g in gram_sets[model][f])
             plans.append((i, _signature_key(list(peer_senses), peer_senses, oov_enabled), {
@@ -260,30 +258,28 @@ class ScoreReport:
         return self.rows[(topic, system, variant)]
 
     def to_csv_bytes(self) -> bytes:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["topic", "system", "variant", "score"])
-        for (topic, system, variant) in sorted(self.rows):
-            writer.writerow([topic, system, variant, f"{self.rows[(topic, system, variant)]:.12g}"])
-        return buf.getvalue().encode("utf-8")
+        return csv_bytes([
+            ["topic", "system", "variant", "score"],
+            *([*key, f"{score:.12g}"] for key, score in sorted(self.rows.items())),
+        ])
 
     def write_csv(self, path: str | Path) -> None:
         write_atomic(path, self.to_csv_bytes())
 
 
-def _scan_corpus_dir(directory: Path) -> tuple[dict[tuple[str, str], Path], list[str]]:
-    """Map (topic, id) -> file for a <topic>.<id>.txt directory layout."""
+def _scan_corpus_dir(directory: Path, errors: list[str]) -> dict[tuple[str, str], Path]:
+    """Map (topic, id) -> file for a <topic>.<id>.txt directory layout; a
+    .txt file named otherwise is appended to errors."""
     out: dict[tuple[str, str], Path] = {}
-    errors: list[str] = []
     for path in sorted(directory.iterdir()):
         if not path.is_file() or path.suffix != ".txt":
             continue
         fields = path.name.split(".")
         if len(fields) < 3:
             errors.append(f"{path}: expected <topic>.<id>.txt, skipped")
-            continue
-        out[(fields[0], ".".join(fields[1:-1]))] = path
-    return out, errors
+        else:
+            out[(fields[0], ".".join(fields[1:-1]))] = path
+    return out
 
 
 def score_batch(
@@ -300,11 +296,13 @@ def score_batch(
     """Score every (topic, system) peer against its topic's model summaries.
 
     Missing peer summaries score 0 and are flagged so every system covers
-    the same topic set; unreadable files become error entries and the rest
-    of the batch continues. Every topic's model texts are read before the
-    first peer is scored; the models' grams are then built one topic at a
-    time, and peers are scored one after another on the calling thread.
-    The engine and dictionary are used only when some variant is semantic.
+    the same topic set; badly named and unreadable files become error
+    entries and the rest of the batch continues. The corpus is read in one
+    pass: every model text first, in (topic, id) order, then each topic's
+    peers in system order, each scored as it is read on the calling thread.
+    A topic with peers but no models, or whose models are all unreadable,
+    is flagged and skipped. The engine and dictionary are used only when
+    some variant is semantic.
     """
     families = sorted({variant_family(v) for v in variants})
     if not any(variant_is_semantic(v) for v in variants):
@@ -312,74 +310,50 @@ def score_batch(
     elif engine is None or dictionary is None:
         raise ValueError("semantic variants need an engine and a dictionary")
     report = ScoreReport(variants=tuple(variants))
+    peers = _scan_corpus_dir(Path(peers_dir), report.errors)
+    models = _scan_corpus_dir(Path(models_dir), report.errors)
 
-    peers, peer_scan_errors = _scan_corpus_dir(Path(peers_dir))
-    models, model_scan_errors = _scan_corpus_dir(Path(models_dir))
-    report.errors.extend(peer_scan_errors)
-    report.errors.extend(model_scan_errors)
+    def read_text(path: Path) -> SummaryText | None:
+        try:
+            raw = path.read_text("utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            report.errors.append(f"{path}: {exc}")
+            return None
+        return tokenize(raw, stemming=stemming, remove_stopwords=remove_stopwords)
 
-    def read_text(path: Path) -> SummaryText:
-        return tokenize(
-            path.read_text("utf-8"),
-            stemming=stemming,
-            remove_stopwords=remove_stopwords,
-        )
-
-    def gram_sets_of(text: SummaryText) -> dict[str, Counter[tuple[str, ...]]]:
-        return {family: grams_for(text, family) for family in families}
-
-    model_topics = sorted({topic for topic, _ in models})
-    peer_topics = {topic for topic, _ in peers}
-    for topic in sorted(peer_topics - set(model_topics)):
+    for topic in sorted({topic for topic, _ in peers} - {topic for topic, _ in models}):
         report.flagged.append(f"topic {topic}: no model summaries, skipped")
-
     topic_models: dict[str, list[SummaryText]] = {}
-    for topic in model_topics:
-        loaded = []
-        for (t, model_id), path in sorted(models.items()):
-            if t != topic:
-                continue
-            try:
-                loaded.append(read_text(path))
-            except (OSError, UnicodeDecodeError) as exc:
-                report.errors.append(f"{path}: {exc}")
-        if loaded:
-            topic_models[topic] = loaded
-        else:
-            report.flagged.append(f"topic {topic}: all model summaries unreadable, skipped")
+    for (topic, _), path in sorted(models.items()):
+        texts = topic_models.setdefault(topic, [])
+        if (text := read_text(path)) is not None:
+            texts.append(text)
+    for topic in [topic for topic, texts in topic_models.items() if not texts]:
+        report.flagged.append(f"topic {topic}: all model summaries unreadable, skipped")
+        del topic_models[topic]
 
     systems = sorted({system for _, system in peers})
-
-    def score_peer(
-        topic: str, system: str, model_grams: dict[SummaryText, dict[str, Counter[tuple[str, ...]]]]
-    ) -> tuple[dict[str, ScoreParts], list[str]]:
-        peer_path = peers.get((topic, system))
-        if peer_path is None:
-            report.flagged.append(f"{topic}.{system}: peer summary missing, scored 0")
-            return {}, []
-        try:
-            peer_text = read_text(peer_path)
-        except (OSError, UnicodeDecodeError) as exc:
-            report.errors.append(f"{peer_path}: {exc}")
-            return {}, []
-        gram_sets = {**model_grams, peer_text: gram_sets_of(peer_text)}
-        pair_lines: list[list[str]] | None = [] if collect_debug else None
-        parts = parts_by_family(
-            peer_text, topic_models[topic], families, engine, dictionary,
-            oov_enabled=cfg.oov_enabled, gram_sets=gram_sets,
-            debug=pair_lines,
-        )
-        header = f"# topic={topic} system={system}"
-        return parts, [line for lines in pair_lines or () for line in (header, *lines)]
-
-    for topic in sorted(topic_models):
-        model_grams = {text: gram_sets_of(text) for text in topic_models[topic]}
+    for topic, texts in topic_models.items():
+        model_grams = {text: {f: grams_for(text, f) for f in families} for text in texts}
         for system in systems:
-            family_parts, debug = score_peer(topic, system, model_grams)
+            parts: dict[str, ScoreParts] = {}
+            path = peers.get((topic, system))
+            if path is None:
+                report.flagged.append(f"{topic}.{system}: peer summary missing, scored 0")
+            elif (peer := read_text(path)) is not None:
+                pair_lines: list[list[str]] | None = [] if collect_debug else None
+                parts = parts_by_family(
+                    peer, texts, families, engine, dictionary, oov_enabled=cfg.oov_enabled,
+                    gram_sets={**model_grams, peer: {f: grams_for(peer, f) for f in families}},
+                    debug=pair_lines,
+                )
+                header = f"# topic={topic} system={system}"
+                report.debug_lines.extend(
+                    line for lines in pair_lines or () for line in (header, *lines)
+                )
             for variant in variants:
                 key = (topic, system, variant)
                 report.parts[key], report.rows[key] = variant_score(
-                    variant, family_parts.get(variant_family(variant), ScoreParts()), cfg.beta
+                    variant, parts.get(variant_family(variant), ScoreParts()), cfg.beta
                 )
-            report.debug_lines.extend(debug)
     return report

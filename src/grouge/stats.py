@@ -8,9 +8,7 @@ the difference of two dependent correlations sharing one variable.
 from __future__ import annotations
 
 import contextlib
-import csv
 import functools
-import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import csv_bytes, csv_rows, write_atomic
 
 COEFFICIENTS = ("pearson", "spearman", "kendall")
 _MAX_RESAMPLES = 100_000  # 100 times correlate's default
@@ -325,21 +323,17 @@ class CorrelationRow:
 @dataclass
 class CorrelationReport:
     rows: list[CorrelationRow] = field(default_factory=list)
-    baseline: str | None = None
-    alpha: float = 0.05
 
     def to_csv_bytes(self) -> bytes:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([
+        rows: list[list] = [[
             "auto_metric", "human_metric", "n",
             "pearson", "pearson_ci_lo", "pearson_ci_hi",
             "spearman", "spearman_ci_lo", "spearman_ci_hi",
             "kendall", "kendall_ci_lo", "kendall_ci_hi",
             "williams_p", "significant",
-        ])
+        ]]
         for r in self.rows:
-            writer.writerow([
+            rows.append([
                 r.auto_metric, r.human_metric, r.n,
                 f"{r.pearson:.12g}", f"{r.pearson_ci[0]:.12g}", f"{r.pearson_ci[1]:.12g}",
                 f"{r.spearman:.12g}", f"{r.spearman_ci[0]:.12g}", f"{r.spearman_ci[1]:.12g}",
@@ -347,7 +341,7 @@ class CorrelationReport:
                 "" if r.williams_p is None else f"{r.williams_p:.12g}",
                 "" if r.significant is None else str(r.significant).lower(),
             ])
-        return buf.getvalue().encode("utf-8")
+        return csv_bytes(rows)
 
     def write_csv(self, path: str | Path) -> None:
         write_atomic(path, self.to_csv_bytes())
@@ -375,7 +369,7 @@ def correlate(
         raise ValueError(f"need at least 4 rows, got {table.n}")
     if significance_against is not None and significance_against not in table.auto:
         raise ValueError(f"baseline column {significance_against!r} not in table")
-    report = CorrelationReport(baseline=significance_against, alpha=alpha)
+    report = CorrelationReport()
     for auto_name in table.auto:
         a = table.auto[auto_name]
         for human_name in table.human:
@@ -409,27 +403,26 @@ def correlate(
 def load_judgments(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:
     """Read a judgments CSV: header row, first column is the system id,
     remaining columns numeric. Returns (ids, columns)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or len(header) < 2:
-            raise ValueError(f"{path}: expected a header with at least 2 columns")
-        repeated = [name for i, name in enumerate(header) if name in header[:i]]
-        if repeated:
-            raise ValueError(f"{path}: column {repeated[0]!r} appears more than once")
-        metric_names = header[1:]
-        ids: list[str] = []
-        values: list[list[float]] = [[] for _ in metric_names]
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
-            ids.append(row[0])
-            for i, cell in enumerate(row[1:]):
-                try:
-                    values[i].append(float(cell))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
+    rows = csv_rows(path)
+    header = next(rows, (0, None))[1]
+    if not header or len(header) < 2:
+        raise ValueError(f"{path}: expected a header with at least 2 columns")
+    repeated = [name for i, name in enumerate(header) if name in header[:i]]
+    if repeated:
+        raise ValueError(f"{path}: column {repeated[0]!r} appears more than once")
+    metric_names = header[1:]
+    ids: list[str] = []
+    values: list[list[float]] = [[] for _ in metric_names]
+    for lineno, row in rows:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
+        ids.append(row[0])
+        for i, cell in enumerate(row[1:]):
+            try:
+                values[i].append(float(cell))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric cell {cell!r}") from None
     columns = {name: np.array(vals, dtype=np.float64) for name, vals in zip(metric_names, values)}
     return ids, columns

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .porter import stem as porter_stem
+from .porter import stem
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+")
@@ -27,15 +27,10 @@ def stopwords() -> frozenset[str]:
     return frozenset(line for line in lines if line and not line.startswith("#"))
 
 
-def stem(token: str) -> str:
-    return porter_stem(token)
-
-
 @dataclass(frozen=True)
 class SummaryText:
     """Tokenized summary: per-sentence final tokens plus their pre-stem forms."""
 
-    raw: str
     sentences: tuple[tuple[str, ...], ...]
     surfaces: tuple[tuple[str, ...], ...]
 
@@ -72,5 +67,5 @@ def tokenize(raw: str, stemming: bool = True, remove_stopwords: bool = False) ->
             if not kept:
                 continue
             surfaces.append(tuple(kept))
-            sentences.append(tuple(porter_stem(t) for t in kept) if stemming else tuple(kept))
-    return SummaryText(raw=raw, sentences=tuple(sentences), surfaces=tuple(surfaces))
+            sentences.append(tuple(stem(t) for t in kept) if stemming else tuple(kept))
+    return SummaryText(sentences=tuple(sentences), surfaces=tuple(surfaces))

@@ -245,8 +245,7 @@ def test_c07_disambiguation_matches_brute_force_100_cases():
             for w in range(count):
                 k = int(rng.integers(0, 4))
                 ids = rng.choice(n, size=k, replace=False).tolist() if k else []
-                out.append(WordType(surface=f"{tag}{w}", stem=f"{tag}{w}",
-                                    senses=tuple(sense(i) for i in ids)))
+                out.append(WordType(stem=f"{tag}{w}", senses=tuple(sense(i) for i in ids)))
             return out
 
         item = make_words(int(rng.integers(1, 7)), "i")
@@ -393,8 +392,8 @@ def test_peer_table_assignments_match_per_cell_loop(big_world, monkeypatch):
     seen = []
     disambiguate_pair = grouge.scorer.disambiguate_pair
 
-    def recorded(model_words, peer_words, engine, table=None):
-        out = disambiguate_pair(model_words, peer_words, engine, table)
+    def recorded(model_words, peer_words, table):
+        out = disambiguate_pair(model_words, peer_words, table)
         seen.append((model_words, peer_words, table, out))
         return out
 

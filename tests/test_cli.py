@@ -584,6 +584,32 @@ class TestMetaEvalCommand:
         assert f"error: {scores}:{lineno}: non-numeric score {shown}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_score_field_is_fatal(self, world, score_csv, tmp_path, capsys):
+        scores, lineno = self.score_rows_with(score_csv, tmp_path, "d9,Z,r1," + "9" * 200_000)
+        out = tmp_path / "corr.csv"
+        assert main([
+            "meta-eval", "--scores", str(scores), "--human", str(world["judgments"]),
+            "--resamples", "10", "--out", str(out),
+        ]) == EX_FATAL
+        err = capsys.readouterr().err
+        assert f"error: {scores}:{lineno}: field larger than field limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_oversized_judgment_field_is_fatal(self, world, score_csv, tmp_path, capsys):
+        lines = world["judgments"].read_text().splitlines()
+        human = tmp_path / "human.csv"
+        human.write_text("\n".join([*lines, "Z," + "9" * 200_000]) + "\n")
+        out = tmp_path / "corr.csv"
+        assert main([
+            "meta-eval", "--scores", str(score_csv), "--human", str(human),
+            "--resamples", "10", "--out", str(out),
+        ]) == EX_FATAL
+        err = capsys.readouterr().err
+        assert f"error: {human}:{len(lines) + 1}: field larger than field limit" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_system_missing_a_topic_row_is_fatal(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text(

@@ -10,13 +10,14 @@ from grouge import (
     load_graph,
     tokenize,
 )
+from grouge.disambiguation import SimilarityTable
 
 from conftest import dictionary_from, graph_from_edges, ring_graphs, sense, star_graphs
 from oracles import align_loop, brute_force_align, dense_ppr, weighted_overlap_direct
 
 
-def word(stem: str, *senses, surface=None):
-    return WordType(surface=surface or stem, stem=stem, senses=tuple(senses))
+def word(stem: str, *senses):
+    return WordType(stem=stem, senses=tuple(senses))
 
 
 def outcomes(assignment) -> list[tuple]:
@@ -100,7 +101,7 @@ class TestDisambiguatePair:
         g = graph_from_edges([(1, 2), (2, 3)])
         engine = PprEngine(g)
         words = [word("a", sense(1), sense(3)), word("b", sense(2))]
-        left, right = disambiguate_pair(words, list(words), engine)
+        left, right = disambiguate_pair(words, list(words), SimilarityTable(words, words, engine))
         assert left == right
 
     def test_all_oov_peer_forces_rank_one_fallback(self):
@@ -108,7 +109,9 @@ class TestDisambiguatePair:
         engine = PprEngine(g)
         model = [word("a", sense(3), sense(1))]
         peer = [word("x"), word("y")]
-        model_assignment, peer_assignment = disambiguate_pair(model, peer, engine)
+        model_assignment, peer_assignment = disambiguate_pair(
+            model, peer, SimilarityTable(model, peer, engine)
+        )
         assert model_assignment[0].sense == sense(3)
         assert model_assignment[0].support == 0.0
         assert tuple(e.sense for e in peer_assignment if e.sense is not None) == ()
@@ -224,7 +227,9 @@ class TestAssignmentOracle:
                 expected_item = loop_outcomes(item, context, loop_engine)
                 expected_context = loop_outcomes(context, item, loop_engine)
                 assert outcomes(align_disambiguate(item, context, PprEngine(graph))) == expected_item
-                model, peer = disambiguate_pair(item, context, PprEngine(graph))
+                model, peer = disambiguate_pair(
+                    item, context, SimilarityTable(item, context, PprEngine(graph))
+                )
                 assert outcomes(model) == expected_item
                 assert outcomes(peer) == expected_context
                 context_senses = [s for w in context for s in w.senses]
@@ -246,4 +251,5 @@ class TestAssignmentOracle:
     def test_empty_item_rejected_by_pair(self):
         g = graph_from_edges([(1, 2)])
         with pytest.raises(ValueError):
-            disambiguate_pair([word("a", sense(1))], [], PprEngine(g))
+            item = [word("a", sense(1))]
+            disambiguate_pair(item, [], SimilarityTable(item, [], PprEngine(g)))

@@ -19,7 +19,7 @@ from grouge import (
 from grouge.cli import _system_table
 from grouge.ppr import DEFAULT_CACHE_CAPACITY
 from grouge.rouge import content_terms, grams_for
-from grouge.disambiguation import build_word_types, disambiguate_pair
+from grouge.disambiguation import SimilarityTable, build_word_types, disambiguate_pair
 from grouge.scorer import (
     ScoreParts,
     _signature,
@@ -244,8 +244,9 @@ class TestOverlapPlan:
         expected = set()
         peer_words = build_word_types(peer, dictionary)
         for model in models:
+            model_words = build_word_types(model, dictionary)
             model_side, peer_side = disambiguate_pair(
-                build_word_types(model, dictionary), peer_words, engine
+                model_words, peer_words, SimilarityTable(model_words, peer_words, engine)
             )
             peer_sig = signature_of(
                 engine,
@@ -494,6 +495,42 @@ class TestScoreBatch:
         report = score_batch(peers, models, cfg_for(), engine, dictionary,
                              variants=("r1",))
         assert any("bad.txt" in e for e in report.errors)
+
+    def test_every_failure_case_flagged_and_logged_in_order(self, tmp_path, setting):
+        graph, dictionary, engine = setting
+        peers, models = self._write_corpus(tmp_path, setting)
+        undecodable = b"\xff\xfe\xff invalid"
+        (peers / "bad.txt").write_text("w0\n")
+        (models / "odd.txt").write_text("w0\n")
+        (peers / "t9.A.txt").write_text("w0\n")  # a topic without models
+        (peers / "t3.A.txt").write_text("w0\n")  # a topic whose models are all unreadable
+        (models / "t3.M0.txt").write_bytes(undecodable)
+        (models / "t3.M1.txt").write_bytes(undecodable)
+        (peers / "t2.A.txt").write_text("w0 w1\n")  # one unreadable model; B and C missing
+        (models / "t2.M0.txt").write_text("w0 w1\n")
+        (models / "t2.M1.txt").write_bytes(undecodable)
+        (peers / "t1.C.txt").write_bytes(undecodable)
+        report = score_batch(peers, models, cfg_for(), engine, dictionary,
+                             variants=("g1", "r1"))
+        decode = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        assert report.flagged == [
+            "topic t9: no model summaries, skipped",
+            "topic t3: all model summaries unreadable, skipped",
+            "t2.B: peer summary missing, scored 0",
+            "t2.C: peer summary missing, scored 0",
+        ]
+        assert report.errors == [
+            f"{peers / 'bad.txt'}: expected <topic>.<id>.txt, skipped",
+            f"{models / 'odd.txt'}: expected <topic>.<id>.txt, skipped",
+            f"{models / 't2.M1.txt'}: {decode}",
+            f"{models / 't3.M0.txt'}: {decode}",
+            f"{models / 't3.M1.txt'}: {decode}",
+            f"{peers / 't1.C.txt'}: {decode}",
+        ]
+        assert sorted({key[:2] for key in report.rows}) == [
+            ("t1", "A"), ("t1", "B"), ("t1", "C"), ("t2", "A"), ("t2", "B"), ("t2", "C"),
+        ]
+        assert report.score("t2", "A", "r1") == 1.0  # scored against its readable model
 
     def test_rerun_is_byte_identical(self, tmp_path, setting):
         graph, dictionary, _ = setting
