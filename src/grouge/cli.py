@@ -33,7 +33,14 @@ import numpy as np
 from . import __version__
 from .fileio import csv_bytes, csv_rows, write_atomic
 from .graph import Dictionary, SemanticGraph, load_dictionary, load_graph
-from .ppr import DEFAULT_CACHE_CAPACITY, CacheFileError, PprConfig, PprEngine, read_cache_file
+from .ppr import (
+    DEFAULT_CACHE_CAPACITY,
+    CacheFileError,
+    PprConfig,
+    PprEngine,
+    compute_ppr,
+    read_cache_file,
+)
 from .scorer import (
     ALL_VARIANTS,
     GrougeConfig,
@@ -477,7 +484,6 @@ def run_sweep_beta(args, settings: RunSettings) -> int:
 
 def run_ppr(args, settings: RunSettings) -> int:
     graph, dictionary, _, _ = _load_resources(args)
-    engine = PprEngine(graph, settings.walk)
     senses = dictionary.senses_of(args.lemma, args.pos)
     if not senses:
         raise CliError(f"no senses for lemma {args.lemma!r}"
@@ -485,10 +491,8 @@ def run_ppr(args, settings: RunSettings) -> int:
     if args.sense is not None:
         if args.sense > len(senses):
             raise CliError(f"sense rank {args.sense} out of range 1..{len(senses)}")
-        vector = engine.ppr_for_sense(senses[args.sense - 1])
-    else:
-        vector = engine.ppr_for_sense_set(senses)
-    for key, weight in vector.top(args.top):
+        senses = senses[args.sense - 1 : args.sense]
+    for key, weight in compute_ppr(graph, senses, settings.walk).top(args.top):
         print(f"{key}\t{weight:.12g}")
     return EX_OK
 

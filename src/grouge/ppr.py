@@ -33,9 +33,15 @@ dangling node, so the update is linear in V(0) and the mean equals the
 multi-seed walk in real arithmetic (Jeh & Widom, "Scaling Personalized
 Web Search", WWW 2003); the two differ in rounding only. A set with an
 isolated seed is walked from its uniform seed distribution, because that
-seed's restart mass leaks to the other seeds. A single vector stores every
+seed's restart mass leaks to the other seeds. A walked vector stores every
 positive entry of its column, so scattering its weights back through its
 rank table restores the column bit for bit.
+
+Scoring compares vectors by rank only (``similarity.sim_sem``), and only
+composition reads weights, from walked single-seed vectors. So a composed
+vector in an engine keeps its rank table and sense count only: at 117k
+nodes that is 0.47 MB instead of 1.41 MB. ``compute_ppr``, which the
+``ppr`` command lists, composes a set's weights with the same ``_compose``.
 
 Columns are independent: a column's bits do not depend on the other
 columns of its pass, nor a composed vector on the other sets of its batch.
@@ -51,7 +57,7 @@ import pickle
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -62,6 +68,8 @@ from .graph import SemanticGraph, SenseId
 _BATCH_COLUMNS = 256
 DEFAULT_CACHE_CAPACITY = 200_000  # walk vectors an engine keeps
 _SIM_MEMO_CAPACITY = 1 << 20  # sense pairs whose similarity the engine keeps
+_NO_WEIGHTS = np.empty(0, dtype=np.float64)  # the weights of every rank-only vector
+_NO_WEIGHTS.flags.writeable = False
 
 
 def _usable_cpus() -> int:
@@ -72,14 +80,21 @@ def _usable_cpus() -> int:
 
 
 _THREADS = _usable_cpus()  # shares per walk pass and per batch of composed sets
+# A batch is split only when each share covers at least this many node
+# entries (node count times items per share). On 2 CPUs, split walk passes
+# over 1,000-3,000 nodes took 1.0-3.4 times as long as unsplit ones, and
+# over 10,000 nodes 0.66-0.95 times.
+_MIN_SHARE_SIZE = 10_000
 # The one pool of _THREADS - 1 worker threads, with the _THREADS it was made for.
 # It is remade only when _THREADS changes; its threads start on the first split.
 _pool: tuple[int, ThreadPoolExecutor] | None = None
 
 
-def _by_share(fn: Callable[[Sequence], list], items: Sequence) -> list:
+def _by_share(fn: Callable[[Sequence], list], items: Sequence, size: int) -> list:
     """fn applied to consecutive shares of items, one share per usable CPU,
-    with the results joined in item order.
+    with the results joined in item order; size is the node count each item
+    covers. A batch whose shares would cover fewer than ``_MIN_SHARE_SIZE``
+    node entries each is one share.
 
     The calling thread computes the last share, which is the largest, and
     then waits for the worker threads' shares. fn must only read what is
@@ -88,7 +103,7 @@ def _by_share(fn: Callable[[Sequence], list], items: Sequence) -> list:
     """
     global _pool
     parts = min(_THREADS, len(items))
-    if parts <= 1:
+    if parts <= 1 or size * (len(items) // parts) < _MIN_SHARE_SIZE:
         return fn(items)
     if _pool is None or _pool[0] != _THREADS:
         if _pool is not None:
@@ -126,18 +141,22 @@ class PprVector:
     dimension key. OOV dimensions outweigh every sense dimension by
     construction, so they come first, ordered by term.
 
-    ``ranks`` maps node index -> int32 rank among the senses, 1..len(weights)
-    (0: absent), up to the largest index present; ``weights`` are in rank
-    order. OOV dimensions are not in the table (``sim_sem`` uses the terms).
+    ``ranks`` maps node index -> int32 rank among the senses, 1..senses
+    (0: absent), up to the largest index present; ``senses`` counts them.
+    ``weights`` are the senses' weights in rank order. A rank-only vector
+    (weights None; an engine's composed vectors) holds an empty weight
+    array: it can be compared but not listed. OOV dimensions are not in
+    the table (``sim_sem`` uses the terms).
     """
 
-    __slots__ = ("graph", "ranks", "weights", "oov_terms", "oov_weight")
+    __slots__ = ("graph", "ranks", "senses", "weights", "oov_terms", "oov_weight")
 
-    def __init__(self, graph: SemanticGraph, idx: np.ndarray, weights: np.ndarray):
+    def __init__(self, graph: SemanticGraph, idx: np.ndarray, weights: np.ndarray | None = None):
         self.graph = graph
         self.ranks = np.zeros(int(idx.max(initial=-1)) + 1, dtype=np.int32)
         self.ranks[idx] = np.arange(1, len(idx) + 1, dtype=np.int32)
-        self.weights = weights
+        self.senses = len(idx)
+        self.weights = _NO_WEIGHTS if weights is None else weights
         self.oov_terms: tuple[str, ...] = ()
         self.oov_weight = 0.0
 
@@ -150,13 +169,15 @@ class PprVector:
         return idx
 
     def __len__(self) -> int:
-        return len(self.weights) + len(self.oov_terms)
+        return self.senses + len(self.oov_terms)
 
     def items(self) -> Iterator[tuple[SenseId | str, float]]:
-        for term in self.oov_terms:
-            yield term, self.oov_weight
-        for i, w in zip(self.idx, self.weights):
-            yield self.graph.sense_at(int(i)), float(w)
+        if len(self.weights) < self.senses:
+            raise ValueError(
+                "a composed vector keeps its ranks only; compute_ppr gives its weights"
+            )
+        senses = ((self.graph.sense_at(int(i)), float(w)) for i, w in zip(self.idx, self.weights))
+        return chain(((term, self.oov_weight) for term in self.oov_terms), senses)
 
     def top(self, k: int) -> list[tuple[SenseId | str, float]]:
         return list(islice(self.items(), k))
@@ -181,18 +202,23 @@ def _run_walk(graph: SemanticGraph, v0: np.ndarray, cfg: PprConfig) -> np.ndarra
     a dangling node only where it is a seed (it has no neighbours), so a
     column's dangling mass is the sum of its own dangling seed entries in
     ascending node index, which ``np.bincount`` adds one by one.
+
+    v0 is not kept past the first product, so a caller that holds no other
+    reference to it needs two (n, columns) arrays at a time, not three.
     """
     trans = graph.transition
     keep = 1.0 - cfg.alpha
+    width = v0.shape[1]
     rows, cols = np.nonzero(v0)
     seeds = v0[rows, cols]
     dead = graph.degree[rows] == 0
     dead_rows, dead_cols = rows[dead], cols[dead]
     restart = seeds * cfg.alpha
     v = v0
+    del v0
     for _ in range(cfg.iterations):
         if len(dead_rows):
-            mass = np.bincount(dead_cols, weights=v[dead_rows, dead_cols], minlength=v0.shape[1])
+            mass = np.bincount(dead_cols, weights=v[dead_rows, dead_cols], minlength=width)
             restart = seeds * (keep * mass + cfg.alpha)[cols]
         v = trans @ v
         v *= keep
@@ -200,9 +226,10 @@ def _run_walk(graph: SemanticGraph, v0: np.ndarray, cfg: PprConfig) -> np.ndarra
     return v
 
 
-def _compress(graph: SemanticGraph, column: np.ndarray) -> PprVector:
+def _compress(graph: SemanticGraph, column: np.ndarray, weights: bool = True) -> PprVector:
     """The column's positive entries in rank order: descending weight, ties
-    by ascending node index, which is ascending SenseId.
+    by ascending node index, which is ascending SenseId; without their
+    weights (a rank-only vector) when weights is False.
 
     Entries are sorted by weight with the fast unstable sort; only the
     entries in runs of equal weight are then put back in ascending index.
@@ -218,7 +245,7 @@ def _compress(graph: SemanticGraph, column: np.ndarray) -> PprVector:
         # One int64 key per tied entry, (run, index): sorting it orders
         # each run by index and leaves the runs where they are.
         order[tied] = np.sort(run * n + order[tied]) % n
-    return PprVector(graph, order[: len(ranked)], ranked.copy())
+    return PprVector(graph, order[: len(ranked)], ranked.copy() if weights else None)
 
 
 def _walk(
@@ -228,14 +255,18 @@ def _walk(
     its seeds; the vectors come back in key order. Each share of the keys
     (``_by_share``) is walked and compressed on a thread of its own."""
 
-    def walk_share(share: Sequence[tuple[int, ...]]) -> list[PprVector]:
+    def seed_matrix(share: Sequence[tuple[int, ...]]) -> np.ndarray:
         v0 = np.zeros((graph.node_count, len(share)), dtype=np.float64)
         for col, key in enumerate(share):
             v0[list(key), col] = 1.0 / len(key)
-        v = _run_walk(graph, v0, cfg)
+        return v0
+
+    def walk_share(share: Sequence[tuple[int, ...]]) -> list[PprVector]:
+        # Passed unnamed, so _run_walk can free it after its first product.
+        v = _run_walk(graph, seed_matrix(share), cfg)
         return [_compress(graph, v[:, col]) for col in range(len(share))]
 
-    return _by_share(walk_share, keys)
+    return _by_share(walk_share, keys, graph.node_count)
 
 
 def _composes(graph: SemanticGraph, key: tuple[int, ...]) -> bool:
@@ -245,9 +276,10 @@ def _composes(graph: SemanticGraph, key: tuple[int, ...]) -> bool:
 
 
 def _compose(
-    graph: SemanticGraph, key: tuple[int, ...], singles: dict[int, PprVector]
+    graph: SemanticGraph, key: tuple[int, ...], singles: dict[int, PprVector], weights: bool = True
 ) -> PprVector:
-    """The mean of the seeds' walk columns, summed in ascending node index.
+    """The mean of the seeds' walk columns, summed in ascending node index,
+    ranked by ``_compress`` (rank-only when weights is False).
 
     A single vector's column is its weights read through its rank table,
     where rank 0 (absent) reads a 0.0 put in front of them: the walk
@@ -258,7 +290,7 @@ def _compose(
         vec = singles[i]
         total[: len(vec.ranks)] += np.concatenate(([0.0], vec.weights))[vec.ranks]
     total *= 1.0 / len(key)
-    return _compress(graph, total)
+    return _compress(graph, total, weights)
 
 
 class _LruCache:
@@ -329,7 +361,8 @@ class PprEngine:
     ``prime_seed_sets`` is the one path that reads, computes and stores
     vectors; the other vector methods ask it for one or two sets. The cache
     capacity decides only which vectors outlive a call. Every output is a
-    pure function of (graph, config, seeds).
+    pure function of (graph, config, seeds). Walked vectors keep their
+    weights; composed vectors are rank-only, never holding their weights.
     """
 
     def __init__(
@@ -388,7 +421,8 @@ class PprEngine:
         singles.update((key[0], vec) for key, vec in computed.items() if len(key) == 1)
         composed = [key for key in missing if key not in computed]
         computed.update(zip(composed, _by_share(
-            lambda share: [_compose(graph, key, singles) for key in share], composed
+            lambda share: [_compose(graph, key, singles, weights=False) for key in share],
+            composed, graph.node_count,
         )))
         for key in missing:
             vectors[key] = computed[key]
@@ -443,8 +477,11 @@ class PprEngine:
         return {**meta, **asdict(self.cfg), "node_order": "sense_id"}
 
     def save_cache(self, path, meta: dict) -> None:
+        """Pickle the cached vectors, composed ones without weights (None)."""
+        graph = self.graph
         entries = [
-            (key, vec.idx, vec.weights) for key, vec in self._vectors.items()
+            (key, vec.idx, None if _composes(graph, key) else vec.weights)
+            for key, vec in self._vectors.items()
         ]
         payload = {
             "meta": self._cache_meta(meta),
@@ -458,12 +495,15 @@ class PprEngine:
         """Load a persisted cache; returns False (and loads nothing) when the
         stored meta (graph/dict fingerprints) or walk settings differ from
         expect_meta and this engine's. A file that does not unpickle to a
-        cache payload raises CacheFileError."""
+        cache payload raises CacheFileError. Composed entries load rank-only,
+        whether or not the file holds their weights."""
         payload = _read_payload(path)
         if payload.get("meta") != self._cache_meta(expect_meta):
             return False
+        graph = self.graph
         for key, idx, weights in payload["entries"]:
-            self._vectors.put(key, PprVector(self.graph, idx, weights))
+            weights = None if _composes(graph, key) else weights
+            self._vectors.put(key, PprVector(graph, idx, weights))
         return True
 
 
@@ -473,8 +513,15 @@ def compute_ppr(
     cfg: PprConfig = PprConfig(),
 ) -> PprVector:
     """The vector of a uniform distribution over the seed set, composed or
-    walked as the module docstring defines."""
-    return PprEngine(graph, cfg, cache_capacity=0).vector_for_seeds(seeds)
+    walked as the module docstring defines, with its weights: a composed
+    set's are composed here from its seeds' walked vectors."""
+    seeds = list(seeds)
+    key = _seed_key(graph, seeds)
+    engine = PprEngine(graph, cfg, cache_capacity=0)
+    if not _composes(graph, key):
+        return engine.vector_for_seeds(seeds)
+    singles = engine.prime_seed_sets([(graph.sense_at(i),) for i in key])
+    return _compose(graph, key, dict(zip(key, singles)))
 
 
 class CacheFileError(ValueError):

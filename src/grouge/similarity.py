@@ -46,7 +46,7 @@ def sim_sem(a: PprVector, b: PprVector) -> float:
     common = min(len(table_a), len(table_b))
     ranks_a, ranks_b = table_a[:common], table_b[:common]
     rank_sums = ranks_a + ranks_b
-    if len(a.weights) == len(b.weights) == len(table_a) == len(table_b):
+    if a.senses == b.senses == len(table_a) == len(table_b):
         n_shared = common  # neither table has a zero: every sense is shared
     else:
         shared = np.minimum(ranks_a, ranks_b) > 0
@@ -60,8 +60,11 @@ def sim_sem(a: PprVector, b: PprVector) -> float:
     h = n_shared + len(oov_sums)
     if h == 0:
         return 0.0
-    # All dimensions shared: the prefixes are zero at the same entries.
-    if h == len(a) == len(b) and np.array_equal(ranks_a, ranks_b):
+    # All dimensions shared: the prefixes are zero at the same entries. The
+    # first ranks almost always differ already, which is cheaper to find.
+    if h == len(a) == len(b) and (
+        not common or ranks_a[0] == ranks_b[0] and np.array_equal(ranks_a, ranks_b)
+    ):
         return 1.0  # identical rank structure
     oov_count = len(a.oov_terms) + len(b.oov_terms)
     if oov_count:
@@ -76,10 +79,11 @@ def insert_oov(vector: PprVector, oov_terms: list[str] | tuple[str, ...]) -> Ppr
     """Add one top-ranked dimension per distinct OOV term.
 
     Inserted dimensions share a weight strictly above the current maximum
-    (1.01 times it, or 1.0 on an empty vector), so they occupy the leading
-    ranks, ordered by term. The same term inserted into two vectors is the
-    same dimension, so the vectors intersect on it. The result shares the
-    vector's rank table and weights.
+    (1.01 times it, or 1.0 on a vector without weights: an empty one, or a
+    rank-only composed one, whose sense weights are all below 1), so they
+    occupy the leading ranks, ordered by term. The same term inserted into
+    two vectors is the same dimension, so the vectors intersect on it. The
+    result shares the vector's rank table and weights.
     """
     terms = sorted({t.lower() for t in oov_terms})
     if not terms:

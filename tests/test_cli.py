@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import inspect
 import json
 import os
@@ -7,14 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import grouge
-from grouge import GrougeConfig, PprConfig, load_graph
+from grouge import GrougeConfig, PprConfig, load_dictionary, load_graph
 from grouge.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, build_parser, main
-from grouge.ppr import _walk
+from grouge.ppr import _composes, _walk
 from grouge.stats import correlate
 
+from oracles import compress_reference, walk_reference
 from synth import (
     build_synthetic_eval,
     relist_lines,
@@ -127,7 +130,9 @@ class TestScoreCommand:
 
     def test_byte_identical_across_thread_counts(self, world, tmp_path, monkeypatch, capsys):
         """Walk passes and composed batches split into 1, 2 or 3 shares
-        give the same CSV, .meta.json, --debug-senses lines and cache file."""
+        give the same CSV, .meta.json, --debug-senses lines and cache file.
+        The world is small, so every batch of two or more items is split."""
+        monkeypatch.setattr(grouge.ppr, "_MIN_SHARE_SIZE", 0)
         outputs = []
         for threads in (1, 2, 3):
             monkeypatch.setattr(grouge.ppr, "_THREADS", threads)
@@ -792,6 +797,31 @@ class TestPprCommand:
             "--lemma", "w000", "--sense", "1", "--top", "3",
         ])
         assert code == EX_OK
+
+    def test_sense_set_lists_the_composed_walk(self, world, capsys):
+        """Without --sense the listing is the mean of the senses' walk
+        columns, summed in ascending node index: the bytes it printed when
+        engines kept composed weights (the SHA-256 below)."""
+        graph = load_graph(world["graph"])
+        nodes = sorted(graph.node_index(s)
+                       for s in load_dictionary(world["dict"], graph).senses_of("w000"))
+        assert _composes(graph, tuple(nodes))
+        total = np.zeros(graph.node_count)
+        for i in nodes:
+            v0 = np.zeros((graph.node_count, 1))
+            v0[i, 0] = 1.0
+            total += walk_reference(graph, v0)[:, 0]
+        total *= 1.0 / len(nodes)
+        idx, weights = compress_reference(graph, total)
+        want = "".join(f"{graph.sense_at(int(i))}\t{w:.12g}\n"
+                       for i, w in zip(idx[:20], weights[:20]))
+        assert main(["ppr", "--graph", str(world["graph"]), "--dict", str(world["dict"]),
+                     "--lemma", "w000", "--top", "20"]) == EX_OK
+        out = capsys.readouterr().out
+        assert out == want
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "824440f336ed4624a8817aedf2151ee0ae4b0b96d0715a868e95d43a131c28aa"
+        )
 
     def test_unknown_lemma_fatal(self, world):
         code = main([

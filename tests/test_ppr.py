@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 import grouge.ppr
 from grouge import PprConfig, PprEngine, PprVector, SenseId, compute_ppr, load_graph
-from grouge.ppr import CacheFileError, _compress, _run_walk, _walk, read_cache_file
+from grouge.ppr import (
+    CacheFileError,
+    _composes,
+    _compress,
+    _run_walk,
+    _seed_key,
+    _walk,
+    read_cache_file,
+)
 
 from conftest import graph_from_edges, labelled_graph, ring_graphs, sense, sid, star_graphs
 from oracles import compress_reference, dense_ppr, seed_set_reference, walk_reference, weight_in
@@ -228,6 +236,18 @@ def dense(vec, n):
     return column
 
 
+def assert_matches_compute_ppr(got, want, seeds):
+    """An engine's vector against compute_ppr's: the same rank order and
+    sense count, and for a walked set the same weights. The engine keeps a
+    composed set's ranks only."""
+    assert np.array_equal(got.idx, want.idx)
+    assert got.senses == want.senses == len(want.weights)
+    if _composes(got.graph, _seed_key(got.graph, seeds)):
+        assert got.weights.nbytes == 0
+    else:
+        assert np.array_equal(got.weights, want.weights)
+
+
 def walked_columns(monkeypatch) -> list[int]:
     """The seed count of every column a ``_walk`` pass walks from now on."""
     columns: list[int] = []
@@ -301,9 +321,7 @@ class TestComposition:
                 if capacity == 4:  # the batch evicts singles it composes from
                     assert engine.stats().evictions > 0
                 for seeds, want in zip(sets, expected):
-                    got = engine.ppr_for_sense_set(seeds)
-                    assert np.array_equal(got.idx, want.idx)
-                    assert np.array_equal(got.weights, want.weights)
+                    assert_matches_compute_ppr(engine.ppr_for_sense_set(seeds), want, seeds)
 
     def test_only_isolated_seed_sets_walk_multi_seed_columns(self, monkeypatch):
         g = graph_from_edges([(1, 2), (2, 3), (3, 4)], isolated=[9])
@@ -356,7 +374,12 @@ def as_bytes(vectors):
 class TestThreadCounts:
     """Each walk pass is split by columns, and each batch of composed sets
     by set, into one share per usable CPU (``_THREADS``); no bit of a
-    vector, a count or a cache file depends on the number of shares."""
+    vector, a count or a cache file depends on the number of shares. The
+    graphs here are small, so every batch of two or more items is split."""
+
+    @pytest.fixture(autouse=True)
+    def split_any_batch(self, monkeypatch):
+        monkeypatch.setattr(grouge.ppr, "_MIN_SHARE_SIZE", 0)
 
     def graphs(self):
         rng = np.random.default_rng(21)
@@ -389,7 +412,7 @@ class TestThreadCounts:
         monkeypatch.setattr(grouge.ppr, "_THREADS", 4)
         for n in (2, 3, 4, 5, 2, 3):
             items = list(range(n))
-            assert grouge.ppr._by_share(lambda share: [x * 10 for x in share], items) == [
+            assert grouge.ppr._by_share(lambda share: [x * 10 for x in share], items, 1) == [
                 x * 10 for x in items
             ]
         workers = [t for t in threading.enumerate() if t.name.startswith("grouge-ppr")]
@@ -426,6 +449,30 @@ class TestThreadCounts:
         assert runs[0] == runs[1] == runs[2]
 
 
+class TestShareSize:
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_a_batch_splits_only_when_each_share_covers_the_minimum(self, monkeypatch,
+                                                                   threads):
+        """Two-column walk passes on 10k- and 117k-node graphs split; a
+        batch on a graph of a few hundred nodes splits only when each share
+        holds enough items."""
+        monkeypatch.setattr(grouge.ppr, "_THREADS", threads)
+        minimum = grouge.ppr._MIN_SHARE_SIZE
+        assert minimum <= 10_000
+
+        def shares(count, size):
+            widths = []
+            grouge.ppr._by_share(lambda share: widths.append(len(share)) or list(share),
+                                 list(range(count)), size)
+            return sorted(widths)
+
+        assert shares(2, 10_000) == shares(2, 117_659) == [1, 1]
+        assert shares(threads, 300) == [threads]
+        per_share = -(-minimum // 300)
+        assert len(shares(threads * per_share, 300)) == threads
+        assert shares(threads * per_share - 1, 300) == [threads * per_share - 1]
+
+
 class TestEngine:
     def test_cache_returns_identical_vector(self, path_graph):
         engine = PprEngine(path_graph)
@@ -457,10 +504,9 @@ class TestEngine:
     def test_primed_batch_bitwise_equals_single_compute(self, path_graph):
         engine = PprEngine(path_graph)
         engine.prime_seed_sets([[sense(1)], [sense(2)], [sense(1), sense(5)]])
-        primed = engine.ppr_for_sense_set([sense(1), sense(5)])
-        fresh = compute_ppr(path_graph, [sense(1), sense(5)])
-        assert np.array_equal(primed.idx, fresh.idx)
-        assert np.array_equal(primed.weights, fresh.weights)
+        for seeds in ([sense(1), sense(5)], [sense(1)], [sense(2)]):
+            primed = engine.ppr_for_sense_set(seeds)
+            assert_matches_compute_ppr(primed, compute_ppr(path_graph, seeds), seeds)
 
     def test_dangling_seed_vector(self):
         g = graph_from_edges([(1, 2)], isolated=[5])
@@ -621,9 +667,7 @@ class TestEngine:
             assert len(vectors) == len(sets)
             assert vectors[0] is vectors[2] and vectors[1] is vectors[3]
             for seeds, vec in zip(sets, vectors):
-                want = compute_ppr(path_graph, seeds)
-                assert np.array_equal(vec.idx, want.idx)
-                assert np.array_equal(vec.weights, want.weights)
+                assert_matches_compute_ppr(vec, compute_ppr(path_graph, seeds), seeds)
         stats = engine.stats()
         assert stats.size == stats.memory_bytes == stats.hits == 0
         assert stats.misses == 2 * 3  # one per distinct set and call
@@ -653,12 +697,13 @@ class TestLineOrder:
 
     @staticmethod
     def outputs(lines):
-        engine = PprEngine(load_graph(lines))
+        graph = load_graph(lines)
+        engine = PprEngine(graph)
         senses = [SenseId.parse(node_id(i)) for i in range(24)]
         sets = [[senses[i] for i in key] for key in ((0, 12), (3, 9, 15), (1, 23))]
         return (
             [list(engine.ppr_for_sense(s).items()) for s in senses],
-            [list(engine.ppr_for_sense_set(seeds).items()) for seeds in sets],
+            [list(compute_ppr(graph, seeds).items()) for seeds in sets],
             [engine.sense_similarity(a, b) for a, b in combinations(senses, 2)],
         )
 
@@ -668,6 +713,119 @@ class TestLineOrder:
         singles, composed, sims = self.outputs(lines)
         assert self.outputs(relist_lines(lines, seed)) == (singles, composed, sims)
         assert len(composed) == 3 and len(sims) == 276
+
+
+def block_bytes(array: np.ndarray) -> int:
+    """Bytes of the memory block an array lives in, following its bases."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.nbytes if array.base is None else memoryview(array.base).nbytes
+
+
+def held_bytes(vectors) -> int:
+    """The bytes of every array the vectors hold; none is a view into a
+    larger block."""
+    total = 0
+    for vec in vectors:
+        for name in PprVector.__slots__:
+            value = getattr(vec, name)
+            if isinstance(value, np.ndarray):
+                assert block_bytes(value) == value.nbytes, name
+                total += value.nbytes
+    return total
+
+
+class TestRankOnly:
+    """An engine keeps a composed vector's rank table and sense count only;
+    walked vectors keep their weights."""
+
+    @pytest.fixture
+    def engine_and_sets(self, path_graph):
+        engine = PprEngine(path_graph)
+        sets = [[sense(1)], [sense(1), sense(5)], [sense(2), sense(3), sense(4)]]
+        return engine, sets, engine.prime_seed_sets(sets)
+
+    def test_composed_vectors_hold_no_weights(self, engine_and_sets, path_graph):
+        _, sets, vectors = engine_and_sets
+        for seeds, vec in zip(sets[1:], vectors[1:]):
+            want = compute_ppr(path_graph, seeds)
+            assert vec.weights.nbytes == 0
+            assert block_bytes(vec.weights) == 0  # not a view of the composed column
+            assert vec.senses == len(vec) == len(want.weights) == 5
+            assert np.array_equal(vec.idx, want.idx)
+            assert vec.nbytes() == vec.ranks.nbytes
+        assert np.array_equal(vectors[0].weights, compute_ppr(path_graph, sets[0]).weights)
+
+    def test_items_and_top_of_a_rank_only_vector_raise(self, engine_and_sets):
+        _, _, vectors = engine_and_sets
+        for call in (lambda v: v.items(), lambda v: v.top(3), lambda v: v.top(0)):
+            with pytest.raises(ValueError, match="ranks only; compute_ppr gives its weights"):
+                call(vectors[1])
+        assert len(vectors[0].top(3)) == 3
+
+    def test_memory_bytes_is_what_the_cached_vectors_hold(self, engine_and_sets, tmp_path,
+                                                         path_graph):
+        engine, _, _ = engine_and_sets
+        assert engine.stats().memory_bytes == held_bytes(vec for _, vec in engine._vectors.items())
+
+        cache_file = tmp_path / "cache.pkl"
+        engine.save_cache(cache_file, {})
+        reloaded = PprEngine(path_graph)
+        assert reloaded.load_cache(cache_file, {})
+        vectors = [vec for _, vec in reloaded._vectors.items()]
+        assert reloaded.stats().memory_bytes == held_bytes(vectors)
+        assert reloaded.stats().memory_bytes == engine.stats().memory_bytes
+
+    def test_cache_file_stores_composed_entries_without_weights(self, engine_and_sets,
+                                                               tmp_path, path_graph):
+        engine, sets, vectors = engine_and_sets
+        cache_file = tmp_path / "cache.pkl"
+        engine.save_cache(cache_file, {})
+        entries = pickle.loads(cache_file.read_bytes())["entries"]
+        assert [weights is None for _, _, weights in entries] == [False, True, True]
+
+        # A file written before composed vectors were rank-only holds their
+        # weights; they load without them.
+        with_weights = [
+            (key, idx, compute_ppr(path_graph, map(path_graph.sense_at, key)).weights)
+            for key, idx, _ in entries
+        ]
+        cache_file.write_bytes(pickle.dumps({**pickle.loads(cache_file.read_bytes()),
+                                             "entries": with_weights}))
+        warm = PprEngine(path_graph)
+        assert warm.load_cache(cache_file, {})
+        reloaded = warm.prime_seed_sets(sets)
+        assert (warm.stats().hits, warm.stats().misses) == (3, 0)
+        assert np.array_equal(reloaded[0].weights, vectors[0].weights)
+        for got, want in zip(reloaded[1:], vectors[1:]):
+            assert got.weights.nbytes == 0 and got.senses == want.senses
+            assert np.array_equal(got.ranks, want.ranks)
+        assert warm.stats().memory_bytes == engine.stats().memory_bytes
+
+
+class TestWalkMemory:
+    def test_a_pass_holds_two_column_arrays_not_three(self):
+        """_run_walk drops the seed matrix after the first product, so a
+        caller that passes it without keeping it needs two (n, columns)
+        float64 arrays at a time; the bits do not change."""
+        import tracemalloc
+
+        g = graph_from_edges([(i, i + 1) for i in range(1, 4000)])
+        columns = 8
+
+        def seed_matrix():
+            v0 = np.zeros((g.node_count, columns))
+            v0[np.arange(columns) * 400, np.arange(columns)] = 1.0
+            return v0
+
+        tracemalloc.start()
+        try:
+            got = _run_walk(g, seed_matrix(), PprConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * got.nbytes
+        assert np.array_equal(got, walk_reference(g, seed_matrix()))
 
 
 _ROUND_TRIP_GRAPH = graph_from_edges([(i, i + 1) for i in range(1, 40)])

@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -142,6 +144,53 @@ class TestSimSem:
         assert got == sim_sem(vb, va)
         same, _ = with_oov(w1, terms1)
         assert sim_sem(va, same) == 1.0
+
+
+    def test_ranks_equal_at_the_first_entry_and_different_later(self):
+        a = vector_from_weights(KEY_GRAPH, {sense(0): 0.5, sense(1): 0.3, sense(2): 0.2})
+        b = vector_from_weights(KEY_GRAPH, {sense(0): 0.5, sense(2): 0.3, sense(1): 0.2})
+        assert a.ranks[0] == b.ranks[0] == 1 and a.ranks[1] != b.ranks[1]
+        got = sim_sem(a, b)
+        assert got < 1.0
+        assert got == sim_sem_reference(a, b)
+        assert got == pytest.approx((1 / 2 + 1 / 5 + 1 / 5) / (1 / 2 + 1 / 4 + 1 / 6), abs=1e-15)
+
+    def test_identical_tables_that_start_absent_score_one(self):
+        w = {sense(1): 0.5, sense(2): 0.3}
+        a, b = vector_from_weights(KEY_GRAPH, w), vector_from_weights(KEY_GRAPH, dict(w))
+        assert a.ranks[0] == b.ranks[0] == 0
+        assert sim_sem(a, b) == 1.0
+        assert sim_sem(insert_oov(a, ["q"]), insert_oov(b, ["q"])) == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(st.sampled_from(["ab", "cd", "ef"]), max_size=3),
+        st.lists(st.sampled_from(["ab", "cd", "ef"]), max_size=3),
+    )
+    def test_rank_only_engine_vectors_score_as_compute_ppr_vectors(self, seed, terms_a,
+                                                                   terms_b):
+        """An engine keeps a composed set's ranks only; every score it
+        enters is the score of compute_ppr's weighted vector, bit for bit."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 20))
+        nodes = range(1, n + 1)
+        edges = [(i, j) for i in nodes for j in nodes if i < j and rng.random() < 0.25]
+        edges = edges or [(1, 2)]
+        linked = sorted({u for e in edges for u in e})
+        g = graph_from_edges(edges, isolated=[i for i in nodes if i not in linked])
+        sets = [rng.choice(nodes, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+                for _ in range(3)]
+        sets.append(rng.choice(linked, size=int(rng.integers(2, min(len(linked), 4) + 1)),
+                               replace=False))  # a set that composes
+        seeds = [[sense(int(i)) for i in nodes_of_set] for nodes_of_set in sets]
+        ranked = PprEngine(g).prime_seed_sets(seeds)
+        weighted = [compute_ppr(g, s) for s in seeds]
+        assert ranked[-1].weights.nbytes == 0 < len(weighted[-1].weights)
+        for i, j in combinations_with_replacement(range(len(seeds)), 2):
+            want = sim_sem(insert_oov(weighted[i], terms_a), insert_oov(weighted[j], terms_b))
+            assert sim_sem(insert_oov(ranked[i], terms_a), insert_oov(ranked[j], terms_b)) == want
+            assert sim_sem(insert_oov(ranked[i], terms_a), insert_oov(weighted[j], terms_b)) == want
 
 
 class TestSimSemReference:
