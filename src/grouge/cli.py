@@ -66,7 +66,7 @@ EX_FATAL = 1
 EX_PARTIAL = 2
 EX_USAGE = 64
 
-DEFAULT_CACHE_FILE = "grouge-cache.pkl"
+DEFAULT_CACHE_FILE = "grouge-cache.npz"
 _MAX_BETAS = 10_001  # a step of 1e-4 over [0, 1]; a finer grid is a typo, not a sweep
 
 
@@ -498,15 +498,12 @@ def run_ppr(args, settings: RunSettings) -> int:
 
 
 def run_cache_stats(args, settings: None) -> int:
-    path = _resolve(args.cache)
-    if not path.exists():
-        raise CliError(f"cache file not found: {args.cache}")
-    payload = read_cache_file(path)
-    stats = payload["stats"]
+    path = _require(args.cache, "cache file")
+    header, _ = read_cache_file(path)
+    meta, stats = header["meta"], header["stats"]
     if not stats.get("enabled", False):
         print("cache: disabled")
         return EX_OK
-    meta = payload["meta"]
     print(f"cache: {path}")
     print(f"graph: {meta.get('graph_sha256', '?')}  dict: {meta.get('dict_sha256', '?')}")
     print(f"hits: {stats.get('hits', 0)}")

@@ -48,12 +48,20 @@ columns of its pass, nor a composed vector on the other sets of its batch.
 So each walk pass is split by columns, and each batch of composed sets by
 set, into one share per CPU the process may run on (``_by_share``); the
 calling thread computes one share, and only it touches the cache.
+
+A cache file (``save_cache``) holds the walked vectors only, the basis that
+every composed vector is built from; a run that loads it composes the other
+sets again. It is an uncompressed ``.npz`` archive of plain arrays, read
+with ``np.load``, which refuses object arrays, so opening it runs no code
+from it.
 """
 
 from __future__ import annotations
 
+import json
 import os
-import pickle
+import zipfile
+import zlib
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
@@ -80,10 +88,10 @@ def _usable_cpus() -> int:
 
 
 _THREADS = _usable_cpus()  # shares per walk pass and per batch of composed sets
-# A batch is split only when each share covers at least this many node
-# entries (node count times items per share). On 2 CPUs, split walk passes
-# over 1,000-3,000 nodes took 1.0-3.4 times as long as unsplit ones, and
-# over 10,000 nodes 0.66-0.95 times.
+# A batch is split only on a graph of at least this many nodes. On 2 CPUs,
+# split walk passes over 1,000-5,000 nodes took up to 3.4 times as long as
+# unsplit ones (5,000 nodes: 1.34 times at 4 columns, 1.07 at 8), and over
+# 10,000 nodes 0.66-0.88 times at any width.
 _MIN_SHARE_SIZE = 10_000
 # The one pool of _THREADS - 1 worker threads, with the _THREADS it was made for.
 # It is remade only when _THREADS changes; its threads start on the first split.
@@ -92,9 +100,9 @@ _pool: tuple[int, ThreadPoolExecutor] | None = None
 
 def _by_share(fn: Callable[[Sequence], list], items: Sequence, size: int) -> list:
     """fn applied to consecutive shares of items, one share per usable CPU,
-    with the results joined in item order; size is the node count each item
-    covers. A batch whose shares would cover fewer than ``_MIN_SHARE_SIZE``
-    node entries each is one share.
+    with the results joined in item order; size is the node count of the
+    graph the items cover. A batch on fewer than ``_MIN_SHARE_SIZE`` nodes
+    is one share.
 
     The calling thread computes the last share, which is the largest, and
     then waits for the worker threads' shares. fn must only read what is
@@ -103,7 +111,7 @@ def _by_share(fn: Callable[[Sequence], list], items: Sequence, size: int) -> lis
     """
     global _pool
     parts = min(_THREADS, len(items))
-    if parts <= 1 or size * (len(items) // parts) < _MIN_SHARE_SIZE:
+    if parts <= 1 or size < _MIN_SHARE_SIZE:
         return fn(items)
     if _pool is None or _pool[0] != _THREADS:
         if _pool is not None:
@@ -471,39 +479,46 @@ class PprEngine:
         )
 
     def _cache_meta(self, meta: dict) -> dict:
-        """meta plus the walk settings and the node order, which are part of
-        a cache's identity: vectors are stored by node index, and files
-        written before nodes were numbered in sense-id order lack the entry."""
-        return {**meta, **asdict(self.cfg), "node_order": "sense_id"}
+        """meta plus the walk settings and the node count, which are part of
+        a cache's identity: vectors are stored by node index."""
+        return {**meta, **asdict(self.cfg), "node_count": self.graph.node_count}
 
     def save_cache(self, path, meta: dict) -> None:
-        """Pickle the cached vectors, composed ones without weights (None)."""
-        graph = self.graph
-        entries = [
-            (key, vec.idx, None if _composes(graph, key) else vec.weights)
-            for key, vec in self._vectors.items()
-        ]
-        payload = {
-            "meta": self._cache_meta(meta),
-            "stats": self.stats().as_dict(),
-            "entries": entries,
+        """Write the cached vectors that keep weights (the walked ones) and
+        this engine's counters to an archive that ``load_cache`` reads.
+        Composed vectors are left out: composing one again from its walked
+        singles is cheaper than a walk. The members are a JSON header, flat
+        int32 seed keys, int32 node indices in rank order and float64
+        weights, with int32 per-entry sizes; their bytes do not depend on
+        when the file was written."""
+        walked = [(key, vec) for key, vec in self._vectors.items() if len(vec.weights)]
+        header = {"meta": self._cache_meta(meta), "stats": self.stats().as_dict()}
+        members = {
+            "header": np.array(json.dumps(header)),
+            "keys": _flat([key for key, _ in walked], np.int32),
+            "key_sizes": np.array([len(key) for key, _ in walked], dtype=np.int32),
+            "indices": _flat([vec.idx for _, vec in walked], np.int32),
+            "sizes": np.array([vec.senses for _, vec in walked], dtype=np.int32),
+            "weights": _flat([vec.weights for _, vec in walked], np.float64),
         }
-        with atomic_output(path) as fh:
-            pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
+        with atomic_output(path) as fh, zipfile.ZipFile(fh, "w") as archive:
+            for name, array in members.items():  # ZipInfo dates every member 1980
+                with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as out:
+                    np.lib.format.write_array(out, array)
 
     def load_cache(self, path, expect_meta: dict) -> bool:
-        """Load a persisted cache; returns False (and loads nothing) when the
-        stored meta (graph/dict fingerprints) or walk settings differ from
-        expect_meta and this engine's. A file that does not unpickle to a
-        cache payload raises CacheFileError. Composed entries load rank-only,
-        whether or not the file holds their weights."""
-        payload = _read_payload(path)
-        if payload.get("meta") != self._cache_meta(expect_meta):
+        """Load a cache file's vectors; returns False (and loads nothing)
+        when the stored meta (graph/dict fingerprints) or walk settings
+        differ from expect_meta and this engine's. A file that
+        ``read_cache_file`` refuses raises CacheFileError. Each vector gets
+        its own copy of its weights."""
+        header, members = read_cache_file(path)
+        if header["meta"] != self._cache_meta(expect_meta):
             return False
-        graph = self.graph
-        for key, idx, weights in payload["entries"]:
-            weights = None if _composes(graph, key) else weights
-            self._vectors.put(key, PprVector(graph, idx, weights))
+        keys, key_sizes, indices, sizes, weights = members.values()
+        entries = zip(_split(keys, key_sizes), _split(indices, sizes), _split(weights, sizes))
+        for key, idx, w in entries:
+            self._vectors.put(tuple(key.tolist()), PprVector(self.graph, idx, w.copy()))
         return True
 
 
@@ -525,22 +540,59 @@ def compute_ppr(
 
 
 class CacheFileError(ValueError):
-    """A persisted cache file that cannot be read, such as an empty file or
-    one cut short."""
+    """A persisted cache file that cannot be read, such as an empty file,
+    one cut short or one that is not a cache archive."""
 
 
-def _read_payload(path) -> dict:
+_MEMBERS = dict(keys=np.int32, key_sizes=np.int32, indices=np.int32, sizes=np.int32,
+                weights=np.float64)
+
+
+def _flat(parts: Iterable, dtype) -> np.ndarray:
+    return np.concatenate([np.empty(0, dtype), *parts], dtype=dtype, casting="same_kind")
+
+
+def _split(flat: np.ndarray, sizes: np.ndarray) -> list[np.ndarray]:
+    return np.split(flat, np.cumsum(sizes)[:-1]) if len(sizes) else []
+
+
+def read_cache_file(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header ({"meta": ..., "stats": ...}) and the vector members of a
+    cache file, without a graph. A file that is not such an archive, or
+    that ``_check_members`` refuses, raises CacheFileError. ``np.load``
+    refuses object arrays by default, so reading runs no code from the
+    file."""
     try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except (EOFError, pickle.UnpicklingError) as exc:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("not an archive")
+        with archive:
+            header = json.loads(str(archive["header"]))
+            members = {name: archive[name] for name in _MEMBERS}
+        _check_members(header, members)
+    except (OSError, EOFError, KeyError, ValueError, RuntimeError, zipfile.BadZipFile,
+            zlib.error) as exc:  # RuntimeError: an encrypted or unsupported member
         raise CacheFileError(f"cannot read cache file {path}: {exc}") from None
-    if not isinstance(payload, dict):
-        raise CacheFileError(f"cannot read cache file {path}: not a cache payload")
-    return payload
+    return header, members
 
 
-def read_cache_file(path) -> dict:
-    """Stats and fingerprints of a persisted cache file, without a graph."""
-    payload = _read_payload(path)
-    return {"meta": payload.get("meta", {}), "stats": payload.get("stats", {})}
+def _check_members(header, members: dict[str, np.ndarray]) -> None:
+    """Raise ValueError unless the header is a JSON object with meta and
+    stats, every member is 1-D with its dtype, the sizes add up to the
+    members' lengths, and every seed and node index is below the node
+    count in the meta."""
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("stats"), dict)):
+        raise ValueError("the header is not a JSON object with meta and stats")
+    for name, dtype in _MEMBERS.items():
+        if members[name].ndim != 1 or members[name].dtype != dtype:
+            raise ValueError(f"{name} is not a 1-D {np.dtype(dtype)} array")
+    keys, key_sizes, indices, sizes, weights = members.values()
+    if not (len(key_sizes) == len(sizes) and key_sizes.min(initial=1) >= 1
+            and sizes.min(initial=1) >= 1 and key_sizes.sum() == len(keys)
+            and sizes.sum() == len(indices) == len(weights)):
+        raise ValueError("the entry sizes do not match the members")
+    n = header["meta"].get("node_count")
+    if type(n) is not int or any(a.min(initial=0) < 0 or a.max(initial=-1) >= n
+                                 for a in (keys, indices)):
+        raise ValueError("a node index is out of range")

@@ -401,8 +401,8 @@ def correlate(
 
 
 def load_judgments(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:
-    """Read a judgments CSV: header row, first column is the system id,
-    remaining columns numeric. Returns (ids, columns)."""
+    """Read a judgments CSV: header row, first column is the system id
+    (each at most once), remaining columns numeric. Returns (ids, columns)."""
     rows = csv_rows(path)
     header = next(rows, (0, None))[1]
     if not header or len(header) < 2:
@@ -418,6 +418,8 @@ def load_judgments(path: str | Path) -> tuple[list[str], dict[str, np.ndarray]]:
             continue
         if len(row) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} fields")
+        if row[0] in ids:
+            raise ValueError(f"{path}:{lineno}: repeated system {row[0]!r}")
         ids.append(row[0])
         for i, cell in enumerate(row[1:]):
             try:

@@ -1,5 +1,12 @@
 from __future__ import annotations
 
+import json
+import pickle
+import struct
+import zipfile
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -8,6 +15,61 @@ from grouge import Dictionary, SemanticGraph, SenseId, load_dictionary, load_gra
 # `pytest --hypothesis-profile=ci`: the same, larger example set on every
 # run, for the tests that take their example count from the profile.
 settings.register_profile("ci", derandomize=True, max_examples=400)
+
+
+# Ways to damage the members of a cache archive; each makes read_cache_file
+# raise CacheFileError.
+_MEMBER_DAMAGES = {
+    "member-missing": lambda m, n: m.pop("weights"),
+    "wrong-dtype": lambda m, n: m.update(indices=m["indices"].astype(np.int64)),
+    "wrong-shape": lambda m, n: m.update(sizes=m["sizes"].reshape(1, -1)),
+    "sizes-do-not-sum": lambda m, n: m["sizes"].__setitem__(-1, m["sizes"][-1] + 1),
+    "index-out-of-range": lambda m, n: m["indices"].__setitem__(-1, n),
+    "seed-out-of-range": lambda m, n: m["keys"].__setitem__(0, -1),
+    "header-not-an-object": lambda m, n: m.update(header=np.array(json.dumps([n]))),
+}
+CACHE_DAMAGES = ("empty", "truncated", "encrypted", "corrupt-deflate", *_MEMBER_DAMAGES)
+
+
+def damage_cache_file(path: Path, damage: str) -> None:
+    """Rewrite the cache archive at path with one of CACHE_DAMAGES."""
+    whole = path.read_bytes()
+    if damage in ("empty", "truncated"):
+        path.write_bytes(whole[: len(whole) // 2] if damage == "truncated" else b"")
+        return
+    if damage == "encrypted":  # the first member's "encrypted" flag bit, in both headers
+        data = bytearray(whole)
+        central = data.find(b"PK\x01\x02")
+        data[6] |= 1
+        data[central + 8] |= 1
+        path.write_bytes(bytes(data))
+        return
+    with np.load(path) as archive:
+        members = {name: archive[name] for name in archive.files}
+    if damage == "corrupt-deflate":  # the weights compressed, with an invalid first block
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **members)
+        with zipfile.ZipFile(path) as archive:
+            at = archive.getinfo("weights.npy").header_offset
+        data = bytearray(path.read_bytes())
+        name_size, extra_size = struct.unpack("<HH", data[at + 26 : at + 30])
+        data[at + 30 + name_size + extra_size] = 0xFF  # block type 3, which is reserved
+        path.write_bytes(bytes(data))
+        return
+    _MEMBER_DAMAGES[damage](members, json.loads(members["header"].item())["meta"]["node_count"])
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+
+
+def planted_pickle(marker: Path, payload: dict | None = None) -> bytes:
+    """A pickle of payload that also holds an object whose loading creates
+    marker."""
+
+    class Planted:
+        def __reduce__(self):
+            return (open, (str(marker), "w"))
+
+    return pickle.dumps({**(payload or {}), "planted": Planted()})
 
 
 def sid(i: int, pos: str = "n") -> str:

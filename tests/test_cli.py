@@ -14,12 +14,15 @@ import pytest
 import grouge
 from grouge import GrougeConfig, PprConfig, load_dictionary, load_graph
 from grouge.cli import EX_FATAL, EX_OK, EX_PARTIAL, EX_USAGE, build_parser, main
-from grouge.ppr import _composes, _walk
+from grouge.ppr import PprEngine, _composes, read_cache_file
 from grouge.stats import correlate
 
+from conftest import CACHE_DAMAGES, damage_cache_file, planted_pickle
 from oracles import compress_reference, walk_reference
 from synth import (
     build_synthetic_eval,
+    lemma,
+    node_id,
     relist_lines,
     symmetric_relation_lines,
     write_corpus,
@@ -33,6 +36,22 @@ def world(tmp_path_factory):
     return build_synthetic_eval(
         base, n_nodes=240, n_words=30, n_systems=6, n_models=2, seed=99
     )
+
+
+@pytest.fixture(scope="module")
+def isolated_world(world, tmp_path_factory):
+    """world with six more nodes, each isolated and the one sense of one of
+    the first six words."""
+    base = tmp_path_factory.mktemp("isolated")
+    graph, dictionary = base / "relations.txt", base / "dictionary.txt"
+    isolated = range(240, 246)
+    graph.write_text(world["graph"].read_text("utf-8")
+                     + "".join(f"u:{node_id(i)} v:{node_id(i)}\n" for i in isolated), "utf-8")
+    entries = world["dict"].read_text("utf-8").splitlines()
+    for k, i in enumerate(isolated):
+        entries[k] = f"{lemma(k)} {node_id(i)}:5"
+    dictionary.write_text("\n".join(entries) + "\n", "utf-8")
+    return {**world, "graph": graph, "dict": dictionary}
 
 
 def score_args(world, out, variant="g1,r1", extra=()):
@@ -139,10 +158,10 @@ class TestScoreCommand:
             run = tmp_path / str(threads)
             run.mkdir()
             out = run / "report.csv"
-            extra = ("--debug-senses", "--cache-persist", str(tmp_path / f"cache{threads}.pkl"))
+            extra = ("--debug-senses", "--cache-persist", str(tmp_path / f"cache{threads}.npz"))
             assert main(score_args(world, out, "g1,g2,gsu4,r1", extra)) == EX_OK
             outputs.append((out.read_bytes(), out.with_suffix(".csv.meta.json").read_bytes(),
-                            (tmp_path / f"cache{threads}.pkl").read_bytes(),
+                            (tmp_path / f"cache{threads}.npz").read_bytes(),
                             capsys.readouterr().out))
         assert outputs[0] == outputs[1] == outputs[2]
 
@@ -280,7 +299,7 @@ class TestSettingsCheckedFirst:
     def test_persisted_cache_with_capacity_zero_is_usage_error(self, tmp_path, capsys,
                                                                 command):
         argv = missing_data_args(command, tmp_path / "missing", tmp_path / "out.csv")
-        cache = ["--cache-persist", str(tmp_path / "cache.pkl")]
+        cache = ["--cache-persist", str(tmp_path / "cache.npz")]
         assert main([*argv, *cache, "--cache-capacity", "0"]) == EX_USAGE
         assert "usage error: --cache-persist needs a cache" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
@@ -359,7 +378,7 @@ class TestConfigFile:
         ("iterations = 7", ["--iterations", "7"]),
         ("no-stem = true", ["--no-stem"]),
         ("dict_path = {dict}", ["--dict", "{dict}"]),
-        ("cache-persist = {run}/walks.pkl", ["--cache-persist", "{run}/walks.pkl"]),
+        ("cache-persist = {run}/walks.npz", ["--cache-persist", "{run}/walks.npz"]),
         ("graph = {run}/rel=1.txt", ["--graph", "{run}/rel=1.txt"]),
     ], ids=["float", "int", "switch", "dest", "optional-value", "equals-in-value"])
     def test_config_line_equals_flag(self, world, tmp_path, line, flag):
@@ -524,6 +543,23 @@ class TestMetaEvalCommand:
             argv = ["sweep-beta", *score_args(world, out, variant="g1")[1:]]
         assert main([*argv, "--human", str(human)]) == EX_FATAL
         assert "column 'pyramid' appears more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scored", [True, False], ids=["scored", "not-scored"])
+    def test_repeated_judgment_system_is_fatal(self, world, score_csv, tmp_path, capsys,
+                                               scored):
+        lines = world["judgments"].read_text().splitlines()
+        system = lines[1].split(",")[0] if scored else "unscored"
+        if not scored:
+            lines.append(f"{system},0.5,0.5,0.5")
+        lines.append(f"{system},0.1,0.2,0.3")  # the repeat disagrees
+        human = tmp_path / "human.csv"
+        human.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "corr.csv"
+        assert main(["meta-eval", "--scores", str(score_csv), "--human", str(human),
+                     "--resamples", "10", "--out", str(out)]) == EX_FATAL
+        err = capsys.readouterr().err
+        assert f"{human}:{len(lines)}: repeated system {system!r}" in err
         assert not out.exists()
 
     def test_non_finite_judgment_is_fatal(self, world, score_csv, tmp_path, capsys):
@@ -840,22 +876,65 @@ class TestPprCommand:
 
 class TestCacheWorkflow:
     def test_fresh_then_warm_cache_stats(self, world, tmp_path, capsys):
-        cache = tmp_path / "cache.pkl"
+        cache = tmp_path / "cache.npz"
         out = tmp_path / "r.csv"
         assert main(score_args(world, out, variant="g1",
                                extra=("--cache-persist", str(cache)))) == EX_OK
         assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
         fresh = cache_counts(capsys.readouterr().out)
         assert fresh["misses"] > 0 and fresh["vectors"] > 0
+        walked = len(read_cache_file(cache)[1]["sizes"])
+        assert 0 < walked < fresh["vectors"]
 
         assert main(score_args(world, tmp_path / "r2.csv", variant="g1",
                                extra=("--cache-persist", str(cache)))) == EX_OK
         assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
         warm = cache_counts(capsys.readouterr().out)
-        # every vector the warm run looked up was in the file
-        assert warm["misses"] == 0
-        assert warm["hits"] == fresh["hits"] + fresh["misses"]
-        assert warm["vectors"] == fresh["vectors"]
+        # the file holds the walked vectors; the warm run's misses are the
+        # composed sets it composed again
+        assert warm["misses"] == fresh["vectors"] - walked
+        assert warm["hits"] + warm["misses"] == fresh["hits"] + fresh["misses"]
+        assert (warm["vectors"], warm["memory"]) == (fresh["vectors"], fresh["memory"])
+        assert (tmp_path / "r2.csv").read_bytes() == out.read_bytes()
+
+    def test_warm_run_walks_no_column(self, isolated_world, tmp_path, capsys, monkeypatch):
+        """The file holds every vector that keeps weights, sets with an
+        isolated seed included, so a warm run composes the rest and walks
+        nothing."""
+        cache = tmp_path / "cache.npz"
+        cold = tmp_path / "cold.csv"
+        variants = "g1,g2,gsu4,r1"
+        assert main(score_args(isolated_world, cold, variant=variants,
+                               extra=("--cache-persist", str(cache)))) == EX_OK
+        assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
+        fresh = cache_counts(capsys.readouterr().out)
+        _, members = read_cache_file(cache)
+        assert (members["key_sizes"] > 1).any()  # a set with an isolated seed was walked
+
+        walks = []
+        walk = grouge.ppr._walk
+        monkeypatch.setattr(grouge.ppr, "_walk", lambda g, keys, cfg: walks.append(keys)
+                            or walk(g, keys, cfg))
+        warm = tmp_path / "warm.csv"
+        assert main(score_args(isolated_world, warm, variant=variants,
+                               extra=("--cache-persist", str(cache)))) == EX_OK
+        assert walks == []
+        assert warm.read_bytes() == cold.read_bytes()
+        assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
+        again = cache_counts(capsys.readouterr().out)
+        assert again["misses"] == fresh["vectors"] - len(members["sizes"]) > 0
+        assert (again["vectors"], again["memory"]) == (fresh["vectors"], fresh["memory"])
+
+    def test_cache_stats_runs_no_code_from_a_planted_pickle(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # check_pickle_refused_unread plants one at the --cache-persist path
+        marker = tmp_path / "marker"
+        monkeypatch.chdir(tmp_path)
+        Path("grouge-cache.npz").write_bytes(planted_pickle(marker))
+        assert main(["cache-stats"]) == EX_FATAL
+        assert "error: cannot read cache file grouge-cache.npz" in capsys.readouterr().err
+        assert main(["cache-stats", "--cache", "grouge-cache.npz"]) == EX_FATAL
+        assert not marker.exists()
 
     def test_cache_stats_reports_the_saving_runs_counts(self, world, tmp_path, capsys,
                                                         monkeypatch):
@@ -867,7 +946,7 @@ class TestCacheWorkflow:
                 engines.append(self)
 
         monkeypatch.setattr(grouge.cli, "PprEngine", RecordingEngine)
-        cache = tmp_path / "cache.pkl"
+        cache = tmp_path / "cache.npz"
         assert main(score_args(world, tmp_path / "r.csv", variant="g1,g2",
                                extra=("--cache-persist", str(cache)))) == EX_OK
         stats = engines[0].stats()
@@ -880,7 +959,7 @@ class TestCacheWorkflow:
         }
 
     def test_cache_not_reused_across_walk_settings(self, world, tmp_path, capsys):
-        cache = tmp_path / "cache.pkl"
+        cache = tmp_path / "cache.npz"
         assert main(score_args(world, tmp_path / "r.csv", variant="g1",
                                extra=("--cache-persist", str(cache)))) == EX_OK
         # a different restart probability invalidates the persisted vectors
@@ -891,14 +970,14 @@ class TestCacheWorkflow:
         cold = cache_counts(capsys.readouterr().out)
         # the file holds the second run's own work: nothing was reused
         assert main(score_args(world, tmp_path / "r3.csv", variant="g1",
-                               extra=("--cache-persist", str(tmp_path / "cold.pkl"),
+                               extra=("--cache-persist", str(tmp_path / "cold.npz"),
                                       "--alpha", "0.3"))) == EX_OK
-        assert main(["cache-stats", "--cache", str(tmp_path / "cold.pkl")]) == EX_OK
+        assert main(["cache-stats", "--cache", str(tmp_path / "cold.npz")]) == EX_OK
         assert cold == cache_counts(capsys.readouterr().out)
         assert cold["misses"] > 0
 
     def test_capacity_zero_keeps_the_persisted_cache(self, world, tmp_path, capsys):
-        cache = tmp_path / "cache.pkl"
+        cache = tmp_path / "cache.npz"
         assert main(score_args(world, tmp_path / "r.csv", variant="g1",
                                extra=("--cache-persist", str(cache)))) == EX_OK
         saved = cache.read_bytes()
@@ -911,24 +990,21 @@ class TestCacheWorkflow:
             assert main(args) == EX_USAGE
             assert not (tmp_path / f"{command}.csv").exists()
         assert cache.read_bytes() == saved
-        # a file that an earlier version saved from a capacity-0 run
-        payload = pickle.loads(saved)
-        cache.write_bytes(pickle.dumps({**payload, "entries": [],
-                                        "stats": {**payload["stats"], "enabled": False}}))
+        # a file saved by a library caller's engine that keeps nothing
+        PprEngine(load_graph(world["graph"]), cache_capacity=0).save_cache(cache, {})
         capsys.readouterr()
         assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
         assert capsys.readouterr().out == "cache: disabled\n"
 
-    @pytest.mark.parametrize("damage", ["empty", "truncated"])
+    @pytest.mark.parametrize("damage", CACHE_DAMAGES)
     def test_unreadable_cache_file_ignored_with_warning(self, world, tmp_path, capsys, caplog,
                                                         damage):
-        cache = tmp_path / "cache.pkl"
+        cache = tmp_path / "cache.npz"
         assert main(score_args(world, tmp_path / "warm.csv", variant="g1,r2",
                                extra=("--cache-persist", str(cache)))) == EX_OK
-        whole = cache.read_bytes()
-        cold_stats = pickle.loads(whole)["stats"]
-        damaged = b"" if damage == "empty" else whole[: len(whole) // 2]
-        cache.write_bytes(damaged)
+        cold_stats = read_cache_file(cache)[0]["stats"]
+        damage_cache_file(cache, damage)
+        damaged = cache.read_bytes()
         assert main(["cache-stats", "--cache", str(cache)]) == EX_FATAL
         assert "error: cannot read cache file" in capsys.readouterr().err
 
@@ -953,63 +1029,44 @@ class TestCacheWorkflow:
 
     @pytest.mark.parametrize("version", [1, 2], ids=["version-1", "version-2"])
     def test_cache_file_in_the_old_format_is_refused(self, world, tmp_path, caplog, version):
-        # Files written while the walk settings had a truncation field hold a
-        # format version and "truncation": None in their meta; version 1
-        # files hold walked vectors of the seed sets that are now composed.
-        cache = tmp_path / "cache.pkl"
-        cold = tmp_path / "cold.csv"
-        assert main(score_args(world, cold, variant="g1,g2",
-                               extra=("--cache-persist", str(cache)))) == EX_OK
-        payload = pickle.loads(cache.read_bytes())
-        graph = load_graph(world["graph"])
-        entries = []
-        for key, idx, weights in payload["entries"]:
-            if version == 1 and len(key) > 1:
-                walked = _walk(graph, [key], PprConfig())[0]
-                idx, weights = walked.idx, walked.weights
-            entries.append((key, idx, weights))
-        assert any(len(key) > 1 for key, _, _ in entries)
-        cache.write_bytes(pickle.dumps({
-            **payload, "version": version, "entries": entries,
-            "meta": {**payload["meta"], "truncation": None},
-        }))
-        caplog.clear()
-        warm = tmp_path / "warm.csv"
-        assert main(score_args(world, warm, variant="g1,g2",
-                               extra=("--cache-persist", str(cache)))) == EX_OK
-        assert f"persisted cache {cache} does not match" in caplog.text
-        assert warm.read_bytes() == cold.read_bytes()
-        saved = pickle.loads(cache.read_bytes())
-        assert saved["stats"] == payload["stats"]  # the cold run's work, written over
-        assert saved["stats"]["misses"] > 0
-        assert saved.keys() == payload.keys() and saved["meta"] == payload["meta"]
+        # Files written while the walk settings had a truncation field were
+        # pickles holding a format version and "truncation": None in their
+        # meta. A pickle file is refused unread, and the run overwrites it.
+        self.check_pickle_refused_unread(world, tmp_path, caplog, {
+            "version": version, "meta": {"alpha": 0.15, "iterations": 30, "truncation": None},
+        })
 
     def test_cache_file_from_before_sense_id_node_order_is_refused(self, world, tmp_path,
                                                                    caplog):
-        # Vectors are stored by node index. Files written while nodes were
-        # numbered in the relation file's first-seen order lack the
-        # "node_order" meta entry, and their indices may name other senses.
-        cache = tmp_path / "cache.pkl"
+        # Files written before nodes were numbered in sense-id order were
+        # pickles whose meta lacked "node_order"; their indices may name
+        # other senses. A pickle file is refused unread.
+        self.check_pickle_refused_unread(world, tmp_path, caplog, {
+            "meta": {"alpha": 0.15, "iterations": 30}, "stats": {"enabled": True},
+        })
+
+    @staticmethod
+    def check_pickle_refused_unread(world, tmp_path, caplog, payload):
+        cache = tmp_path / "cache.npz"
         cold = tmp_path / "cold.csv"
         assert main(score_args(world, cold, variant="g1,g2",
                                extra=("--cache-persist", str(cache)))) == EX_OK
-        payload = pickle.loads(cache.read_bytes())
-        assert payload["meta"]["node_order"] == "sense_id"
-        meta = {k: v for k, v in payload["meta"].items() if k != "node_order"}
-        cache.write_bytes(pickle.dumps({**payload, "meta": meta}))
+        cold_header = read_cache_file(cache)[0]
+        marker = tmp_path / "marker"
+        cache.write_bytes(planted_pickle(marker, payload))
         caplog.clear()
         warm = tmp_path / "warm.csv"
         assert main(score_args(world, warm, variant="g1,g2",
                                extra=("--cache-persist", str(cache)))) == EX_OK
-        assert f"persisted cache {cache} does not match" in caplog.text
+        assert f"cannot read cache file {cache}" in caplog.text
+        assert not marker.exists()
         assert warm.read_bytes() == cold.read_bytes()
-        saved = pickle.loads(cache.read_bytes())
-        assert saved["stats"] == payload["stats"]  # the cold run's work, written over
+        saved = read_cache_file(cache)[0]
+        assert saved == cold_header  # the cold run's work, written over
         assert saved["stats"]["misses"] > 0
-        assert saved["meta"] == payload["meta"]
 
     def test_missing_cache_file_fatal(self, tmp_path):
-        assert main(["cache-stats", "--cache", str(tmp_path / "none.pkl")]) == EX_FATAL
+        assert main(["cache-stats", "--cache", str(tmp_path / "none.npz")]) == EX_FATAL
 
 
 class TestImport:
@@ -1032,16 +1089,12 @@ class TestVersion:
         assert capsys.readouterr().out == "grouge 0.1.0\n"
 
     def test_version_does_not_unpickle_cache_file(self, tmp_path, monkeypatch, capsys):
-        class Planted:
-            def __reduce__(self):
-                return (open, (str(marker), "w"))
-
         marker = tmp_path / "marker"
-        payload = pickle.dumps(Planted())
+        payload = planted_pickle(marker)
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "grouge-cache.pkl").write_bytes(payload)
+        (tmp_path / "grouge-cache.npz").write_bytes(payload)
         assert main(["--version"]) == EX_OK
         assert capsys.readouterr().out == "grouge 0.1.0\n"
         assert not marker.exists()
-        pickle.loads(payload).close()  # the planted file does run code when unpickled
+        pickle.loads(payload)["planted"].close()  # the planted file does run code when unpickled
         assert marker.exists()

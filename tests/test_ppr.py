@@ -1,10 +1,13 @@
 import pickle
+import tempfile
 import threading
 from itertools import combinations
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grouge.ppr
@@ -19,7 +22,17 @@ from grouge.ppr import (
     read_cache_file,
 )
 
-from conftest import graph_from_edges, labelled_graph, ring_graphs, sense, sid, star_graphs
+from conftest import (
+    CACHE_DAMAGES,
+    damage_cache_file,
+    graph_from_edges,
+    labelled_graph,
+    planted_pickle,
+    ring_graphs,
+    sense,
+    sid,
+    star_graphs,
+)
 from oracles import compress_reference, dense_ppr, seed_set_reference, walk_reference, weight_in
 from synth import node_id, relist_lines, symmetric_relation_lines, write_graph
 
@@ -442,35 +455,41 @@ class TestThreadCounts:
                 run.append(as_bytes(engine.prime_seed_sets(sets[::-1])))
                 run.append(as_bytes(compute_ppr(g, seeds) for seeds in sets))
                 run.append(engine.stats())
-                path = tmp_path / f"{threads}-{n}.pkl"
+                path = tmp_path / f"{threads}-{n}.npz"
                 engine.save_cache(path, {"graph": n})
                 run.append(path.read_bytes())
             runs.append(run)
         assert runs[0] == runs[1] == runs[2]
 
 
+def share_widths(count: int, size: int) -> list[int]:
+    """The sorted share widths _by_share gives a batch of count items on a
+    graph of size nodes."""
+    widths = []
+    grouge.ppr._by_share(lambda share: widths.append(len(share)) or list(share),
+                         list(range(count)), size)
+    return sorted(widths)
+
+
 class TestShareSize:
     @pytest.mark.parametrize("threads", [2, 3])
     def test_a_batch_splits_only_when_each_share_covers_the_minimum(self, monkeypatch,
                                                                    threads):
-        """Two-column walk passes on 10k- and 117k-node graphs split; a
-        batch on a graph of a few hundred nodes splits only when each share
-        holds enough items."""
+        """Batches of two or more items on 10k- and 117k-node graphs split;
+        a batch on a graph of fewer nodes than the minimum is one share,
+        however many items it holds."""
         monkeypatch.setattr(grouge.ppr, "_THREADS", threads)
         minimum = grouge.ppr._MIN_SHARE_SIZE
-        assert minimum <= 10_000
+        assert minimum == 10_000
+        assert share_widths(2, 10_000) == share_widths(2, 117_659) == [1, 1]
+        assert len(share_widths(64, minimum)) == threads
+        for count in (threads, 64, 256):
+            assert share_widths(count, 300) == share_widths(count, minimum - 1)[:1] == [count]
 
-        def shares(count, size):
-            widths = []
-            grouge.ppr._by_share(lambda share: widths.append(len(share)) or list(share),
-                                 list(range(count)), size)
-            return sorted(widths)
-
-        assert shares(2, 10_000) == shares(2, 117_659) == [1, 1]
-        assert shares(threads, 300) == [threads]
-        per_share = -(-minimum // 300)
-        assert len(shares(threads * per_share, 300)) == threads
-        assert shares(threads * per_share - 1, 300) == [threads * per_share - 1]
+    def test_a_5000_node_batch_of_8_stays_one_share(self, monkeypatch):
+        # on 2 CPUs a split 8-column walk pass over 5,000 nodes was slower
+        monkeypatch.setattr(grouge.ppr, "_THREADS", 2)
+        assert share_widths(8, 5_000) == [8]
 
 
 class TestEngine:
@@ -538,7 +557,7 @@ class TestEngine:
         assert engine.stats().evictions == 1
         assert engine.stats().memory_bytes == stored([first, third])
 
-        cache_file = tmp_path / "cache.pkl"
+        cache_file = tmp_path / "cache.npz"
         engine.save_cache(cache_file, {})
         fresh = PprEngine(path_graph, cache_capacity=2)
         assert fresh.load_cache(cache_file, {})
@@ -549,7 +568,7 @@ class TestEngine:
         engine = PprEngine(path_graph)
         vec = engine.ppr_for_sense(sense(3))
         meta = {"graph_sha256": "abc", "dict_sha256": "def"}
-        cache_file = tmp_path / "cache.pkl"
+        cache_file = tmp_path / "cache.npz"
         engine.save_cache(cache_file, meta)
 
         fresh = PprEngine(path_graph)
@@ -563,18 +582,16 @@ class TestEngine:
         assert not mismatched.load_cache(cache_file, {"graph_sha256": "zzz"})
         assert mismatched.stats().size == 0
 
-    @pytest.mark.parametrize("damage", ["empty", "truncated", "not-a-payload"])
+    @pytest.mark.parametrize("damage", ["not-a-payload", *CACHE_DAMAGES])
     def test_unreadable_cache_file_raises_cache_file_error(self, tmp_path, path_graph, damage):
         engine = PprEngine(path_graph)
-        engine.ppr_for_sense(sense(3))
-        cache_file = tmp_path / "cache.pkl"
+        engine.prime_seed_sets([[sense(3)], [sense(1), sense(5)], [sense(2), sense(4)]])
+        cache_file = tmp_path / "cache.npz"
         engine.save_cache(cache_file, {})
-        whole = cache_file.read_bytes()
-        cache_file.write_bytes({
-            "empty": b"",
-            "truncated": whole[: len(whole) // 2],
-            "not-a-payload": pickle.dumps([1, 2, 3]),
-        }[damage])
+        if damage == "not-a-payload":
+            cache_file.write_bytes(pickle.dumps([1, 2, 3]))
+        else:
+            damage_cache_file(cache_file, damage)
         fresh = PprEngine(path_graph)
         with pytest.raises(CacheFileError, match="cannot read cache file"):
             fresh.load_cache(cache_file, {})
@@ -589,7 +606,7 @@ class TestEngine:
         engine = PprEngine(path_graph)
         engine.ppr_for_sense(sense(3))
         meta = {"graph_sha256": "abc", "dict_sha256": "def"}
-        cache_file = tmp_path / "cache.pkl"
+        cache_file = tmp_path / "cache.npz"
         engine.save_cache(cache_file, meta)
 
         fresh = PprEngine(path_graph, other)
@@ -601,51 +618,56 @@ class TestEngine:
 
     @pytest.mark.parametrize("version", [1, 2], ids=["version-1", "version-2"])
     def test_cache_file_in_the_old_format_refused(self, tmp_path, path_graph, version):
-        # Files written while the walk settings had a truncation field hold a
-        # format version and "truncation": None in their meta.
+        # Files written while the walk settings had a truncation field were
+        # pickles holding a format version and "truncation": None in their
+        # meta. A pickle file is refused unread: its planted object never runs.
+        marker = tmp_path / "marker"
         vec = compute_ppr(path_graph, [sense(3)])
         meta = {"graph_sha256": "abc", "dict_sha256": "def"}
-        payload = {
+        cache_file = tmp_path / "cache.npz"
+        cache_file.write_bytes(planted_pickle(marker, {
             "version": version,
             "meta": {**meta, "alpha": 0.15, "iterations": 30, "truncation": None},
             "stats": {"enabled": True},
             "entries": [((path_graph.node_index(sense(3)),), vec.idx, vec.weights)],
-        }
-        cache_file = tmp_path / "cache.pkl"
-        cache_file.write_bytes(pickle.dumps(payload))
+        }))
         engine = PprEngine(path_graph)
-        assert not engine.load_cache(cache_file, meta)
+        with pytest.raises(CacheFileError, match="cannot read cache file"):
+            engine.load_cache(cache_file, meta)
+        assert not marker.exists()
         assert engine.stats().size == 0
         engine.ppr_for_sense(sense(3))
         assert (engine.stats().hits, engine.stats().misses) == (0, 1)
 
     def test_cache_file_in_command_line_meta_format_loads(self, tmp_path, path_graph):
-        # the command line used to put the walk settings into meta itself;
-        # the same file, without the old format's keys, loads once its meta
-        # names the sense-id node order its indices follow
+        # The command line used to put the walk settings into meta itself,
+        # in a pickle file; such a file is refused unread. The same meta and
+        # vector in an archive load.
+        marker = tmp_path / "marker"
         vec = compute_ppr(path_graph, [sense(3)])
-        payload = {
-            "meta": {"graph_sha256": "abc", "dict_sha256": "def",
-                     "alpha": 0.15, "iterations": 30},
+        meta = {"graph_sha256": "abc", "dict_sha256": "def"}
+        cache_file = tmp_path / "cache.npz"
+        cache_file.write_bytes(planted_pickle(marker, {
+            "meta": {**meta, "alpha": 0.15, "iterations": 30, "node_order": "sense_id"},
             "stats": {"enabled": True},
             "entries": [((path_graph.node_index(sense(3)),), vec.idx, vec.weights)],
-        }
-        cache_file = tmp_path / "cache.pkl"
-        cache_file.write_bytes(pickle.dumps(payload))
-        expect = {"graph_sha256": "abc", "dict_sha256": "def"}
-        assert not PprEngine(path_graph).load_cache(cache_file, expect)
-        payload["meta"]["node_order"] = "sense_id"
-        cache_file.write_bytes(pickle.dumps(payload))
+        }))
+        with pytest.raises(CacheFileError, match="cannot read cache file"):
+            PprEngine(path_graph).load_cache(cache_file, meta)
+        with pytest.raises(CacheFileError, match="cannot read cache file"):
+            read_cache_file(cache_file)
+        assert not marker.exists()
 
+        saving = PprEngine(path_graph)
+        saving.ppr_for_sense(sense(3))
+        saving.save_cache(cache_file, meta)
         engine = PprEngine(path_graph)
-        assert engine.load_cache(cache_file, {"graph_sha256": "abc", "dict_sha256": "def"})
+        assert engine.load_cache(cache_file, meta)
         reloaded = engine.ppr_for_sense(sense(3))
         assert np.array_equal(reloaded.idx, vec.idx)
         assert np.array_equal(reloaded.weights, vec.weights)
         assert (engine.stats().hits, engine.stats().misses) == (1, 0)
-        assert not PprEngine(path_graph, PprConfig(alpha=0.3)).load_cache(
-            cache_file, {"graph_sha256": "abc", "dict_sha256": "def"}
-        )
+        assert not PprEngine(path_graph, PprConfig(alpha=0.3)).load_cache(cache_file, meta)
 
     def test_capacity_zero_priming_returns_vectors_and_keeps_none(self, path_graph, monkeypatch):
         walked = []  # the seed nodes of every walked column
@@ -675,20 +697,23 @@ class TestEngine:
     def test_failed_save_keeps_previous_cache_file(self, tmp_path, path_graph, monkeypatch):
         engine = PprEngine(path_graph)
         engine.ppr_for_sense(sense(3))
-        cache_file = tmp_path / "cache.pkl"
+        cache_file = tmp_path / "cache.npz"
         engine.save_cache(cache_file, {"graph_sha256": "abc"})
         before = cache_file.read_bytes()
         engine.ppr_for_sense(sense(4))
+        write_array = np.lib.format.write_array
 
-        def failing_dump(obj, fh, protocol=None):
-            fh.write(b"partial")
-            raise OSError("disk full")
+        def failing_write(fh, array, *args, **kwargs):
+            if array.dtype == np.float64:  # the weights, after the other members
+                fh.write(b"partial")
+                raise OSError("disk full")
+            write_array(fh, array, *args, **kwargs)
 
-        monkeypatch.setattr(pickle, "dump", failing_dump)
+        monkeypatch.setattr(np.lib.format, "write_array", failing_write)
         with pytest.raises(OSError, match="disk full"):
             engine.save_cache(cache_file, {"graph_sha256": "abc"})
         assert cache_file.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["cache.pkl"]
+        assert [p.name for p in tmp_path.iterdir()] == ["cache.npz"]
 
 
 class TestLineOrder:
@@ -765,42 +790,41 @@ class TestRankOnly:
 
     def test_memory_bytes_is_what_the_cached_vectors_hold(self, engine_and_sets, tmp_path,
                                                          path_graph):
-        engine, _, _ = engine_and_sets
+        engine, sets, _ = engine_and_sets
         assert engine.stats().memory_bytes == held_bytes(vec for _, vec in engine._vectors.items())
 
-        cache_file = tmp_path / "cache.pkl"
+        cache_file = tmp_path / "cache.npz"
         engine.save_cache(cache_file, {})
         reloaded = PprEngine(path_graph)
         assert reloaded.load_cache(cache_file, {})
-        vectors = [vec for _, vec in reloaded._vectors.items()]
-        assert reloaded.stats().memory_bytes == held_bytes(vectors)
+        cached = reloaded._vectors.items
+        assert reloaded.stats().memory_bytes == held_bytes(vec for _, vec in cached())
+        reloaded.prime_seed_sets(sets)  # composes the sets the file leaves out
+        assert reloaded.stats().memory_bytes == held_bytes(vec for _, vec in cached())
         assert reloaded.stats().memory_bytes == engine.stats().memory_bytes
 
     def test_cache_file_stores_composed_entries_without_weights(self, engine_and_sets,
                                                                tmp_path, path_graph):
+        """The file holds the walked vectors only; a warm engine composes
+        the other sets again, from the loaded singles, with the same bits."""
         engine, sets, vectors = engine_and_sets
-        cache_file = tmp_path / "cache.pkl"
+        engine.prime_seed_sets([[sense(i)] for i in range(1, 6)])  # every single cached
+        cache_file = tmp_path / "cache.npz"
         engine.save_cache(cache_file, {})
-        entries = pickle.loads(cache_file.read_bytes())["entries"]
-        assert [weights is None for _, _, weights in entries] == [False, True, True]
+        _, members = read_cache_file(cache_file)
+        assert members["key_sizes"].tolist() == [1] * 5
+        assert len(members["weights"]) == len(members["indices"]) == 5 * 5
 
-        # A file written before composed vectors were rank-only holds their
-        # weights; they load without them.
-        with_weights = [
-            (key, idx, compute_ppr(path_graph, map(path_graph.sense_at, key)).weights)
-            for key, idx, _ in entries
-        ]
-        cache_file.write_bytes(pickle.dumps({**pickle.loads(cache_file.read_bytes()),
-                                             "entries": with_weights}))
         warm = PprEngine(path_graph)
         assert warm.load_cache(cache_file, {})
-        reloaded = warm.prime_seed_sets(sets)
-        assert (warm.stats().hits, warm.stats().misses) == (3, 0)
+        with mock.patch.object(grouge.ppr, "_walk", wraps=grouge.ppr._walk) as walk:
+            reloaded = warm.prime_seed_sets(sets)
+        assert walk.call_count == 0
+        assert (warm.stats().hits, warm.stats().misses) == (1, 2)
         assert np.array_equal(reloaded[0].weights, vectors[0].weights)
         for got, want in zip(reloaded[1:], vectors[1:]):
             assert got.weights.nbytes == 0 and got.senses == want.senses
             assert np.array_equal(got.ranks, want.ranks)
-        assert warm.stats().memory_bytes == engine.stats().memory_bytes
 
 
 class TestWalkMemory:
@@ -862,3 +886,63 @@ class TestConfigValidation:
         assert engine.stats().size == 1
         with pytest.raises(ValueError, match="empty seed set"):
             engine.ppr_for_sense_set([])
+
+
+class TestCacheArchive:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_round_trip_on_random_graphs_with_isolated_nodes(self, seed):
+        """A loaded file holds every walked vector with the saved rank
+        order, sense count and weight bits, each weight array its own; a
+        warm engine composes the other sets without a walk, and every score
+        is bit-identical."""
+        from grouge.similarity import sim_sem
+
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 20))
+        nodes = range(1, n + 1)
+        edges = [(i, j) for i in nodes for j in nodes if i < j and rng.random() < 0.25]
+        edges = edges or [(1, 2)]
+        linked = sorted({u for e in edges for u in e})
+        g = graph_from_edges(edges, isolated=[i for i in nodes if i not in linked])
+        sets = [rng.choice(nodes, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+                for _ in range(4)]
+        sets.append(rng.choice(linked, size=int(rng.integers(2, min(len(linked), 4) + 1)),
+                               replace=False))  # a set that composes
+        seeds = [[sense(int(i))] for i in sorted(set(np.concatenate(sets).tolist()))]
+        seeds += [[sense(int(i)) for i in nodes_of_set] for nodes_of_set in sets]
+        engine = PprEngine(g)
+        vectors = engine.prime_seed_sets(seeds)
+        saved = dict(engine._vectors.items())
+
+        warm = PprEngine(g)
+        with tempfile.TemporaryDirectory() as tmp:
+            cache_file = Path(tmp) / "cache.npz"
+            engine.save_cache(cache_file, {"seed": seed})
+            assert warm.load_cache(cache_file, {"seed": seed})
+        loaded = dict(warm._vectors.items())
+        assert loaded.keys() == {key for key in saved if not _composes(g, key)}
+        for key, vec in loaded.items():
+            want = saved[key]
+            assert np.array_equal(vec.idx, want.idx) and np.array_equal(vec.ranks, want.ranks)
+            assert vec.senses == want.senses
+            assert vec.weights.tobytes() == want.weights.tobytes()
+            assert block_bytes(vec.weights) == vec.weights.nbytes
+
+        with mock.patch.object(grouge.ppr, "_walk", wraps=grouge.ppr._walk) as walk:
+            again = warm.prime_seed_sets(seeds)
+        assert walk.call_count == 0
+        assert warm.stats().misses == len(saved) - len(loaded)
+        for got, want in zip(again, vectors):
+            assert np.array_equal(got.ranks, want.ranks) and got.senses == want.senses
+            assert got.weights.tobytes() == want.weights.tobytes()
+        for i, j in combinations(range(len(seeds)), 2):
+            assert sim_sem(again[i], again[j]) == sim_sem(vectors[i], vectors[j])
+
+    def test_an_empty_cache_round_trips(self, tmp_path, path_graph):
+        cache_file = tmp_path / "cache.npz"
+        PprEngine(path_graph).save_cache(cache_file, {})
+        header, members = read_cache_file(cache_file)
+        assert header["stats"]["size"] == 0 and all(len(m) == 0 for m in members.values())
+        engine = PprEngine(path_graph)
+        assert engine.load_cache(cache_file, {}) and engine.stats().size == 0

@@ -530,6 +530,13 @@ class TestLoadJudgments:
         with pytest.raises(ValueError, match="non-numeric"):
             load_judgments(path)
 
+    @pytest.mark.parametrize("repeat", ["A,0.5,0.1", "A,0.7,0.3"], ids=["same", "different"])
+    def test_repeated_system_rejected(self, tmp_path, repeat):
+        path = tmp_path / "judgments.csv"
+        path.write_text(f"system,pyramid,readability\nA,0.5,0.1\nB,0.75,0.2\n{repeat}\n")
+        with pytest.raises(ValueError, match=f"^{path}:4: repeated system 'A'$"):
+            load_judgments(path)
+
     @pytest.mark.parametrize("header", ["system,pyramid,pyramid", "system,pyramid,system"])
     def test_repeated_column_rejected(self, tmp_path, header):
         path = tmp_path / "judgments.csv"
