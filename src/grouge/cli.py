@@ -26,7 +26,7 @@ import sys
 from dataclasses import asdict
 from itertools import zip_longest
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -328,9 +328,12 @@ def _correlate_settings(args) -> dict:
     return settings
 
 
-def _run_scoring(args, settings: RunSettings) -> tuple[ScoreReport, dict]:
-    """The scored corpus and its provenance: the settings it was scored
-    with and, for a semantic run, the graph and dictionary checksums."""
+def _run_scoring(args, settings: RunSettings, write: Callable[[ScoreReport, dict], int]) -> int:
+    """Score the corpus and return ``write(report, provenance)``, the exit
+    code of the command's outputs; the provenance is the settings the
+    corpus was scored with and, for a semantic run, the graph and
+    dictionary checksums. A persisted cache is saved after ``write``, even
+    when it fails; a cache that cannot be saved is a warning."""
     engine = None
     dictionary = None
     checksums: dict = {}
@@ -358,13 +361,18 @@ def _run_scoring(args, settings: RunSettings) -> tuple[ScoreReport, dict]:
         remove_stopwords=args.remove_stopwords,
         collect_debug=getattr(args, "debug_senses", False),
     )
-    if engine is not None and args.cache_persist:
-        engine.save_cache(args.cache_persist, checksums)
     provenance = {**asdict(settings.blend), **asdict(settings.walk), **checksums,
                   "variants": list(args.variant), "stemming": not args.no_stem,
                   "remove_stopwords": args.remove_stopwords}
     del provenance["variant"]  # the run scores every entry of "variants"
-    return report, provenance
+    try:
+        return write(report, provenance)
+    finally:
+        if engine is not None and args.cache_persist:
+            try:
+                engine.save_cache(args.cache_persist, checksums)
+            except OSError as exc:
+                log.warning("cannot save cache file %s: %s", args.cache_persist, exc)
 
 
 def _report_problems(report: ScoreReport, out: Path) -> int:
@@ -381,17 +389,20 @@ def _report_problems(report: ScoreReport, out: Path) -> int:
 
 
 def run_score(args, settings: RunSettings) -> int:
-    report, provenance = _run_scoring(args, settings)
     out = Path(args.out)
-    report.write_csv(out)
-    write_atomic(
-        out.with_suffix(out.suffix + ".meta.json"),
-        (json.dumps(provenance, indent=2, sort_keys=True) + "\n").encode("utf-8"),
-    )
-    if args.debug_senses:
-        for line in report.debug_lines:
-            print(line)
-    return _report_problems(report, out)
+
+    def write(report: ScoreReport, provenance: dict) -> int:
+        report.write_csv(out)
+        write_atomic(
+            out.with_suffix(out.suffix + ".meta.json"),
+            (json.dumps(provenance, indent=2, sort_keys=True) + "\n").encode("utf-8"),
+        )
+        if args.debug_senses:
+            for line in report.debug_lines:
+                print(line)
+        return _report_problems(report, out)
+
+    return _run_scoring(args, settings, write)
 
 
 def _system_table(
@@ -462,24 +473,26 @@ def run_meta_eval(args, settings: dict) -> int:
 
 def run_sweep_beta(args, settings: RunSettings) -> int:
     ids, columns = load_judgments(_require(args.human, "judgments CSV"))
-    report, _ = _run_scoring(args, settings)
 
-    out = [["beta", "variant", "human_metric", "pearson", "spearman", "kendall"]]
-    for beta in args.betas:
-        # round through the score CSV's 12-significant-digit format so one
-        # sweep row equals the score -> meta-eval composition
-        rows = {
-            key: float(f"{variant_score(key[2], p, beta)[1]:.12g}")
-            for key, p in report.parts.items()
-        }
-        table = _system_table(rows, ids, columns)
-        for variant in args.variant:
-            for human_name in sorted(table.human):
-                values = coefficients(table.auto[variant], table.human[human_name])
-                out.append([f"{beta:g}", variant, human_name,
-                            *(f"{value:.12g}" for value in values)])
-    write_atomic(args.out, csv_bytes(out))
-    return _report_problems(report, Path(args.out))
+    def write(report: ScoreReport, _provenance: dict) -> int:
+        out = [["beta", "variant", "human_metric", "pearson", "spearman", "kendall"]]
+        for beta in args.betas:
+            # round through the score CSV's 12-significant-digit format so
+            # one sweep row equals the score -> meta-eval composition
+            rows = {
+                key: float(f"{variant_score(key[2], p, beta)[1]:.12g}")
+                for key, p in report.parts.items()
+            }
+            table = _system_table(rows, ids, columns)
+            for variant in args.variant:
+                for human_name in sorted(table.human):
+                    values = coefficients(table.auto[variant], table.human[human_name])
+                    out.append([f"{beta:g}", variant, human_name,
+                                *(f"{value:.12g}" for value in values)])
+        write_atomic(args.out, csv_bytes(out))
+        return _report_problems(report, Path(args.out))
+
+    return _run_scoring(args, settings, write)
 
 
 def run_ppr(args, settings: RunSettings) -> int:
@@ -522,6 +535,15 @@ _COMMANDS = {  # command: (settings builder, runner)
 }
 
 
+def _check_output_dirs(args) -> None:
+    """--out and --cache-persist name files in directories that exist;
+    checked after the settings are built, before any data file is read."""
+    for option in ("out", "cache_persist"):
+        path = getattr(args, option, None)
+        if path and not Path(path).parent.is_dir():
+            raise CliError(f"no directory for --{option.replace('_', '-')} {path}")
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -542,6 +564,7 @@ def main(argv: list[str] | None = None) -> int:
             settings = build(args)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        _check_output_dirs(args)
         return run(args, settings)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,78 +1,51 @@
 """Classic Porter stemmer (the original 1980 rule set).
 
-Within each rule group the longest matching suffix selects the single
-candidate rule; if that rule's condition fails, no shorter suffix in the
-group is tried. Words of one or two letters are returned unchanged.
+A word is read as [C](VC)^m[V] through its consonant/vowel pattern, one
+``c`` or ``v`` per character: a, e, i, o and u are vowels, a y is a vowel
+after a consonant, and every other character is a consonant. m counts the
+``vc`` pairs, *v* is a ``v`` anywhere, and *d and *o are read from the
+pattern's tail. Within each rule group the longest matching suffix selects
+the single candidate rule; if that rule's condition fails, no shorter
+suffix in the group is tried. Words of one or two letters are returned
+unchanged.
 """
 
 from __future__ import annotations
 
-_VOWELS = "aeiou"
 
-
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        return True if i == 0 else not _is_consonant(word, i - 1)
-    return True
+def _pattern(word: str) -> str:
+    """One c or v per character of word."""
+    cv = prev = ""
+    for ch in word:
+        prev = "v" if ch in "aeiou" or (ch == "y" and prev == "c") else "c"
+        cv += prev
+    return cv
 
 
 def _measure(stem: str) -> int:
-    """Number of vowel-consonant sequences: [C](VC)^m[V]."""
-    m = 0
-    prev_vowel = False
-    for i in range(len(stem)):
-        if _is_consonant(stem, i):
-            if prev_vowel:
-                m += 1
-            prev_vowel = False
-        else:
-            prev_vowel = True
-    return m
+    return _pattern(stem).count("vc")
 
 
-def _has_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
-
-
-def _ends_double_consonant(word: str) -> bool:
-    return (
-        len(word) >= 2
-        and word[-1] == word[-2]
-        and _is_consonant(word, len(word) - 1)
-    )
-
-
-def _ends_cvc(word: str) -> bool:
+def _ends_cvc(word: str, cv: str) -> bool:
     """*o: ends consonant-vowel-consonant, final consonant not w, x, or y."""
-    if len(word) < 3:
-        return False
-    return (
-        _is_consonant(word, len(word) - 3)
-        and not _is_consonant(word, len(word) - 2)
-        and _is_consonant(word, len(word) - 1)
-        and word[-1] not in "wxy"
-    )
+    return cv.endswith("cvc") and word[-1] not in "wxy"
 
 
-def _apply_group(word: str, rules: list[tuple[str, str, int | None]]) -> str:
-    """Longest matching suffix wins; its m-condition then gates the rewrite."""
-    best = None
-    for suffix, replacement, min_m in rules:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best[0])):
-            best = (suffix, replacement, min_m)
-    if best is None:
-        return word
-    suffix, replacement, min_m = best
-    stem = word[: len(word) - len(suffix)]
-    if min_m is not None and _measure(stem) <= min_m:
-        return word
-    return stem + replacement
+_Rule = tuple[str, str, int | None]  # (suffix, replacement, min_m)
 
 
-_STEP2 = [
+def _group(rules: list[_Rule]) -> tuple[tuple[str, ...], list[_Rule]]:
+    """A rule group: its suffixes, for a quick test, and its rules longest
+    suffix first. A rule applies when m(stem) > min_m, or always when
+    min_m is None."""
+    return tuple(suffix for suffix, _, _ in rules), sorted(rules, key=lambda rule: -len(rule[0]))
+
+
+_STEP1A = _group([
+    ("sses", "ss", None), ("ies", "i", None), ("ss", "ss", None), ("s", "", None),
+])
+
+_STEP2 = _group([
     ("ational", "ate", 0), ("tional", "tion", 0), ("enci", "ence", 0),
     ("anci", "ance", 0), ("izer", "ize", 0), ("abli", "able", 0),
     ("alli", "al", 0), ("entli", "ent", 0), ("eli", "e", 0),
@@ -80,89 +53,55 @@ _STEP2 = [
     ("ator", "ate", 0), ("alism", "al", 0), ("iveness", "ive", 0),
     ("fulness", "ful", 0), ("ousness", "ous", 0), ("aliti", "al", 0),
     ("iviti", "ive", 0), ("biliti", "ble", 0),
-]
+])
 
-_STEP3 = [
+_STEP3 = _group([
     ("icate", "ic", 0), ("ative", "", 0), ("alize", "al", 0),
     ("iciti", "ic", 0), ("ical", "ic", 0), ("ful", "", 0), ("ness", "", 0),
-]
+])
 
-_STEP4 = [
+# ion also needs a stem ending in s or t: (*S or *T) ION
+_STEP4 = _group([
     ("al", "", 1), ("ance", "", 1), ("ence", "", 1), ("er", "", 1),
     ("ic", "", 1), ("able", "", 1), ("ible", "", 1), ("ant", "", 1),
     ("ement", "", 1), ("ment", "", 1), ("ent", "", 1), ("ion", "", 1),
     ("ou", "", 1), ("ism", "", 1), ("ate", "", 1), ("iti", "", 1),
     ("ous", "", 1), ("ive", "", 1), ("ize", "", 1),
-]
+])
 
 
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
+def _apply_group(word: str, group: tuple[tuple[str, ...], list[_Rule]]) -> str:
+    """Longest matching suffix wins; its condition then gates the rewrite."""
+    suffixes, rules = group
+    if not word.endswith(suffixes):
         return word
-    if word.endswith("s"):
-        return word[:-1]
+    for suffix, replacement, min_m in rules:
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            if min_m is not None and _measure(stem) <= min_m:
+                return word
+            if suffix == "ion" and not stem.endswith(("s", "t")):
+                return word
+            return stem + replacement
     return word
 
 
 def _step1b(word: str) -> str:
     if word.endswith("eed"):
-        stem = word[:-3]
-        return stem + "ee" if _measure(stem) > 0 else word
-    applied = False
-    if word.endswith("ed") and _has_vowel(word[:-2]):
-        word = word[:-2]
-        applied = True
-    elif word.endswith("ing") and _has_vowel(word[:-3]):
-        word = word[:-3]
-        applied = True
-    if not applied:
+        return word[:-1] if _measure(word[:-3]) > 0 else word
+    for suffix in ("ed", "ing"):
+        if word.endswith(suffix) and "v" in _pattern(word[: -len(suffix)]):
+            word = word[: -len(suffix)]
+            break
+    else:
         return word
     if word.endswith(("at", "bl", "iz")):
         return word + "e"
-    if _ends_double_consonant(word) and word[-1] not in "lsz":
-        return word[:-1]
-    if _measure(word) == 1 and _ends_cvc(word):
+    cv = _pattern(word)
+    if cv.endswith("c") and word[-2:] == word[-1] * 2:  # *d
+        return word if word[-1] in "lsz" else word[:-1]
+    if cv.count("vc") == 1 and _ends_cvc(word, cv):
         return word + "e"
-    return word
-
-
-def _step1c(word: str) -> str:
-    if word.endswith("y") and _has_vowel(word[:-1]):
-        return word[:-1] + "i"
-    return word
-
-
-def _step4(word: str) -> str:
-    best = None
-    for suffix, _, _ in _STEP4:
-        if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
-            best = suffix
-    if best is None:
-        return word
-    stem = word[: len(word) - len(best)]
-    if _measure(stem) <= 1:
-        return word
-    if best == "ion" and (not stem or stem[-1] not in "st"):
-        return word
-    return stem
-
-
-def _step5a(word: str) -> str:
-    if word.endswith("e"):
-        stem = word[:-1]
-        m = _measure(stem)
-        if m > 1 or (m == 1 and not _ends_cvc(stem)):
-            return stem
-    return word
-
-
-def _step5b(word: str) -> str:
-    if _measure(word) > 1 and _ends_double_consonant(word) and word[-1] == "l":
-        return word[:-1]
     return word
 
 
@@ -170,12 +109,16 @@ def stem(token: str) -> str:
     """Stem a lowercase token; tokens shorter than 3 letters pass through."""
     if len(token) <= 2:
         return token
-    word = _step1a(token)
-    word = _step1b(word)
-    word = _step1c(word)
-    word = _apply_group(word, _STEP2)
-    word = _apply_group(word, _STEP3)
-    word = _step4(word)
-    word = _step5a(word)
-    word = _step5b(word)
+    word = _step1b(_apply_group(token, _STEP1A))
+    if word.endswith("y") and "v" in _pattern(word[:-1]):  # step 1c
+        word = word[:-1] + "i"
+    for group in (_STEP2, _STEP3, _STEP4):
+        word = _apply_group(word, group)
+    if word.endswith("e"):  # step 5a
+        cv = _pattern(word[:-1])
+        m = cv.count("vc")
+        if m > 1 or (m == 1 and not _ends_cvc(word[:-1], cv)):
+            word = word[:-1]
+    if word.endswith("ll") and _measure(word) > 1:  # step 5b
+        word = word[:-1]
     return word

@@ -401,8 +401,10 @@ class PprEngine:
         walk passes of ``_BATCH_COLUMNS`` columns, which are far cheaper
         than per-seed passes on large graphs. The singles are held here
         until every set is composed, so none is read back from a cache that
-        may evict it. Each new vector is put in the cache; a cache that
-        keeps nothing (capacity 0) makes no difference to what is returned.
+        may evict it. Every vector the call walks or composes is put in the
+        cache, the singles walked only to compose a set first, so the
+        requested sets stay the most recently used; a cache that keeps
+        nothing (capacity 0) makes no difference to what is returned.
         """
         graph = self.graph
         keys = [_seed_key(graph, seeds) for seeds in seed_sets]
@@ -432,6 +434,9 @@ class PprEngine:
             lambda share: [_compose(graph, key, singles, weights=False) for key in share],
             composed, graph.node_count,
         )))
+        for key, vec in computed.items():  # the singles walked only to compose a set
+            if key not in vectors:
+                self._vectors.put(key, vec)
         for key in missing:
             vectors[key] = computed[key]
             self._vectors.put(key, vectors[key])

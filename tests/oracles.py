@@ -461,3 +461,185 @@ def load_graph_reference(lines):
     if not edges:
         raise ParseError("no edges loaded")
     return SemanticGraph(senses, np.array(sorted(edges), dtype=np.int64))
+
+
+# -- Porter stemmer ----------------------------------------------------------
+# The stemmer ``grouge.porter`` used before it read every test from one
+# consonant/vowel pattern and ran steps 1a-4 through one suffix matcher:
+# consonant-ness one letter at a time, a hand-coded step 1a and a separate
+# step 4. Within each rule group the longest matching suffix selects the
+# single candidate rule; if that rule's condition fails, no shorter suffix
+# in the group is tried. Words of one or two letters are returned unchanged.
+
+_VOWELS = "aeiou"
+
+
+def _is_consonant(word: str, i: int) -> bool:
+    ch = word[i]
+    if ch in _VOWELS:
+        return False
+    if ch == "y":
+        return True if i == 0 else not _is_consonant(word, i - 1)
+    return True
+
+
+def _measure(stem: str) -> int:
+    """Number of vowel-consonant sequences: [C](VC)^m[V]."""
+    m = 0
+    prev_vowel = False
+    for i in range(len(stem)):
+        if _is_consonant(stem, i):
+            if prev_vowel:
+                m += 1
+            prev_vowel = False
+        else:
+            prev_vowel = True
+    return m
+
+
+def _has_vowel(stem: str) -> bool:
+    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+
+
+def _ends_double_consonant(word: str) -> bool:
+    return (
+        len(word) >= 2
+        and word[-1] == word[-2]
+        and _is_consonant(word, len(word) - 1)
+    )
+
+
+def _ends_cvc(word: str) -> bool:
+    """*o: ends consonant-vowel-consonant, final consonant not w, x, or y."""
+    if len(word) < 3:
+        return False
+    return (
+        _is_consonant(word, len(word) - 3)
+        and not _is_consonant(word, len(word) - 2)
+        and _is_consonant(word, len(word) - 1)
+        and word[-1] not in "wxy"
+    )
+
+
+def _apply_group(word: str, rules: list[tuple[str, str, int | None]]) -> str:
+    """Longest matching suffix wins; its m-condition then gates the rewrite."""
+    best = None
+    for suffix, replacement, min_m in rules:
+        if word.endswith(suffix) and (best is None or len(suffix) > len(best[0])):
+            best = (suffix, replacement, min_m)
+    if best is None:
+        return word
+    suffix, replacement, min_m = best
+    stem = word[: len(word) - len(suffix)]
+    if min_m is not None and _measure(stem) <= min_m:
+        return word
+    return stem + replacement
+
+
+_STEP2 = [
+    ("ational", "ate", 0), ("tional", "tion", 0), ("enci", "ence", 0),
+    ("anci", "ance", 0), ("izer", "ize", 0), ("abli", "able", 0),
+    ("alli", "al", 0), ("entli", "ent", 0), ("eli", "e", 0),
+    ("ousli", "ous", 0), ("ization", "ize", 0), ("ation", "ate", 0),
+    ("ator", "ate", 0), ("alism", "al", 0), ("iveness", "ive", 0),
+    ("fulness", "ful", 0), ("ousness", "ous", 0), ("aliti", "al", 0),
+    ("iviti", "ive", 0), ("biliti", "ble", 0),
+]
+
+_STEP3 = [
+    ("icate", "ic", 0), ("ative", "", 0), ("alize", "al", 0),
+    ("iciti", "ic", 0), ("ical", "ic", 0), ("ful", "", 0), ("ness", "", 0),
+]
+
+_STEP4 = [
+    ("al", "", 1), ("ance", "", 1), ("ence", "", 1), ("er", "", 1),
+    ("ic", "", 1), ("able", "", 1), ("ible", "", 1), ("ant", "", 1),
+    ("ement", "", 1), ("ment", "", 1), ("ent", "", 1), ("ion", "", 1),
+    ("ou", "", 1), ("ism", "", 1), ("ate", "", 1), ("iti", "", 1),
+    ("ous", "", 1), ("ive", "", 1), ("ize", "", 1),
+]
+
+
+def _step1a(word: str) -> str:
+    if word.endswith("sses"):
+        return word[:-2]
+    if word.endswith("ies"):
+        return word[:-2]
+    if word.endswith("ss"):
+        return word
+    if word.endswith("s"):
+        return word[:-1]
+    return word
+
+
+def _step1b(word: str) -> str:
+    if word.endswith("eed"):
+        stem = word[:-3]
+        return stem + "ee" if _measure(stem) > 0 else word
+    applied = False
+    if word.endswith("ed") and _has_vowel(word[:-2]):
+        word = word[:-2]
+        applied = True
+    elif word.endswith("ing") and _has_vowel(word[:-3]):
+        word = word[:-3]
+        applied = True
+    if not applied:
+        return word
+    if word.endswith(("at", "bl", "iz")):
+        return word + "e"
+    if _ends_double_consonant(word) and word[-1] not in "lsz":
+        return word[:-1]
+    if _measure(word) == 1 and _ends_cvc(word):
+        return word + "e"
+    return word
+
+
+def _step1c(word: str) -> str:
+    if word.endswith("y") and _has_vowel(word[:-1]):
+        return word[:-1] + "i"
+    return word
+
+
+def _step4(word: str) -> str:
+    best = None
+    for suffix, _, _ in _STEP4:
+        if word.endswith(suffix) and (best is None or len(suffix) > len(best)):
+            best = suffix
+    if best is None:
+        return word
+    stem = word[: len(word) - len(best)]
+    if _measure(stem) <= 1:
+        return word
+    if best == "ion" and (not stem or stem[-1] not in "st"):
+        return word
+    return stem
+
+
+def _step5a(word: str) -> str:
+    if word.endswith("e"):
+        stem = word[:-1]
+        m = _measure(stem)
+        if m > 1 or (m == 1 and not _ends_cvc(stem)):
+            return stem
+    return word
+
+
+def _step5b(word: str) -> str:
+    if _measure(word) > 1 and _ends_double_consonant(word) and word[-1] == "l":
+        return word[:-1]
+    return word
+
+
+def porter_reference(token: str) -> str:
+    """Stem a lowercase token; tokens shorter than 3 letters pass through."""
+    if len(token) <= 2:
+        return token
+    word = _step1a(token)
+    word = _step1b(word)
+    word = _step1c(word)
+    word = _apply_group(word, _STEP2)
+    word = _apply_group(word, _STEP3)
+    word = _step4(word)
+    word = _step5a(word)
+    word = _step5b(word)
+    return word

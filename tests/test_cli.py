@@ -260,6 +260,28 @@ class TestSettingsCheckedFirst:
         assert main(argv) == EX_FATAL
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["score", "lexical", "sweep-beta", "meta-eval"])
+    def test_out_in_a_missing_directory_is_fatal_before_the_data(self, tmp_path, capsys,
+                                                                  command):
+        out = tmp_path / "nodir" / "out.csv"
+        argv = missing_data_args(command, tmp_path / "missing", out)
+        assert main(argv) == EX_FATAL
+        err = capsys.readouterr().err
+        assert f"error: no directory for --out {out}" in err
+        assert "not found" not in err  # no data file was looked for
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["score", "sweep-beta"])
+    def test_cache_file_in_a_missing_directory_is_fatal_before_the_data(self, tmp_path,
+                                                                         capsys, command):
+        cache = tmp_path / "nodir" / "cache.npz"
+        argv = missing_data_args(command, tmp_path / "missing", tmp_path / "out.csv")
+        assert main([*argv, "--cache-persist", str(cache)]) == EX_FATAL
+        err = capsys.readouterr().err
+        assert f"error: no directory for --cache-persist {cache}" in err
+        assert "not found" not in err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["score", "sweep-beta"])
     @pytest.mark.parametrize("drop", ["--graph", "--dict"])
     def test_semantic_variant_without_graph_data_is_usage_error(self, tmp_path, capsys,
@@ -1064,6 +1086,62 @@ class TestCacheWorkflow:
         saved = read_cache_file(cache)[0]
         assert saved == cold_header  # the cold run's work, written over
         assert saved["stats"]["misses"] > 0
+
+    @pytest.mark.parametrize("command", ["score", "sweep-beta"])
+    def test_outputs_are_written_before_the_cache_file(self, world, tmp_path, monkeypatch,
+                                                       command):
+        out = tmp_path / "out.csv"
+        written = []
+        save_cache = PprEngine.save_cache
+
+        def recording_save(engine, path, meta):
+            written.append(sorted(p.name for p in tmp_path.iterdir()))
+            save_cache(engine, path, meta)
+
+        monkeypatch.setattr(PprEngine, "save_cache", recording_save)
+        args = score_args(world, out, extra=("--cache-persist", str(tmp_path / "cache.npz")))
+        if command == "sweep-beta":
+            args[0] = "sweep-beta"
+            args += ["--human", str(world["judgments"]), "--betas", "0,1"]
+        else:
+            args.append("--debug-senses")
+        assert main(args) == EX_OK
+        assert written == [["out.csv", "out.csv.meta.json"] if command == "score" else ["out.csv"]]
+
+    @pytest.mark.parametrize("command", ["score", "sweep-beta"])
+    def test_cache_path_that_is_a_directory_is_a_warning(self, world, tmp_path, caplog,
+                                                         command):
+        """The run scores, writes its outputs and exits as without
+        --cache-persist; the cache it cannot read or save is a warning."""
+        cache = tmp_path / "cache-dir"
+        cache.mkdir()
+        runs = {}
+        for label, extra in (("cold", ()), ("persist", ("--cache-persist", str(cache)))):
+            out = tmp_path / f"{label}.csv"
+            args = score_args(world, out, extra=extra)
+            if command == "sweep-beta":
+                args[0] = "sweep-beta"
+                args += ["--human", str(world["judgments"]), "--betas", "0,0.5,1"]
+            caplog.clear()
+            assert main(args) == EX_OK
+            runs[label] = out.read_bytes()
+        assert runs["persist"] == runs["cold"]
+        assert f"cannot read cache file {cache}" in caplog.text
+        assert f"cannot save cache file {cache}" in caplog.text
+        assert list(cache.iterdir()) == []
+
+    def test_cache_that_cannot_be_saved_keeps_the_partial_exit(self, world, tmp_path, caplog):
+        bad = world["peers"] / "d1001.sysbad.txt"
+        bad.write_bytes(b"\xff\xfe invalid utf8")
+        cache = tmp_path / "cache-dir"
+        cache.mkdir()
+        try:
+            out = tmp_path / "report.csv"
+            assert main(score_args(world, out, extra=("--cache-persist", str(cache)))) == EX_PARTIAL
+        finally:
+            bad.unlink()
+        assert "sysbad" in out.with_suffix(".csv.errors.log").read_text()
+        assert f"cannot save cache file {cache}" in caplog.text
 
     def test_missing_cache_file_fatal(self, tmp_path):
         assert main(["cache-stats", "--cache", str(tmp_path / "none.npz")]) == EX_FATAL

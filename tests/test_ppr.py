@@ -826,6 +826,25 @@ class TestRankOnly:
             assert got.weights.nbytes == 0 and got.senses == want.senses
             assert np.array_equal(got.ranks, want.ranks)
 
+    def test_singles_walked_to_compose_are_cached_and_saved(self, engine_and_sets, tmp_path,
+                                                            path_graph):
+        """Every single a call walks is cached, before the requested sets,
+        which stay the most recently used; a warm engine that loads the
+        saved file primes the same sets without a walk."""
+        engine, sets, _ = engine_and_sets
+        keys = [key for key, _ in engine._vectors.items()]
+        requested = [_seed_key(path_graph, seeds) for seeds in sets]
+        assert sorted(keys[:4]) == [_seed_key(path_graph, [sense(i)]) for i in (2, 3, 4, 5)]
+        assert keys[4:] == requested
+        cache_file = tmp_path / "cache.npz"
+        engine.save_cache(cache_file, {})
+
+        warm = PprEngine(path_graph)
+        assert warm.load_cache(cache_file, {})
+        with mock.patch.object(grouge.ppr, "_walk", wraps=grouge.ppr._walk) as walk:
+            warm.prime_seed_sets(sets)
+        assert walk.call_count == 0
+
 
 class TestWalkMemory:
     def test_a_pass_holds_two_column_arrays_not_three(self):
@@ -883,7 +902,7 @@ class TestConfigValidation:
         engine = PprEngine(path_graph)
         deduped = engine.ppr_for_sense_set([sense(1), sense(1), sense(2)])
         assert deduped is engine.ppr_for_sense_set([sense(2), sense(1)])
-        assert engine.stats().size == 1
+        assert engine.stats().size == 3  # the set and the two singles composed into it
         with pytest.raises(ValueError, match="empty seed set"):
             engine.ppr_for_sense_set([])
 

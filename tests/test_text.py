@@ -1,6 +1,13 @@
-import pytest
+import random
+import string
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
 from grouge import stem, stopwords, tokenize
+from oracles import porter_reference
 
 # Full-chain expectations hand-derived from the published 1980 rule set:
 # the per-step example words plus the two classic multi-step chains. Words
@@ -49,11 +56,46 @@ FROZEN_STEMS = {
     "explore": "explor", "exploration": "explor",
 }
 
+# Every suffix a rule tests: the rule tables of steps 2-4, step 1a's, and
+# those of steps 1b, 1c and 5 with the endings their cleanup checks.
+RULE_SUFFIXES = sorted(
+    {suffix for group in (oracles._STEP2, oracles._STEP3, oracles._STEP4) for suffix, _, _ in group}
+    | {"sses", "ies", "ss", "s", "eed", "ed", "ing", "at", "bl", "iz", "y", "e", "l", "ll"}
+)
+# Prefix letters: every vowel, y, consonants that end a *d or *o check
+# (l, s, z; w, x, y) or an ion stem (s, t), and letters that are
+# consonants though they look like vowels (upper case, non-ASCII).
+PREFIX_LETTERS = "aeiouybcdlmnrstwxzAYé"
+# Free strings: ASCII letters and digits, upper case, and non-ASCII letters.
+FREE_ALPHABET = string.ascii_letters + string.digits + "éüñßÿ"
+
+
+def rule_directed_word(rng: random.Random) -> str:
+    prefix = rng.choices(PREFIX_LETTERS, k=rng.randint(0, 5))
+    return "".join(prefix + rng.choices(RULE_SUFFIXES, k=rng.randint(1, 3)))
+
 
 class TestPorterStemmer:
     @pytest.mark.parametrize("word,expected", sorted(FROZEN_STEMS.items()))
     def test_frozen_reference_pairs(self, word, expected):
         assert stem(word) == expected
+
+    @settings(deadline=None)
+    @given(st.one_of(
+        st.text(FREE_ALPHABET, max_size=14),
+        st.builds(
+            lambda prefix, suffixes: prefix + "".join(suffixes),
+            st.text(PREFIX_LETTERS, max_size=5),
+            st.lists(st.sampled_from(RULE_SUFFIXES), min_size=1, max_size=3),
+        ),
+    ))
+    def test_matches_the_reference_stemmer(self, word):
+        assert stem(word) == porter_reference(word)
+
+    def test_matches_the_reference_on_a_seeded_sweep(self):
+        rng = random.Random(24)
+        words = [rule_directed_word(rng) for _ in range(50_000)]
+        assert [stem(w) for w in words] == [porter_reference(w) for w in words]
 
     def test_short_tokens_unchanged(self):
         for token in ("a", "as", "is", "by", "i"):
