@@ -536,12 +536,15 @@ _COMMANDS = {  # command: (settings builder, runner)
 
 
 def _check_output_dirs(args) -> None:
-    """--out and --cache-persist name files in directories that exist;
-    checked after the settings are built, before any data file is read."""
+    """--out and --cache-persist name files in directories that exist, and
+    --out is not itself a directory; checked after the settings are built,
+    before any data file is read."""
     for option in ("out", "cache_persist"):
         path = getattr(args, option, None)
         if path and not Path(path).parent.is_dir():
             raise CliError(f"no directory for --{option.replace('_', '-')} {path}")
+    if getattr(args, "out", None) and Path(args.out).is_dir():
+        raise CliError(f"--out {args.out} is a directory")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -92,8 +92,11 @@ class SemanticGraph:
         renumber[order] = np.arange(n)
         pairs = renumber[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)]
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        # the distinct (min, max) pairs in ascending order, keyed by u*n + v
-        keys = np.unique(pairs.min(axis=1) * n + pairs.max(axis=1))
+        # the distinct (min, max) pairs in ascending order, keyed by u*n + v:
+        # sorted, each key kept where it differs from its predecessor (keys
+        # are >= 0, so the first differs from the -1 put before it)
+        keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
         u, v = keys // n, keys % n
         rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
         self.degree = np.bincount(rows, minlength=n).astype(np.float64)

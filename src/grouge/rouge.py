@@ -52,5 +52,7 @@ def grams_for(text: SummaryText, variant: str) -> Counter[tuple[str, ...]]:
 
 
 def clipped_matches(model: Counter[tuple[str, ...]], peer: Counter[tuple[str, ...]]) -> int:
-    """Total clipped matches: sum over grams of min(model, peer) counts."""
-    return sum(min(c, peer.get(g, 0)) for g, c in model.items())
+    """Total clipped matches: sum over the shared grams of min(model, peer)
+    counts. The total is an integer, so the order of the sum is immaterial."""
+    shared = model.keys() & peer.keys()
+    return sum(map(min, map(model.__getitem__, shared), map(peer.__getitem__, shared)))

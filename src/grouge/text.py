@@ -17,6 +17,9 @@ from .porter import stem
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+")
 _SENTENCE_BREAK = re.compile(r"(?<=[.!?])\s+")
+# A corpus repeats few distinct tokens many times; the bound caps the memo's
+# memory whatever the vocabulary.
+_memo_stem = lru_cache(maxsize=1 << 16)(stem)
 
 
 @lru_cache(maxsize=1)
@@ -67,5 +70,5 @@ def tokenize(raw: str, stemming: bool = True, remove_stopwords: bool = False) ->
             if not kept:
                 continue
             surfaces.append(tuple(kept))
-            sentences.append(tuple(stem(t) for t in kept) if stemming else tuple(kept))
+            sentences.append(tuple(map(_memo_stem, kept)) if stemming else tuple(kept))
     return SummaryText(sentences=tuple(sentences), surfaces=tuple(surfaces))

@@ -271,6 +271,19 @@ class TestSettingsCheckedFirst:
         assert "not found" not in err  # no data file was looked for
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["score", "lexical", "sweep-beta", "meta-eval"])
+    def test_out_that_is_a_directory_is_fatal_before_the_data(self, tmp_path, capsys,
+                                                              command):
+        out = tmp_path / "outdir"
+        out.mkdir()
+        argv = missing_data_args(command, tmp_path / "missing", out)
+        assert main(argv) == EX_FATAL
+        err = capsys.readouterr().err
+        assert f"error: --out {out} is a directory" in err
+        assert "not found" not in err  # no data file was looked for
+        assert list(tmp_path.iterdir()) == [out]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command", ["score", "sweep-beta"])
     def test_cache_file_in_a_missing_directory_is_fatal_before_the_data(self, tmp_path,
                                                                          capsys, command):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,10 @@ def recall(peer, models, family: str) -> float:
 
 
 token_lists = st.lists(st.sampled_from("abcdef"), min_size=0, max_size=12)
+# grams of one or two terms from a small alphabet, so grams repeat
+gram_lists = st.lists(
+    st.lists(st.sampled_from("abc"), min_size=1, max_size=2).map(tuple), max_size=30
+)
 
 
 class TestExtractNgrams:
@@ -87,6 +93,14 @@ class TestExtractSu4:
         got = list(ms.elements())
         assert sorted(got) == sorted(expected)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(token_lists, min_size=1, max_size=4))
+    def test_gram_order_matches_per_sentence_enumeration(self, sentences):
+        """The Counter keeps first-seen order, which the g* sums iterate."""
+        ms = extract_su4(text_of(*(" ".join(s) for s in sentences)))
+        expected = Counter(g for s in sentences for g in su4_pairs(s, BOS_MARKER))
+        assert list(ms.items()) == list(expected.items())
+
 
 class TestCountMatch:
     def test_consumption_clips_to_peer_count(self):
@@ -118,6 +132,15 @@ class TestCountMatch:
         assert su4 == clipped_match_total(
             su4_pairs(model_text.tokens, BOS_MARKER), su4_pairs(peer_text.tokens, BOS_MARKER)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(gram_lists, gram_lists)
+    def test_matches_oracle_on_gram_lists(self, model, peer):
+        """Repeated grams, disjoint vocabularies and empty sides."""
+        disjoint = [tuple(t.upper() for t in g) for g in peer]
+        for a, b in ((model, peer), (model, disjoint), (model, []), ([], peer)):
+            assert clipped_matches(Counter(a), Counter(b)) == clipped_match_total(a, b)
+        assert clipped_match_total(model, disjoint) == 0
 
 
 class TestRougeScore:

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from grouge import stem, stopwords, tokenize
+import grouge.text
+from grouge import SummaryText, porter, stem, stopwords, tokenize
 from oracles import porter_reference
 
 # Full-chain expectations hand-derived from the published 1980 rule set:
@@ -162,3 +163,27 @@ class TestTokenize:
         assert [len(s) for s in text.sentences] == [len(s) for s in text.surfaces]
         assert text.surfaces[0] == ("cats", "walked")
         assert text.sentences[0] == ("cat", "walk")
+
+
+# words from a few letters, so the same token recurs and comes from the memo
+raw_texts = st.text(alphabet="aeisnglyt .!?\n", max_size=200)
+
+
+class TestStemMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(raw_texts, st.booleans())
+    def test_same_text_as_stemming_directly(self, raw, remove_stopwords):
+        plain = tokenize(raw, stemming=False, remove_stopwords=remove_stopwords)
+        direct = SummaryText(
+            sentences=tuple(tuple(map(porter.stem, sent)) for sent in plain.surfaces),
+            surfaces=plain.surfaces,
+        )
+        for _ in range(2):  # the second pass reads every stem from the memo
+            assert tokenize(raw, remove_stopwords=remove_stopwords) == direct
+
+    def test_memo_is_bounded(self):
+        maxsize = grouge.text._memo_stem.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16
+
+    def test_stem_is_the_porter_stemmer(self):
+        assert stem is porter.stem
