@@ -333,10 +333,12 @@ def _run_scoring(args, settings: RunSettings, write: Callable[[ScoreReport, dict
     code of the command's outputs; the provenance is the settings the
     corpus was scored with and, for a semantic run, the graph and
     dictionary checksums. A persisted cache is saved after ``write``, even
-    when it fails; a cache that cannot be saved is a warning."""
+    when it fails, unless the run loaded it and walked and evicted nothing;
+    a cache that cannot be saved is a warning."""
     engine = None
     dictionary = None
     checksums: dict = {}
+    loaded = None  # the walked vectors' keys, once read from the file
     if any(variant_is_semantic(v) for v in args.variant):
         graph, dictionary, graph_path, dict_path = _load_resources(args)
         checksums = {"graph_sha256": _sha256(graph_path), "dict_sha256": _sha256(dict_path)}
@@ -345,6 +347,7 @@ def _run_scoring(args, settings: RunSettings, write: Callable[[ScoreReport, dict
             try:
                 if engine.load_cache(args.cache_persist, checksums):
                     log.info("loaded persisted cache from %s", args.cache_persist)
+                    loaded = engine.walked_keys()
                 else:
                     log.warning("persisted cache %s does not match graph/dict/walk settings,"
                                 " ignored", args.cache_persist)
@@ -368,7 +371,9 @@ def _run_scoring(args, settings: RunSettings, write: Callable[[ScoreReport, dict
     try:
         return write(report, provenance)
     finally:
-        if engine is not None and args.cache_persist:
+        if engine is not None and args.cache_persist and (
+            loaded != engine.walked_keys() or engine.stats().evictions
+        ):
             try:
                 engine.save_cache(args.cache_persist, checksums)
             except OSError as exc:

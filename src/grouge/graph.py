@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 import numpy as np
-from scipy import sparse
 
 log = logging.getLogger(__name__)
 
@@ -101,6 +100,10 @@ class SemanticGraph:
         rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
         self.degree = np.bincount(rows, minlength=n).astype(np.float64)
         inv = 1.0 / np.where(self.degree == 0, 1.0, self.degree)
+        # imported here, not at module level: lexical runs build no graph,
+        # and scipy.sparse is most of the cost of importing grouge
+        from scipy import sparse
+
         self.transition = sparse.csr_matrix((inv[cols], (rows, cols)), shape=(n, n))
 
     @property
@@ -130,6 +133,8 @@ class SemanticGraph:
     def edge_list(self) -> list[tuple[SenseId, SenseId]]:
         """The undirected edges (u < v) in ascending order: the upper
         triangle of the walk matrix's pattern, read row by row."""
+        from scipy import sparse  # imported where used, as in __init__
+
         upper = sparse.triu(self.transition, k=1)
         return [(self._senses[i], self._senses[j])
                 for i, j in zip(upper.row.tolist(), upper.col.tolist())]

@@ -483,6 +483,11 @@ class PprEngine:
             memory_bytes=c.stored_bytes,
         )
 
+    def walked_keys(self) -> frozenset[tuple[int, ...]]:
+        """Seed keys of the cached vectors that keep their weights: the
+        walked ones, which ``save_cache`` writes."""
+        return frozenset(key for key, vec in self._vectors.items() if len(vec.weights))
+
     def _cache_meta(self, meta: dict) -> dict:
         """meta plus the walk settings and the node count, which are part of
         a cache's identity: vectors are stored by node index."""

@@ -139,13 +139,16 @@ def parts_by_family(
     oov_enabled: bool = True,
     gram_sets: Mapping[SummaryText, Mapping[str, Counter[tuple[str, ...]]]] | None = None,
     debug: list[list[str]] | None = None,
+    gram_totals: Mapping[SummaryText, Mapping[str, int]] | None = None,
 ) -> dict[str, ScoreParts]:
     """Score parts of one peer per gram family, summed over its models.
 
     gram_sets maps every text to its gram counts by family; without it
-    they are extracted here. Without an engine only the lexical parts are
-    computed. When debug is given, each pair's sense assignment lines are
-    appended to it, one list per model.
+    they are extracted here. gram_totals maps each model to the total of
+    each of its gram counts; without it the totals are summed here.
+    Without an engine only the lexical parts are computed. When debug is
+    given, each pair's sense assignment lines are appended to it, one list
+    per model.
 
     This is the whole plan of a peer. Every candidate sense of the peer
     and its models is walked in one batch, then one ``SimilarityTable`` of
@@ -212,7 +215,8 @@ def parts_by_family(
         for family in families:
             grams = gram_sets[model][family]
             lexical = float(clipped_matches(grams, peer_grams[family]))
-            out[family] += ScoreParts(lexical, semantic[i][family], float(grams.total()))
+            total = grams.total() if gram_totals is None else gram_totals[model][family]
+            out[family] += ScoreParts(lexical, semantic[i][family], float(total))
     return out
 
 
@@ -335,6 +339,8 @@ def score_batch(
     systems = sorted({system for _, system in peers})
     for topic, texts in topic_models.items():
         model_grams = {text: {f: grams_for(text, f) for f in families} for text in texts}
+        model_totals = {text: {f: grams[f].total() for f in families}
+                        for text, grams in model_grams.items()}
         for system in systems:
             parts: dict[str, ScoreParts] = {}
             path = peers.get((topic, system))
@@ -345,7 +351,7 @@ def score_batch(
                 parts = parts_by_family(
                     peer, texts, families, engine, dictionary, oov_enabled=cfg.oov_enabled,
                     gram_sets={**model_grams, peer: {f: grams_for(peer, f) for f in families}},
-                    debug=pair_lines,
+                    debug=pair_lines, gram_totals=model_totals,
                 )
                 header = f"# topic={topic} system={system}"
                 report.debug_lines.extend(

@@ -40,58 +40,74 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Pearson coefficient of each row of x with the same row of y."""
     dx = x - np.mean(x, axis=1, keepdims=True)
     dy = y - np.mean(y, axis=1, keepdims=True)
-    scale = np.sqrt(np.sum(dx * dx, axis=1) * np.sum(dy * dy, axis=1))
+    return _deviation_rows(dx, dy)
+
+
+def _deviation_rows(dx: np.ndarray, dy: np.ndarray, weight: np.ndarray | float = 1.0) -> np.ndarray:
+    """Pearson coefficient of each row from its deviations from the row
+    means, entry i counted weight[:, i] times."""
+    scale = np.sqrt(np.sum(weight * dx * dx, axis=1) * np.sum(weight * dy * dy, axis=1))
     if np.any(scale == 0.0):  # a zero variance, or a product that underflows
         raise ValueError("zero variance")
-    return np.sum(dx * dy, axis=1) / scale
+    return np.sum(weight * dx * dy, axis=1) / scale
 
 
-def _average_ranks_rows(x: np.ndarray) -> np.ndarray:
-    """Fractional ranks (1-based) within each row; ties get the mean of
-    their positions."""
-    rows, n = x.shape
-    order = np.argsort(x, axis=1, kind="stable")
-    ordered = np.take_along_axis(x, order, axis=1)
-    position = np.broadcast_to(np.arange(n), (rows, n))
-    starts_run = np.ones((rows, n), dtype=bool)
-    starts_run[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    ends_run = np.ones((rows, n), dtype=bool)
-    ends_run[:, :-1] = starts_run[:, 1:]
-    first = np.maximum.accumulate(np.where(starts_run, position, 0), axis=1)
-    last = np.minimum.accumulate(np.where(ends_run, position, n - 1)[:, ::-1], axis=1)[:, ::-1]
-    ranks = np.empty_like(x)
-    np.put_along_axis(ranks, order, (first + last + 2) / 2.0, axis=1)
-    return ranks
+def _multiplicities(idx: np.ndarray, n: int) -> np.ndarray:
+    """counts[r, a]: how many times original a is drawn in row r of idx."""
+    flat = idx + n * np.arange(len(idx))[:, None]
+    return np.bincount(flat.ravel(), minlength=idx.size).reshape(idx.shape).astype(np.float64)
 
 
-# Pair entries per block of resample rows in _kendall_rows; bounds its
-# (rows x pairs) temporaries to a few tens of MB whatever n is.
-_KENDALL_BLOCK = 1 << 20
+def _counted_ranks(x: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Fractional rank (1-based) of each original x[a] in each resample,
+    where counts[r, a] is how often a is drawn in resample r: the draws
+    below it, plus half of one more than the draws equal to it. Values in
+    one run of the stably sorted x are equal; each nan is a run of its own.
+    The products are multiples of 1/2 summing to at most n, so exact."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    run = np.empty(len(x), dtype=np.intp)
+    run[order] = np.cumsum(np.append(True, ordered[1:] != ordered[:-1]))
+    below = (run[:, None] < run) + (run[:, None] == run) / 2
+    return counts @ below + 0.5
 
 
-def _kendall_rows(x: np.ndarray, y: np.ndarray, idx: np.ndarray, variant: str) -> np.ndarray:
-    """Kendall coefficient of (x[idx[r]], y[idx[r]]) for each row r of idx.
+def _spearman_rows(x: np.ndarray, y: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Spearman coefficient of each resample, from its multiplicities.
 
-    Every pair of resampled positions is looked up in one table over the
-    original rows, so a resample costs one gather and integer counts.
+    The n ranks of a resample have mean (n + 1) / 2 exactly, so each
+    deviation is a multiple of 1/2 and each counted product a multiple of
+    1/4 of magnitude at most n^3 / 4. Every partial sum is then exact
+    while n^3 < 2^53 (n below ~208,000 systems), and the sums equal the
+    sums over the resample's positions bit for bit.
     """
-    n = idx.shape[1]
+    mean = (counts.shape[1] + 1) / 2
+    dx, dy = _counted_ranks(x, counts) - mean, _counted_ranks(y, counts) - mean
+    return _deviation_rows(dx, dy, counts)
+
+
+def _kendall_rows(x: np.ndarray, y: np.ndarray, counts: np.ndarray, variant: str) -> np.ndarray:
+    """Kendall coefficient of each resample, from its multiplicities.
+
+    Of a resample's pairs of positions, counts[a] * counts[b] are drawn
+    from originals a < b and C(counts[a], 2) from a twice; a table over
+    the originals says which of the four classes each such pair is in.
+    The class counts are row sums of integer products below 2^53, so the
+    float64 products and sums are exact under any BLAS blocking or thread
+    count.
+    """
+    n = counts.shape[1]
     dx = np.sign(x[:, None] - x[None, :])
     dy = np.sign(y[:, None] - y[None, :])
     product = dx * dy
-    # bit 0: concordant, 1: discordant, 2: tied in x, 3: tied in y
-    code = ((product > 0) + 2 * (product < 0) + 4 * (dx == 0) + 8 * (dy == 0)).astype(np.uint8)
-    code = code.ravel()
-    first, second = np.triu_indices(n, k=1)
-    pairs = len(first)
-    counts = np.empty((4, len(idx)), dtype=np.int64)
-    step = max(1, _KENDALL_BLOCK // pairs)
-    for lo in range(0, len(idx), step):
-        block = idx[lo : lo + step]
-        codes = code[block[:, first] * n + block[:, second]]
-        for bit in range(4):
-            counts[bit, lo : lo + step] = np.count_nonzero(codes & (1 << bit), axis=1)
-    concordant, discordant, ties_x, ties_y = counts
+    tables = np.array([product > 0, product < 0, dx == 0, dy == 0], dtype=np.float64)
+    twice = counts * (counts - 1) / 2
+    # concordant, discordant, tied in x, tied in y; a value drawn twice is
+    # tied with itself unless x - x is nan (an infinite or nan value)
+    classes = [np.sum((counts @ np.triu(table, k=1)) * counts, axis=1) + twice @ np.diag(table)
+               for table in tables]
+    concordant, discordant, ties_x, ties_y = np.array(classes).astype(np.int64)
+    pairs = n * (n - 1) // 2
     if variant == "a":
         return (concordant - discordant) / pairs
     denom = (pairs - ties_x) * (pairs - ties_y)
@@ -107,7 +123,7 @@ def _check_variant(variant: str) -> None:
 
 def check_resamples(resamples: int) -> None:
     """The range of ``bootstrap_ci``'s resample count. Memory grows with
-    it: meta-eval over 50 systems peaks near 0.5 GiB at the upper bound."""
+    it: meta-eval over 50 systems peaks near 330 MiB at the upper bound."""
     if resamples < 1:
         raise ValueError(f"resamples must be >= 1, got {resamples}")
     if resamples > _MAX_RESAMPLES:
@@ -134,7 +150,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 def average_ranks(x: Sequence[float]) -> np.ndarray:
     """Fractional ranks (1-based); ties get the mean of their positions."""
-    return _average_ranks_rows(_as_array(x)[None, :])[0]
+    x = _as_array(x)
+    return _counted_ranks(x, np.ones((1, len(x))))[0]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:
@@ -149,7 +166,7 @@ def kendall(x: Sequence[float], y: Sequence[float], variant: str = "b") -> float
     _check_variant(variant)
     x, y = _as_array(x), _as_array(y)
     _check_pair(x, y)
-    return float(_kendall_rows(x, y, np.arange(len(x))[None, :], variant)[0])
+    return float(_kendall_rows(x, y, np.ones((1, len(x))), variant)[0])
 
 
 def coefficients(
@@ -157,18 +174,6 @@ def coefficients(
 ) -> tuple[float, float, float]:
     """The Pearson, Spearman and Kendall coefficients of one column pair."""
     return pearson(x, y), spearman(x, y), kendall(x, y, kendall_variant)
-
-
-def _coefficient_rows(
-    coefficient: str, x: np.ndarray, y: np.ndarray, idx: np.ndarray, kendall_variant: str
-) -> np.ndarray:
-    """The coefficient of (x[idx[r]], y[idx[r]]) for each row r of idx."""
-    if coefficient == "kendall":
-        return _kendall_rows(x, y, idx, kendall_variant)
-    bx, by = x[idx], y[idx]
-    if coefficient == "spearman":
-        bx, by = _average_ranks_rows(bx), _average_ranks_rows(by)
-    return _pearson_rows(bx, by)
 
 
 @functools.lru_cache(maxsize=4)
@@ -181,6 +186,14 @@ def _resample_rows(seed: int, n: int, resamples: int) -> np.ndarray:
         rows[i] = np.random.default_rng(child).integers(0, n, size=n)
     rows.flags.writeable = False
     return rows
+
+
+@functools.lru_cache(maxsize=4)
+def _resample_counts(seed: int, n: int, resamples: int) -> np.ndarray:
+    """The multiplicities of ``_resample_rows``' rows, read-only like them."""
+    counts = _multiplicities(_resample_rows(seed, n, resamples), n)
+    counts.flags.writeable = False
+    return counts
 
 
 def _constant(m: np.ndarray) -> np.ndarray:
@@ -206,6 +219,11 @@ def bootstrap_ci(
     is made once per (seed, n, resamples) and shared by all column pairs;
     only a pair's degenerate resamples are redrawn, each by replaying its
     own stream. Kendall intervals use kendall_variant.
+
+    Pearson is computed from the drawn values, whose order its float sums
+    depend on. Spearman and Kendall depend only on how many times each
+    row is drawn; those counts are made once with the shared draw, and
+    again for a pair with redrawn resamples.
     """
     if coefficient not in COEFFICIENTS:
         raise ValueError(f"unknown coefficient {coefficient!r}")
@@ -238,7 +256,12 @@ def bootstrap_ci(
             idx[i] = row
     # rows before a failure are still evaluated: one with zero variance
     # raises first, as it would one resample at a time
-    values = _coefficient_rows(coefficient, x, y, idx[:stop], kendall_variant)
+    if coefficient == "pearson":  # its float sums depend on the order of the draws
+        values = _pearson_rows(x[idx[:stop]], y[idx[:stop]])
+    else:
+        counts = _multiplicities(idx, n) if len(degenerate) else _resample_counts(seed, n, resamples)
+        values = (_kendall_rows(x, y, counts[:stop], kendall_variant) if coefficient == "kendall"
+                  else _spearman_rows(x, y, counts[:stop]))
     if stop < resamples:
         raise ValueError("bootstrap exceeded retry cap on degenerate resamples")
     tail = 100.0 * (1.0 - confidence) / 2.0

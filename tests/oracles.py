@@ -417,6 +417,72 @@ def bootstrap_ci_reference(x, y, coefficient="pearson", resamples=1000, confiden
     return float(lo), float(hi)
 
 
+# -- row-wise kernels over resampled positions -------------------------------
+# ``grouge.stats`` computed its Kendall and Spearman bootstrap rows this way
+# before it computed them from how often each original row is drawn: every
+# resampled position gathered, every pair of positions looked up in a code
+# table, and every row of values sorted again.
+
+_KENDALL_BLOCK = 1 << 20  # pair entries per block of resample rows
+
+
+def kendall_rows_reference(x: np.ndarray, y: np.ndarray, idx: np.ndarray,
+                           variant: str) -> np.ndarray:
+    """Kendall coefficient of (x[idx[r]], y[idx[r]]) for each row r of idx."""
+    n = idx.shape[1]
+    dx = np.sign(x[:, None] - x[None, :])
+    dy = np.sign(y[:, None] - y[None, :])
+    product = dx * dy
+    # bit 0: concordant, 1: discordant, 2: tied in x, 3: tied in y
+    code = ((product > 0) + 2 * (product < 0) + 4 * (dx == 0) + 8 * (dy == 0)).astype(np.uint8)
+    code = code.ravel()
+    first, second = np.triu_indices(n, k=1)
+    pairs = len(first)
+    counts = np.empty((4, len(idx)), dtype=np.int64)
+    step = max(1, _KENDALL_BLOCK // pairs)
+    for lo in range(0, len(idx), step):
+        block = idx[lo : lo + step]
+        codes = code[block[:, first] * n + block[:, second]]
+        for bit in range(4):
+            counts[bit, lo : lo + step] = np.count_nonzero(codes & (1 << bit), axis=1)
+    concordant, discordant, ties_x, ties_y = counts
+    if variant == "a":
+        return (concordant - discordant) / pairs
+    denom = (pairs - ties_x) * (pairs - ties_y)
+    if np.any(denom == 0):
+        raise ValueError("zero variance")
+    return (concordant - discordant) / np.sqrt(denom)
+
+
+def average_ranks_rows_reference(x: np.ndarray) -> np.ndarray:
+    """Fractional ranks (1-based) within each row; ties get the mean of
+    their positions."""
+    rows, n = x.shape
+    order = np.argsort(x, axis=1, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=1)
+    position = np.broadcast_to(np.arange(n), (rows, n))
+    starts_run = np.ones((rows, n), dtype=bool)
+    starts_run[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    ends_run = np.ones((rows, n), dtype=bool)
+    ends_run[:, :-1] = starts_run[:, 1:]
+    first = np.maximum.accumulate(np.where(starts_run, position, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends_run, position, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty_like(x)
+    np.put_along_axis(ranks, order, (first + last + 2) / 2.0, axis=1)
+    return ranks
+
+
+def pearson_rows_reference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pearson coefficient of each row of x with the same row of y, as the
+    bootstrap computed it on gathered values."""
+    dx = x - np.mean(x, axis=1, keepdims=True)
+    dy = y - np.mean(y, axis=1, keepdims=True)
+    scale = np.sqrt(np.sum(dx * dx, axis=1) * np.sum(dy * dy, axis=1))
+    if np.any(scale == 0.0):
+        raise ValueError("zero variance")
+    return np.sum(dx * dy, axis=1) / scale
+
+
 def load_graph_reference(lines):
     """The relation-file loader as it was: every endpoint token parsed into a
     SenseId, interned by SenseId, edges kept as a set of (min, max) tuples

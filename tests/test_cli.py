@@ -74,6 +74,19 @@ def cache_counts(report):
     return {name: int(lines[name].split()[0]) for name in ("hits", "misses", "vectors", "memory")}
 
 
+def record_engines(monkeypatch) -> list:
+    """Every PprEngine the CLI makes from here on, in order."""
+    engines = []
+
+    class RecordingEngine(grouge.cli.PprEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            engines.append(self)
+
+    monkeypatch.setattr(grouge.cli, "PprEngine", RecordingEngine)
+    return engines
+
+
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
@@ -910,7 +923,8 @@ class TestPprCommand:
 
 
 class TestCacheWorkflow:
-    def test_fresh_then_warm_cache_stats(self, world, tmp_path, capsys):
+    def test_fresh_then_warm_cache_stats(self, world, tmp_path, capsys, monkeypatch):
+        engines = record_engines(monkeypatch)
         cache = tmp_path / "cache.npz"
         out = tmp_path / "r.csv"
         assert main(score_args(world, out, variant="g1",
@@ -923,14 +937,16 @@ class TestCacheWorkflow:
 
         assert main(score_args(world, tmp_path / "r2.csv", variant="g1",
                                extra=("--cache-persist", str(cache)))) == EX_OK
-        assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
-        warm = cache_counts(capsys.readouterr().out)
+        warm = engines[-1].stats()
         # the file holds the walked vectors; the warm run's misses are the
         # composed sets it composed again
-        assert warm["misses"] == fresh["vectors"] - walked
-        assert warm["hits"] + warm["misses"] == fresh["hits"] + fresh["misses"]
-        assert (warm["vectors"], warm["memory"]) == (fresh["vectors"], fresh["memory"])
+        assert warm.misses == fresh["vectors"] - walked
+        assert warm.hits + warm.misses == fresh["hits"] + fresh["misses"]
+        assert (warm.size, warm.memory_bytes) == (fresh["vectors"], fresh["memory"])
         assert (tmp_path / "r2.csv").read_bytes() == out.read_bytes()
+        # a warm run that walks nothing leaves the file, and its counts, as they were
+        assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
+        assert cache_counts(capsys.readouterr().out) == fresh
 
     def test_warm_run_walks_no_column(self, isolated_world, tmp_path, capsys, monkeypatch):
         """The file holds every vector that keeps weights, sets with an
@@ -950,15 +966,43 @@ class TestCacheWorkflow:
         walk = grouge.ppr._walk
         monkeypatch.setattr(grouge.ppr, "_walk", lambda g, keys, cfg: walks.append(keys)
                             or walk(g, keys, cfg))
+        engines = record_engines(monkeypatch)
         warm = tmp_path / "warm.csv"
         assert main(score_args(isolated_world, warm, variant=variants,
                                extra=("--cache-persist", str(cache)))) == EX_OK
         assert walks == []
         assert warm.read_bytes() == cold.read_bytes()
-        assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
-        again = cache_counts(capsys.readouterr().out)
-        assert again["misses"] == fresh["vectors"] - len(members["sizes"]) > 0
-        assert (again["vectors"], again["memory"]) == (fresh["vectors"], fresh["memory"])
+        again = engines[0].stats()
+        assert again.misses == fresh["vectors"] - len(members["sizes"]) > 0
+        assert (again.size, again.memory_bytes) == (fresh["vectors"], fresh["memory"])
+
+    def test_file_is_rewritten_only_when_its_vectors_change(self, world, tmp_path):
+        cache = tmp_path / "cache.npz"
+        one_system = tmp_path / "peers"
+        one_system.mkdir()
+        for path in sorted(world["peers"].iterdir())[:1]:
+            (one_system / path.name).write_bytes(path.read_bytes())
+
+        def run(peers, *extra):
+            return main(score_args({**world, "peers": peers}, tmp_path / "r.csv", variant="g1",
+                                   extra=("--cache-persist", str(cache), *extra)))
+
+        def walked():
+            return len(read_cache_file(cache)[1]["sizes"])
+
+        def stamp():  # an mtime that any rewrite replaces
+            os.utime(cache, ns=(10**18, 10**18))
+            return cache.read_bytes()
+
+        assert run(one_system) == EX_OK
+        saved, vectors = stamp(), walked()
+        assert run(one_system) == EX_OK  # walks and evicts nothing
+        assert (cache.read_bytes(), cache.stat().st_mtime_ns) == (saved, 10**18)
+        assert run(world["peers"]) == EX_OK  # the other systems' senses are walked
+        assert cache.stat().st_mtime_ns != 10**18 and walked() > vectors
+        stamp()
+        assert run(world["peers"], "--cache-capacity", "1") == EX_OK  # loading evicts
+        assert cache.stat().st_mtime_ns != 10**18 and walked() <= 1
 
     def test_cache_stats_runs_no_code_from_a_planted_pickle(self, tmp_path, capsys,
                                                             monkeypatch):
@@ -973,14 +1017,7 @@ class TestCacheWorkflow:
 
     def test_cache_stats_reports_the_saving_runs_counts(self, world, tmp_path, capsys,
                                                         monkeypatch):
-        engines = []
-
-        class RecordingEngine(grouge.cli.PprEngine):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                engines.append(self)
-
-        monkeypatch.setattr(grouge.cli, "PprEngine", RecordingEngine)
+        engines = record_engines(monkeypatch)
         cache = tmp_path / "cache.npz"
         assert main(score_args(world, tmp_path / "r.csv", variant="g1,g2",
                                extra=("--cache-persist", str(cache)))) == EX_OK
@@ -1172,6 +1209,32 @@ class TestImport:
             timeout=60, check=True,
         )
         assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("command", ["import", "score", "meta-eval"])
+    def test_lexical_runs_do_not_load_scipy_sparse(self, world, score_csv, tmp_path, command):
+        """Only a graph needs scipy.sparse: importing the CLI, a lexical
+        score and meta-eval (Williams test included) leave it unloaded."""
+        argv = {
+            "import": [],
+            "score": score_args(world, tmp_path / "r.csv", variant="r1,r2,rsu4"),
+            "meta-eval": ["meta-eval", "--scores", str(score_csv),
+                          "--human", str(world["judgments"]), "--baseline", "r1",
+                          "--resamples", "20", "--out", str(tmp_path / "corr.csv")],
+        }[command]
+        code = (
+            "import sys; from grouge.cli import main; "
+            "rc = main(sys.argv[1:]) if sys.argv[1:] else 0; "
+            "print(rc, 'scipy.sparse' in sys.modules)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(grouge.__file__).parent.parent), env.get("PYTHONPATH", "")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert result.stdout.split() == [str(EX_OK), "False"]
 
 
 class TestVersion:

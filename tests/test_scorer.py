@@ -618,6 +618,26 @@ class TestScoreBatch:
         assert any(p.semantic for p in parts[0].values())
         assert building
 
+    def test_model_gram_totals_summed_once_per_topic(self, tmp_path, monkeypatch):
+        world = build_synthetic_eval(
+            tmp_path, n_nodes=300, n_words=40, n_systems=3, n_models=2, seed=5,
+            topics=("d1001", "d1002"),
+        )
+        variants = ("r1", "r2", "rsu4")
+        per_peer = grouge.scorer.parts_by_family
+        monkeypatch.setattr(grouge.scorer, "parts_by_family",  # sums the totals per peer
+                            lambda *args, gram_totals, **kwargs: per_peer(*args, **kwargs))
+        expected = score_batch(world["peers"], world["models"], cfg_for(), None, None,
+                               variants=variants).parts
+        monkeypatch.undo()
+        totals = []
+        total = Counter.total
+        monkeypatch.setattr(Counter, "total", lambda c: totals.append(c) or total(c))
+        parts = score_batch(world["peers"], world["models"], cfg_for(), None, None,
+                            variants=variants).parts
+        assert len(totals) == 2 * 2 * 3  # topics x models x families, whatever the systems
+        assert parts == expected
+
     def test_csv_shape_and_precision(self, tmp_path, setting):
         graph, dictionary, engine = setting
         peers, models = self._write_corpus(tmp_path, setting)

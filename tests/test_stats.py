@@ -18,17 +18,24 @@ from grouge import (
 from grouge.stats import (
     CorrelationReport,
     CorrelationRow,
-    _average_ranks_rows,
+    _counted_ranks,
+    _kendall_rows,
+    _multiplicities,
+    _spearman_rows,
     average_ranks,
     load_judgments,
 )
 
 from oracles import (
     average_ranks_oracle,
+    average_ranks_reference,
+    average_ranks_rows_reference,
     bootstrap_ci_reference,
     kendall_reference,
+    kendall_rows_reference,
     kendall_tau_b_oracle,
     pearson_reference,
+    pearson_rows_reference,
     spearman_oracle,
     spearman_reference,
     williams_oracle,
@@ -100,12 +107,20 @@ class TestSpearman:
     def test_average_ranks_match_oracle(self, x):
         assert average_ranks(x).tolist() == average_ranks_oracle(x)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=50))
+    def test_each_nan_ranks_last_on_its_own(self, x):
+        assert average_ranks(x).tobytes() == average_ranks_reference(np.array(x)).tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 30), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_row_wise_ranks_match_oracle_per_row(self, rows, n, levels, seed):
-        m = np.random.default_rng(seed).integers(0, levels, size=(rows, n)).astype(float)
-        ranks = _average_ranks_rows(m)
-        assert [r.tolist() for r in ranks] == [average_ranks_oracle(r.tolist()) for r in m]
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, levels, size=n).astype(float)
+        idx = rng.integers(0, n, size=(rows, n))
+        # the rank of each drawn position is the rank of the original it drew
+        ranks = np.take_along_axis(_counted_ranks(x, _multiplicities(idx, n)), idx, axis=1)
+        assert [r.tolist() for r in ranks] == [average_ranks_oracle(r.tolist()) for r in x[idx]]
 
     @settings(max_examples=100, deadline=None)
     @given(int_vectors)
@@ -306,16 +321,18 @@ class TestBootstrapOracle:
             with pytest.raises(ValueError, match="retry cap"):
                 func(x, y, "pearson", 1, 0.95, seed_for_redraws[11])
 
-    def test_kendall_blocks_cover_every_row(self, monkeypatch):
-        # 45 pairs at n = 10: blocks of 7 rows, the last one partial
-        monkeypatch.setattr(grouge.stats, "_KENDALL_BLOCK", 7 * 45)
+    def test_kendall_rows_exact_past_blas_blocking(self):
+        # n = 600: the (rows, n) x (n, n) products are split into blocks,
+        # and the counts must still be exact integers
         rng = np.random.default_rng(12)
-        x = rng.integers(0, 4, size=10).astype(float)
-        y = rng.integers(0, 4, size=10).astype(float)
+        n = 600
+        x = rng.integers(0, 40, size=n).astype(float)
+        y = x + rng.integers(0, 40, size=n)
+        idx = rng.integers(0, n, size=(40, n))
+        counts = _multiplicities(idx, n)
         for variant in ("a", "b"):
-            assert bootstrap_ci(x, y, "kendall", 100, 0.9, 5, kendall_variant=variant) == (
-                bootstrap_ci_reference(x, y, "kendall", 100, 0.9, 5, kendall_variant=variant)
-            )
+            got = _kendall_rows(x, y, counts, variant)
+            assert got.tobytes() == kendall_rows_reference(x, y, idx, variant).tobytes()
 
     def test_variance_product_underflow_is_zero_variance(self):
         # both variances are positive but their product underflows to zero
@@ -362,6 +379,68 @@ class TestBootstrapOracle:
             )])
             got = correlate(table, resamples=1000, seed=42, kendall_variant=variant)
             assert got.to_csv_bytes() == expected.to_csv_bytes()
+
+
+@st.composite
+def resampled_columns(draw):
+    """Two columns of n rows with 1-6 tie levels, -0.0 next to 0.0 and
+    infinities mixed in, and rows of draws from them; drawing from only the
+    first few originals repeats draws."""
+    n = draw(st.integers(min_value=4, max_value=60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = np.concatenate([
+        np.arange(draw(st.integers(1, 6)), dtype=float),
+        draw(st.sampled_from([(), (-0.0,), (np.inf,), (-np.inf, -0.0, np.inf)])),
+    ])
+    x, y = rng.choice(values, size=n), rng.choice(values, size=n)
+    idx = rng.integers(0, draw(st.integers(1, n)), size=(draw(st.integers(1, 12)), n))
+    return x, y, idx
+
+
+class TestCountedKernels:
+    """The Kendall and Spearman rows computed from multiplicities against
+    the kernels that gathered every resampled position (oracles): the same
+    bits, or the same ValueError."""
+
+    @staticmethod
+    def _outcome(func, *args):
+        try:
+            return func(*args).tobytes()
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    @settings(deadline=None)
+    @given(resampled_columns(), st.sampled_from("ab"))
+    def test_kendall_rows_match_reference(self, columns, variant):
+        x, y, idx = columns
+        counts = _multiplicities(idx, len(x))
+        assert self._outcome(_kendall_rows, x, y, counts, variant) == self._outcome(
+            kendall_rows_reference, x, y, idx, variant
+        )
+
+    @settings(deadline=None)
+    @given(resampled_columns())
+    def test_spearman_rows_match_reference(self, columns):
+        x, y, idx = columns
+
+        def reference(x, y, idx):
+            ranks = average_ranks_rows_reference
+            return pearson_rows_reference(ranks(x[idx]), ranks(y[idx]))
+
+        counts = _multiplicities(idx, len(x))
+        assert self._outcome(_spearman_rows, x, y, counts) == self._outcome(reference, x, y, idx)
+
+    @settings(deadline=None)
+    @given(resampled_columns())
+    def test_counted_ranks_match_reference(self, columns):
+        x, _, idx = columns
+        ranks = np.take_along_axis(_counted_ranks(x, _multiplicities(idx, len(x))), idx, axis=1)
+        assert ranks.tobytes() == average_ranks_rows_reference(x[idx]).tobytes()
+
+    def test_multiplicities_count_each_draw(self):
+        idx = np.array([[0, 0, 3, 1], [2, 2, 2, 2]])
+        assert _multiplicities(idx, 4).tolist() == [[2, 1, 0, 1], [0, 0, 4, 0]]
 
 
 class TestWilliams:
