@@ -11,8 +11,9 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +22,15 @@ log = logging.getLogger(__name__)
 POS_TAGS = ("n", "v", "a", "r")
 
 _OFFSET_RE = re.compile(r"[0-9]{8}")
+# The two patterns below are compiled on first use (re keeps them), not at
+# import: lexical runs read no graph.
+_SENSE = r"[0-9]{8}-[nvar]"
+# One match per line (re.M): the "u:ID v:ID" head of a line of the canonical
+# shape (that head, then single-space tokens that each hold a colon), else "".
+_CANONICAL_LINE = rf"^(?:(u:{_SENSE} v:{_SENSE})(?: [^\s:]*:\S*)*$|.*)"
+# pos letters in SenseId order; a node's key is offset * 4 + its pos's place
+_POS_ORDER = "anrv"
+_POS_CODES = np.frombuffer(_POS_ORDER.encode("ascii"), dtype=np.uint8)
 
 
 class ParseError(ValueError):
@@ -65,9 +75,13 @@ class SenseId:
 class SemanticGraph:
     """Immutable undirected sense graph with dense integer indexing.
 
-    Nodes are numbered in ascending SenseId order, so ascending node index
-    is ascending sense id, whatever order the senses and edges were given
-    in. The graph is stored once, as the column-stochastic walk matrix
+    Node ids are stored as one sorted int64 array of keys, offset * 4 plus
+    the place of the pos in ``a n r v``; that is SenseId order, so node i
+    is the i-th smallest sense id, whatever order the senses and edges were
+    given in. No per-node object is kept: ``sense_at``, ``senses`` and
+    ``edge_list`` build SenseIds when asked, and ``node_index`` reads a
+    map from canonical id text to index, built from the keys on the first
+    lookup. The graph is stored once, as the column-stochastic walk matrix
     ``transition`` (CSR, P[i, j] = 1/deg(j) for each neighbour i of j, so
     its sparsity pattern is the symmetric edge set) and each node's
     neighbour count ``degree``; a degree-zero column has no entries.
@@ -75,28 +89,35 @@ class SemanticGraph:
     never depends on what it computed before.
     """
 
-    def __init__(self, senses: list[SenseId], pairs: np.ndarray):
+    def __init__(self, senses: Sequence[SenseId], pairs: np.ndarray):
         """senses: the nodes, in any order. pairs: (m, 2) int indices into
         senses, in any order and either orientation; repeated pairs count
         once and self-loops add no edge (their node is still registered)."""
-        canonical = np.array([s.canonical for s in senses], dtype="U10")
-        order = np.argsort(canonical, kind="stable")
-        self._senses = [senses[i] for i in order]
-        self._index = {s: i for i, s in enumerate(self._senses)}
-        if len(self._index) != len(self._senses):
+        keys = np.array([int(s.offset) * 4 + _POS_ORDER.index(s.pos) for s in senses],
+                        dtype=np.int64)
+        distinct, renumber = np.unique(keys, return_inverse=True)
+        if len(distinct) != len(keys):
             raise ValueError("duplicate sense ids in node list")
-        n = len(self._senses)
+        self._build(distinct, renumber[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)])
 
-        renumber = np.empty(n, dtype=np.int64)
-        renumber[order] = np.arange(n)
-        pairs = renumber[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)]
+    @classmethod
+    def _from_keys(cls, keys: np.ndarray, pairs: np.ndarray) -> "SemanticGraph":
+        """The graph on distinct ascending int64 keys, pairs indexing into
+        them."""
+        graph = cls.__new__(cls)
+        graph._build(keys, pairs)
+        return graph
+
+    def _build(self, keys: np.ndarray, pairs: np.ndarray) -> None:
+        self._keys = keys
+        n = len(keys)
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
         # the distinct (min, max) pairs in ascending order, keyed by u*n + v:
         # sorted, each key kept where it differs from its predecessor (keys
         # are >= 0, so the first differs from the -1 put before it)
-        keys = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
-        keys = keys[np.diff(keys, prepend=-1) != 0]
-        u, v = keys // n, keys % n
+        edges = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+        edges = edges[np.diff(edges, prepend=-1) != 0]
+        u, v = edges // n, edges % n
         rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
         self.degree = np.bincount(rows, minlength=n).astype(np.float64)
         inv = 1.0 / np.where(self.degree == 0, 1.0, self.degree)
@@ -106,9 +127,14 @@ class SemanticGraph:
 
         self.transition = sparse.csr_matrix((inv[cols], (rows, cols)), shape=(n, n))
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Canonical id text -> node index."""
+        return dict(zip(_canonical_texts(self._keys), range(self.node_count)))
+
     @property
     def node_count(self) -> int:
-        return len(self._senses)
+        return len(self._keys)
 
     @property
     def edge_count(self) -> int:
@@ -116,36 +142,57 @@ class SemanticGraph:
         return self.transition.nnz // 2
 
     def __contains__(self, sense: SenseId) -> bool:
-        return sense in self._index
+        return sense.canonical in self._index
 
     def node_index(self, sense: SenseId) -> int:
         try:
-            return self._index[sense]
+            return self._index[sense.canonical]
         except KeyError:
             raise ValueError(f"sense {sense} is not in the graph") from None
 
     def sense_at(self, idx: int) -> SenseId:
-        return self._senses[idx]
+        return _sense_of_key(int(self._keys[idx]))
 
     def senses(self) -> Iterator[SenseId]:
-        return iter(self._senses)
+        return map(_sense_of_key, self._keys.tolist())
 
     def edge_list(self) -> list[tuple[SenseId, SenseId]]:
         """The undirected edges (u < v) in ascending order: the upper
         triangle of the walk matrix's pattern, read row by row."""
-        from scipy import sparse  # imported where used, as in __init__
+        from scipy import sparse  # imported where used, as in _build
 
         upper = sparse.triu(self.transition, k=1)
-        return [(self._senses[i], self._senses[j])
-                for i, j in zip(upper.row.tolist(), upper.col.tolist())]
+        senses = list(self.senses())
+        return [(senses[i], senses[j]) for i, j in zip(upper.row.tolist(), upper.col.tolist())]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SemanticGraph):
             return NotImplemented
-        return self._senses == other._senses and self.edge_list() == other.edge_list()
+        # the walk matrix's values follow from its pattern
+        return all(np.array_equal(a, b) for a, b in (
+            (self._keys, other._keys),
+            (self.transition.indptr, other.transition.indptr),
+            (self.transition.indices, other.transition.indices),
+        ))
 
     def __hash__(self) -> int:  # identity hash; graphs are large and immutable
         return id(self)
+
+
+def _sense_of_key(key: int) -> SenseId:
+    return SenseId(f"{key >> 2:08d}", _POS_ORDER[key & 3])
+
+
+def _canonical_texts(keys: np.ndarray) -> list[str]:
+    """The canonical id text of each key, written digit by digit in numpy."""
+    chars = np.empty((len(keys), 10), dtype=np.uint32)  # UCS-4 code points
+    offsets = keys >> 2
+    for column in range(7, -1, -1):
+        offsets, digit = np.divmod(offsets, 10)
+        chars[:, column] = digit + ord("0")
+    chars[:, 8] = ord("-")
+    chars[:, 9] = _POS_CODES[keys & 3]
+    return chars.view("U10").ravel().tolist()
 
 
 def _records(source: str | Path | IO[str] | Iterable[str]) -> Iterator[tuple[int, list[str]]]:
@@ -161,11 +208,45 @@ def _records(source: str | Path | IO[str] | Iterable[str]) -> Iterator[tuple[int
             yield lineno, tokens
 
 
+def _sense_text(lineno: int, text: str) -> str:
+    """text, if it is a canonical sense id (what ``SenseId.parse`` accepts)."""
+    if re.fullmatch(_SENSE, text) is None:
+        raise ParseError(f"line {lineno}: not a valid sense id: {text!r}")
+    return text
+
+
 def _sense(lineno: int, text: str) -> SenseId:
-    try:
-        return SenseId.parse(text)
-    except ValueError as exc:
-        raise ParseError(f"line {lineno}: {exc}") from None
+    text = _sense_text(lineno, text)
+    return SenseId(text[:8], text[9:])
+
+
+def _text(source: str | Path | IO[str] | Iterable[str]) -> str:
+    """The source's lines joined by newlines: line k of the text is line k
+    of the source."""
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            return fh.read()
+    # a stream's lines and readlines()' end in a newline, a list's need not;
+    # a newline inside an item, whitespace to split(), is read as a space
+    return "\n".join(line.removesuffix("\n").replace("\n", " ") for line in source)
+
+
+def _relation_ends(lineno: int, line: str) -> tuple[str, str] | None:
+    """The checked u and v ids of one relation line, read token by token;
+    None for a blank or ``#`` comment line."""
+    tokens = line.split()
+    if not tokens or tokens[0].startswith("#"):
+        return None
+    fields: dict[str, str] = {}
+    for token in tokens:
+        key, sep, value = token.partition(":")
+        if not sep:
+            raise ParseError(f"line {lineno}: malformed token {token!r}")
+        fields.setdefault(key, value)
+    for required in ("u", "v"):
+        if required not in fields:
+            raise ParseError(f"line {lineno}: missing key {required!r}")
+    return _sense_text(lineno, fields["u"]), _sense_text(lineno, fields["v"])
 
 
 def load_graph(relations_source: str | Path | IO[str] | Iterable[str]) -> SemanticGraph:
@@ -175,37 +256,51 @@ def load_graph(relations_source: str | Path | IO[str] | Iterable[str]) -> Semant
     must include ``u`` and ``v`` with canonical sense-id values. Other keys
     are ignored. The result is the deduplicated symmetric closure with
     self-loops dropped (their endpoints are still registered as nodes),
-    numbered in sense-id order by ``SemanticGraph``; the order of the lines
-    does not matter.
+    numbered in sense-id order; the order of the lines does not matter.
+
+    The source is read whole. One regular-expression pass takes the ids of
+    every line of the canonical shape: ``u:ID v:ID`` at the start, then
+    single-space tokens that each hold a colon. Only the other lines
+    (comments, blank lines, other key orders or whitespace, and malformed
+    lines) are split into tokens one by one, in file order and under their
+    own line numbers, so the first bad line raises the ``ParseError`` it
+    always did. The ids are turned into int64 keys as ASCII bytes in numpy
+    and numbered with ``np.unique``; no per-node or per-line object is
+    built beyond the matched text.
     """
-    senses: list[SenseId] = []
-    # Distinct token text -> position in senses. A SenseId is the whole
-    # token's text, so distinct tokens are distinct senses and each one is
-    # parsed once.
-    index: dict[str, int] = {}
-    ends: list[int] = []  # u0, v0, u1, v1, ...
-
-    for lineno, tokens in _records(relations_source):
-        fields: dict[str, str] = {}
-        for token in tokens:
-            key, sep, value = token.partition(":")
-            if not sep:
-                raise ParseError(f"line {lineno}: malformed token {token!r}")
-            fields.setdefault(key, value)
-        for required in ("u", "v"):
-            if required not in fields:
-                raise ParseError(f"line {lineno}: missing key {required!r}")
-        for token in (fields["u"], fields["v"]):
-            idx = index.get(token)
-            if idx is None:
-                idx = index[token] = len(senses)
-                senses.append(_sense(lineno, token))
-            ends.append(idx)
-
-    graph = SemanticGraph(senses, np.array(ends, dtype=np.int64).reshape(-1, 2))
+    text = _text(relations_source)
+    heads = re.findall(_CANONICAL_LINE, text, re.M)  # one per line; "" where not canonical
+    # the "line" after a final newline is empty and needs no reading
+    others = _positions(heads, "", len(heads) - text.endswith("\n"))
+    if others:
+        lines = text.split("\n", others[-1] + 1)
+        for i in others:
+            ends = _relation_ends(i + 1, lines[i])
+            if ends is not None:
+                heads[i] = f"u:{ends[0]} v:{ends[1]}"
+    del text  # the file's text is not needed beside the arrays below
+    # each head is "u:" + 10 id characters + " v:" + 10 id characters
+    heads = np.frombuffer("".join(heads).encode("ascii"), dtype=np.uint8).reshape(-1, 25)
+    ids = np.stack([heads[:, 2:12], heads[:, 15:25]], axis=1)  # (m, 2, 10)
+    offsets = np.zeros(ids.shape[:2], dtype=np.int64)
+    for column in range(8):
+        offsets = offsets * 10 + (ids[..., column] - ord("0"))
+    keys = offsets * 4 + np.searchsorted(_POS_CODES, ids[..., 9])
+    keys, inverse = np.unique(keys, return_inverse=True)
+    graph = SemanticGraph._from_keys(keys, inverse.reshape(-1, 2))
     if not graph.edge_count:
         raise ParseError("no edges loaded")
     return graph
+
+
+def _positions(items: list, value: object, stop: int) -> list[int]:
+    """The positions before stop at which items holds value."""
+    found = []
+    try:
+        while True:
+            found.append(items.index(value, found[-1] + 1 if found else 0, stop))
+    except ValueError:
+        return found
 
 
 class Dictionary:

@@ -1236,6 +1236,23 @@ class TestImport:
         )
         assert result.stdout.split() == [str(EX_OK), "False"]
 
+    def test_meta_eval_does_not_load_numpy_ma(self, world, score_csv, tmp_path):
+        """The bootstrap's percentiles are taken without np.percentile,
+        whose np.unique call imports numpy.ma."""
+        argv = ["meta-eval", "--scores", str(score_csv), "--human", str(world["judgments"]),
+                "--resamples", "20", "--out", str(tmp_path / "corr.csv")]
+        code = ("import sys; from grouge.cli import main; rc = main(sys.argv[1:]); "
+                "print(rc, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(grouge.__file__).parent.parent), env.get("PYTHONPATH", "")]
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        assert result.stdout.split() == [str(EX_OK), "False"]
+
 
 class TestVersion:
     def test_version_prints(self, capsys):

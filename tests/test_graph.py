@@ -1,8 +1,9 @@
+import io
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grouge import ParseError, SemanticGraph, SenseId, load_dictionary, load_graph
@@ -94,6 +95,77 @@ class TestLoadGraph:
             load_graph(["# nothing"])
 
 
+# Sense ids for mixed relation lines: valid ones of every pos, and ones the
+# loader must refuse: with a Unicode digit that is not ASCII, or else bad (a
+# short offset, a bad pos letter, an extra part, an empty value).
+_IDS = ["00000001-n", "00000001-v", "00000002-a", "00000003-r", "00000010-n"]
+_UNICODE_DIGIT_IDS = ["0000000\u0660-n", "\u0660" * 8 + "-v", "0000\u06f10000-a"]
+_BAD_IDS = ["0000001-n", "00000001-x", "00000001-n-n", ""]
+# Whitespace other than the canonical single space between tokens
+_ODD_SPACES = ["  ", "\t", "\x0b", "\x0c", "\xa0", " \t"]
+
+
+@st.composite
+def relation_line(draw, fault: str | None = None, canonical: bool = False) -> str:
+    """One relation line: an edge, a self-loop, a comment or a blank line,
+    or, given a fault, an edge line with a bad id, a missing key or a token
+    without a colon. Some lines are spaced in other ways than the canonical
+    single space; with canonical, the line is an edge in the canonical
+    shape but for its fault."""
+    ids = st.sampled_from(_IDS)
+    kinds = ["canonical"] if canonical else ["canonical"] * 5 + ["v-first", "self-loop"]
+    kind = draw(st.sampled_from(kinds if fault else kinds + ["comment", "blank"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["# comment", "  # u:bad", "#"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t", "\xa0"]))
+    u = draw(ids)
+    v = u if kind == "self-loop" else draw(ids)
+    if fault in ("unicode-digit", "bad-id"):
+        bad = draw(st.sampled_from(_UNICODE_DIGIT_IDS if fault == "unicode-digit" else _BAD_IDS))
+        u, v = draw(st.sampled_from([(bad, v), (u, bad)]))
+    tokens = [f"v:{v}", f"u:{u}"] if kind == "v-first" else [f"u:{u}", f"v:{v}"]
+    tokens += draw(st.lists(st.one_of(
+        st.sampled_from(["t:rel", "w:0.5", ":x", "x:", "s:a:b", "u:"]),
+        ids.map(lambda i: f"u:{i}"), ids.map(lambda i: f"v:{i}"),
+    ), max_size=3))
+    if fault == "missing":
+        key = draw(st.sampled_from(["u:", "v:"]))
+        tokens = [t for t in tokens if not t.startswith(key)]
+    if fault == "colonless":
+        tokens.insert(draw(st.integers(2 if canonical else 1, len(tokens))), "rel")
+    spacing = "single" if canonical else draw(
+        st.sampled_from(["single", "between", "leading", "trailing"])
+    )
+    space = st.sampled_from([" "] + _ODD_SPACES if spacing == "between" else [" "])
+    line = tokens[0] if tokens else ""
+    for token in tokens[1:]:
+        line += draw(space) + token
+    odd = draw(st.sampled_from(_ODD_SPACES))
+    return {"leading": odd + line, "trailing": line + odd}.get(spacing, line)
+
+
+@st.composite
+def relation_lines(draw) -> str:
+    """The text of a relation file whose lines mix the canonical shape with
+    every other shape the per-line parser reads; about half of the files
+    also hold one faulty line, which the loader must refuse."""
+    lines = draw(st.lists(relation_line(), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        fault = draw(st.sampled_from(["unicode-digit", "colonless", "bad-id", "missing"]))
+        line = relation_line(fault, canonical=draw(st.booleans()))
+        lines.insert(draw(st.integers(0, len(lines))), draw(line))
+    text = "".join(line + draw(st.sampled_from(["\n"] * 4 + ["\r\n"])) for line in lines)
+    return text if draw(st.booleans()) else text.removesuffix("\n").removesuffix("\r")
+
+
+def _loaded(load, source):
+    try:
+        return load(source)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
 def assert_same_graph(graph, expected):
     assert list(graph.senses()) == list(expected.senses())
     a, b = graph.transition, expected.transition
@@ -106,8 +178,9 @@ def assert_same_graph(graph, expected):
 
 
 class TestLoaderOracle:
-    """load_graph parses each distinct token once and builds the edge array
-    with numpy; the graph must equal the one the per-line loader built."""
+    """load_graph reads canonical lines in one pattern pass and the others
+    line by line, and numbers the ids in numpy; the graph, or the first
+    error, must be the one the per-line loader gave."""
 
     def test_conftest_graphs(self, two_node_graph, path_graph):
         edges, isolated = [(5, 1), (1, 5), (3, 2)], [9, 1]
@@ -135,6 +208,29 @@ class TestLoaderOracle:
             extra = rng.choice(["", " t:hyper", " w:0.5 u:00000000-n"])
             lines.append(f"v:{v} u:{u}{extra}" if rng.random() < 0.3 else f"u:{u} v:{v}{extra}")
         assert_same_graph(load_graph(lines), load_graph_reference(lines))
+
+    # pinned: canonical-looking lines the pattern must leave to the per-line
+    # parser, one with a non-ASCII digit and one with a token without a colon
+    @settings(deadline=None)
+    @given(relation_lines())
+    @example("u:00000001-n v:00000002-n\nu:0000000\u0660-n v:00000001-n\n")
+    @example("u:00000001-n v:00000002-n\nu:00000001-n v:00000003-r rel\n")
+    def test_mixed_lines_match_reference_from_every_source(self, tmp_path_factory, text):
+        """Canonical lines take the pattern pass and the others the per-line
+        parser; from a path, a stream or a list of lines with or without
+        their newlines, the graph or the first error is the reference's."""
+        expected = _loaded(load_graph_reference, text.split("\n"))
+        path = tmp_path_factory.getbasetemp() / "mixed-relations.txt"
+        path.write_bytes(text.encode("utf-8"))
+        sources = [path, str(path), io.StringIO(text), io.StringIO(text).readlines(),
+                   text.split("\n")]
+        for source in sources:
+            got = _loaded(load_graph, source)
+            if isinstance(expected, str):
+                assert got == expected, source
+            else:
+                assert not isinstance(got, str), (got, source)
+                assert_same_graph(got, expected)
 
     @pytest.mark.parametrize("lines", [
         ["u:00000001-n v:00000002-n", "u:0000001-n v:00000002-n"],
@@ -174,6 +270,40 @@ class TestNodeOrder:
         relisted = relist_lines(lines, seed)
         assert relisted != lines
         assert_same_graph(load_graph(relisted), load_graph(lines))
+
+
+class TestNodeIds:
+    """Node ids are kept as int64 keys; SenseIds are built only when asked
+    for, and lookups go through the canonical id text."""
+
+    @pytest.fixture(scope="class")
+    def acceptance_relations(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("acceptance") / "relations.txt"
+        write_graph(path, 10_000, extra_edges=10_000, seed=202)
+        return path
+
+    def test_round_trip_on_the_acceptance_graph(self, acceptance_relations):
+        graph = load_graph(acceptance_relations)
+        assert all(graph.node_index(graph.sense_at(i)) == i for i in range(graph.node_count))
+        tokens = acceptance_relations.read_text("utf-8").split()
+        reference = sorted({SenseId.parse(t[2:]) for t in tokens if t[:2] in ("u:", "v:")})
+        assert list(graph.senses()) == reference
+        missing = SenseId.parse("09999999-v")
+        assert missing not in reference
+        assert missing not in graph
+        with pytest.raises(ValueError, match="sense 09999999-v is not in the graph"):
+            graph.node_index(missing)
+
+    def test_loading_builds_no_sense_id(self, acceptance_relations, monkeypatch):
+        built = []
+        check = SenseId.__post_init__
+        monkeypatch.setattr(SenseId, "__post_init__", lambda s: (built.append(s), check(s))[1])
+        lines = acceptance_relations.read_text("utf-8").splitlines()
+        for source in (acceptance_relations, lines, ["# no edge", "u:00000001-n v:00000002-v"]):
+            graph = load_graph(source)
+            assert built == []
+        first = graph.sense_at(0)
+        assert built == [first]  # the counter sees what is built
 
 
 class TestGraphInvariants:

@@ -21,6 +21,7 @@ from grouge.stats import (
     _counted_ranks,
     _kendall_rows,
     _multiplicities,
+    _percentiles,
     _spearman_rows,
     average_ranks,
     load_judgments,
@@ -395,6 +396,42 @@ def resampled_columns(draw):
     x, y = rng.choice(values, size=n), rng.choice(values, size=n)
     idx = rng.integers(0, draw(st.integers(1, n)), size=(draw(st.integers(1, 12)), n))
     return x, y, idx
+
+
+class TestPercentiles:
+    """The interval ends are taken without np.percentile, which imports
+    numpy.ma; they must be its bits."""
+
+    @pytest.mark.parametrize("kind", ["random", "tied", "constant"])
+    def test_bits_match_np_percentile(self, kind):
+        rng = np.random.default_rng(11)
+        for n in range(1, 2001):
+            values = {
+                "random": lambda: rng.standard_normal(n),
+                "tied": lambda: rng.integers(-2, 3, size=n) / 4,
+                "constant": lambda: np.full(n, 0.3),
+            }[kind]()
+            for confidence in (0.5, 0.95, 0.99):
+                tail = 100.0 * (1.0 - confidence) / 2.0
+                q = [tail, 100.0 - tail]
+                assert _percentiles(values, q).tobytes() == np.percentile(values, q).tobytes()
+
+    @pytest.mark.parametrize("values", [
+        [0.0, -0.0, 0.0, -0.0, 1.0], [-np.inf, 0.0, np.inf], [np.inf], [1.0, np.nan, 2.0],
+        [0.5, -np.inf, -np.inf, 3.0, 1e308, -1e308],
+    ])
+    def test_signed_zeros_infinities_and_nan(self, values):
+        values = np.array(values)
+        for q in ([0.0, 100.0], [2.5, 97.5], [25.0, 50.0], [50.0, 100.0]):
+            with np.errstate(invalid="ignore"):
+                assert _percentiles(values, q).tobytes() == np.percentile(values, q).tobytes()
+
+    def test_out_of_range_is_refused_like_np_percentile(self):
+        for q in ([-1.0, 50.0], [50.0, 101.0], [np.nan, 50.0]):
+            with pytest.raises(ValueError, match="Percentiles must be in the range"):
+                np.percentile(np.arange(4.0), q)
+            with pytest.raises(ValueError, match="Percentiles must be in the range"):
+                _percentiles(np.arange(4.0), q)
 
 
 class TestCountedKernels:
