@@ -52,7 +52,8 @@ def build_word_types(text: SummaryText, dictionary: Dictionary) -> list[WordType
 class SimilarityTable:
     """Similarity of each candidate sense of the row words (once each) to
     each of the column words', one ``engine.sense_similarity`` call (a
-    run-wide memo lookup) per cell."""
+    run-wide memo lookup) per cell, and each row's maximum ``best`` (0
+    for a table without columns)."""
 
     def __init__(self, rows: Iterable[WordType], columns: Iterable[WordType], engine: PprEngine):
         senses = [dict.fromkeys(s for w in words for s in w.senses) for words in (rows, columns)]
@@ -60,6 +61,7 @@ class SimilarityTable:
         sim = engine.sense_similarity
         cells = [sim(r, c) for r in self.rows for c in self.columns]
         self.values = np.array(cells, dtype=np.float64).reshape(len(self.rows), len(self.columns))
+        self.best = self.values.max(axis=1, initial=0.0)
 
 
 def _assign(words: Sequence[WordType], index: dict, best: np.ndarray) -> tuple[AssignedWord, ...]:
@@ -94,7 +96,7 @@ def align_disambiguate(
     ones together in one pass.
     """
     table = SimilarityTable(item, context, engine)
-    return _assign(item, table.rows, table.values.max(axis=1, initial=0.0))
+    return _assign(item, table.rows, table.best)
 
 
 def disambiguate_pair(
@@ -111,6 +113,6 @@ def disambiguate_pair(
     model's rows.
     """
     model_rows = table.values[[table.rows[s] for w in model_text for s in w.senses]]
-    model_assignment = _assign(model_text, table.rows, table.values.max(axis=1, initial=0.0))
+    model_assignment = _assign(model_text, table.rows, table.best)
     peer_assignment = _assign(peer_text, table.columns, model_rows.max(axis=0, initial=0.0))
     return model_assignment, peer_assignment

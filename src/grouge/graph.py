@@ -3,7 +3,8 @@
 The graph is a WordNet-style sense network: nodes are senses identified by
 an 8-digit offset plus part-of-speech letter, edges are undirected semantic
 relations. Relation and dictionary files follow the UKB text conventions
-(see the README for the exact grammar).
+(see the README for the exact grammar). Both files skip blank lines and
+``#`` comments, lines whose first token starts with ``#``.
 """
 
 from __future__ import annotations
@@ -86,29 +87,23 @@ class SemanticGraph:
     its sparsity pattern is the symmetric edge set) and each node's
     neighbour count ``degree``; a degree-zero column has no entries.
     Nothing changes after construction, so what a run computes on the graph
-    never depends on what it computed before.
+    never depends on what it computed before. Graphs compare by identity.
     """
 
     def __init__(self, senses: Sequence[SenseId], pairs: np.ndarray):
         """senses: the nodes, in any order. pairs: (m, 2) int indices into
         senses, in any order and either orientation; repeated pairs count
         once and self-loops add no edge (their node is still registered)."""
-        keys = np.array([int(s.offset) * 4 + _POS_ORDER.index(s.pos) for s in senses],
-                        dtype=np.int64)
+        ids = "".join([s.canonical for s in senses]).encode("ascii")
+        keys = _keys(np.frombuffer(ids, dtype=np.uint8).reshape(-1, 10))
         distinct, renumber = np.unique(keys, return_inverse=True)
         if len(distinct) != len(keys):
             raise ValueError("duplicate sense ids in node list")
         self._build(distinct, renumber[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)])
 
-    @classmethod
-    def _from_keys(cls, keys: np.ndarray, pairs: np.ndarray) -> "SemanticGraph":
-        """The graph on distinct ascending int64 keys, pairs indexing into
-        them."""
-        graph = cls.__new__(cls)
-        graph._build(keys, pairs)
-        return graph
-
     def _build(self, keys: np.ndarray, pairs: np.ndarray) -> None:
+        """Set the graph up on distinct ascending int64 keys, pairs (m, 2)
+        indexing into them."""
         self._keys = keys
         n = len(keys)
         pairs = pairs[pairs[:, 0] != pairs[:, 1]]
@@ -165,18 +160,15 @@ class SemanticGraph:
         senses = list(self.senses())
         return [(senses[i], senses[j]) for i, j in zip(upper.row.tolist(), upper.col.tolist())]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SemanticGraph):
-            return NotImplemented
-        # the walk matrix's values follow from its pattern
-        return all(np.array_equal(a, b) for a, b in (
-            (self._keys, other._keys),
-            (self.transition.indptr, other.transition.indptr),
-            (self.transition.indices, other.transition.indices),
-        ))
 
-    def __hash__(self) -> int:  # identity hash; graphs are large and immutable
-        return id(self)
+def _keys(ids: np.ndarray) -> np.ndarray:
+    """The int64 key of each canonical id in ids, a uint8 array whose last
+    axis holds the id's 10 ASCII bytes: offset * 4 plus the place of the pos
+    in ``a n r v``."""
+    offsets = np.zeros(ids.shape[:-1], dtype=np.int64)
+    for column in range(8):
+        offsets = offsets * 10 + (ids[..., column] - ord("0"))
+    return offsets * 4 + np.searchsorted(_POS_CODES, ids[..., 9])
 
 
 def _sense_of_key(key: int) -> SenseId:
@@ -195,29 +187,11 @@ def _canonical_texts(keys: np.ndarray) -> list[str]:
     return chars.view("U10").ravel().tolist()
 
 
-def _records(source: str | Path | IO[str] | Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line number, whitespace-separated tokens) of each line that is
-    neither blank nor a ``#`` comment."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            yield from _records(fh)
-        return
-    for lineno, line in enumerate(source, start=1):
-        tokens = line.split()
-        if tokens and not tokens[0].startswith("#"):
-            yield lineno, tokens
-
-
 def _sense_text(lineno: int, text: str) -> str:
     """text, if it is a canonical sense id (what ``SenseId.parse`` accepts)."""
     if re.fullmatch(_SENSE, text) is None:
         raise ParseError(f"line {lineno}: not a valid sense id: {text!r}")
     return text
-
-
-def _sense(lineno: int, text: str) -> SenseId:
-    text = _sense_text(lineno, text)
-    return SenseId(text[:8], text[9:])
 
 
 def _text(source: str | Path | IO[str] | Iterable[str]) -> str:
@@ -231,22 +205,28 @@ def _text(source: str | Path | IO[str] | Iterable[str]) -> str:
     return "\n".join(line.removesuffix("\n").replace("\n", " ") for line in source)
 
 
-def _relation_ends(lineno: int, line: str) -> tuple[str, str] | None:
-    """The checked u and v ids of one relation line, read token by token;
-    None for a blank or ``#`` comment line."""
+def _tokens(line: str) -> list[str]:
+    """The whitespace-separated tokens of a line; none for a blank line or a
+    ``#`` comment, whose first token starts with ``#``."""
     tokens = line.split()
-    if not tokens or tokens[0].startswith("#"):
-        return None
+    return [] if tokens and tokens[0].startswith("#") else tokens
+
+
+def _relation_head(lineno: int, line: str) -> str:
+    """``u:ID v:ID`` with the checked ids of one relation line, read token
+    by token; "" for a blank or comment line."""
     fields: dict[str, str] = {}
-    for token in tokens:
+    for token in _tokens(line):
         key, sep, value = token.partition(":")
         if not sep:
             raise ParseError(f"line {lineno}: malformed token {token!r}")
         fields.setdefault(key, value)
+    if not fields:
+        return ""
     for required in ("u", "v"):
         if required not in fields:
             raise ParseError(f"line {lineno}: missing key {required!r}")
-    return _sense_text(lineno, fields["u"]), _sense_text(lineno, fields["v"])
+    return f"u:{_sense_text(lineno, fields['u'])} v:{_sense_text(lineno, fields['v'])}"
 
 
 def load_graph(relations_source: str | Path | IO[str] | Iterable[str]) -> SemanticGraph:
@@ -264,43 +244,29 @@ def load_graph(relations_source: str | Path | IO[str] | Iterable[str]) -> Semant
     (comments, blank lines, other key orders or whitespace, and malformed
     lines) are split into tokens one by one, in file order and under their
     own line numbers, so the first bad line raises the ``ParseError`` it
-    always did. The ids are turned into int64 keys as ASCII bytes in numpy
-    and numbered with ``np.unique``; no per-node or per-line object is
-    built beyond the matched text.
+    always did. The ids' ASCII bytes are turned into int64 keys in numpy,
+    as ``SemanticGraph`` does, and numbered with ``np.unique``; no per-node
+    object is built, and no per-line one beyond the matched text and, when
+    some line is not canonical, the list of lines.
     """
     text = _text(relations_source)
     heads = re.findall(_CANONICAL_LINE, text, re.M)  # one per line; "" where not canonical
-    # the "line" after a final newline is empty and needs no reading
-    others = _positions(heads, "", len(heads) - text.endswith("\n"))
-    if others:
-        lines = text.split("\n", others[-1] + 1)
-        for i in others:
-            ends = _relation_ends(i + 1, lines[i])
-            if ends is not None:
-                heads[i] = f"u:{ends[0]} v:{ends[1]}"
+    if text.endswith("\n"):
+        heads.pop()  # the empty "line" after the final newline
+    if "" in heads:  # parse the other lines; split the text only up to the last one
+        stop = len(heads) - heads[::-1].index("")
+        heads[:stop] = [head or _relation_head(lineno, line) for lineno, (head, line)
+                        in enumerate(zip(heads[:stop], text.split("\n", stop)), start=1)]
     del text  # the file's text is not needed beside the arrays below
     # each head is "u:" + 10 id characters + " v:" + 10 id characters
     heads = np.frombuffer("".join(heads).encode("ascii"), dtype=np.uint8).reshape(-1, 25)
-    ids = np.stack([heads[:, 2:12], heads[:, 15:25]], axis=1)  # (m, 2, 10)
-    offsets = np.zeros(ids.shape[:2], dtype=np.int64)
-    for column in range(8):
-        offsets = offsets * 10 + (ids[..., column] - ord("0"))
-    keys = offsets * 4 + np.searchsorted(_POS_CODES, ids[..., 9])
-    keys, inverse = np.unique(keys, return_inverse=True)
-    graph = SemanticGraph._from_keys(keys, inverse.reshape(-1, 2))
+    keys, inverse = np.unique(_keys(np.stack([heads[:, 2:12], heads[:, 15:]], axis=1)),
+                              return_inverse=True)
+    graph = SemanticGraph.__new__(SemanticGraph)
+    graph._build(keys, inverse.reshape(-1, 2))
     if not graph.edge_count:
         raise ParseError("no edges loaded")
     return graph
-
-
-def _positions(items: list, value: object, stop: int) -> list[int]:
-    """The positions before stop at which items holds value."""
-    found = []
-    try:
-        while True:
-            found.append(items.index(value, found[-1] + 1 if found else 0, stop))
-    except ValueError:
-        return found
 
 
 class Dictionary:
@@ -323,9 +289,6 @@ class Dictionary:
             out.extend(self.entries.get((lemma, p), ()))
         return out
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def load_dictionary(
     dict_source: str | Path | IO[str] | Iterable[str],
@@ -340,7 +303,10 @@ def load_dictionary(
     """
     entries: dict[tuple[str, str], list[SenseId]] = {}
 
-    for lineno, tokens in _records(dict_source):
+    for lineno, line in enumerate(_text(dict_source).split("\n"), start=1):
+        tokens = _tokens(line)
+        if not tokens:
+            continue
         if len(tokens) < 2:
             raise ParseError(f"line {lineno}: expected lemma and at least one sense")
         lemma_token = tokens[0].lower()
@@ -351,7 +317,7 @@ def load_dictionary(
             sid_text, sep, _count = token.rpartition(":")
             if not sep:
                 sid_text = token
-            sense = _sense(lineno, sid_text)
+            sense = SenseId.parse(_sense_text(lineno, sid_text))
             if pos_suffix and sense.pos != pos_suffix:
                 log.warning(
                     "line %d: sense %s contradicts pos suffix #%s, dropped",

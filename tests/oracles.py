@@ -7,10 +7,15 @@ used to check.
 
 from __future__ import annotations
 
+import logging
 import math
+import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
+
+_log = logging.getLogger(__name__)
 
 
 def dense_ppr(
@@ -527,6 +532,48 @@ def load_graph_reference(lines):
     if not edges:
         raise ParseError("no edges loaded")
     return SemanticGraph(senses, np.array(sorted(edges), dtype=np.int64))
+
+
+def load_dictionary_reference(source, graph):
+    """The dictionary loader as it was: a path is opened and iterated, any
+    other source iterated as it is, line by line; a line is skipped when
+    it has no token or its first token starts with ``#``, and each sense
+    token is checked against the id pattern before a SenseId is built."""
+    from grouge.graph import Dictionary, ParseError, SenseId
+
+    if isinstance(source, (str, Path)):
+        with open(source, encoding="utf-8") as fh:
+            return load_dictionary_reference(fh, graph)
+    entries: dict = {}
+    for lineno, line in enumerate(source, start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if len(tokens) < 2:
+            raise ParseError(f"line {lineno}: expected lemma and at least one sense")
+        lemma, _, pos_suffix = tokens[0].lower().partition("#")
+        if pos_suffix and pos_suffix not in ("n", "v", "a", "r"):
+            raise ParseError(f"line {lineno}: bad pos suffix {pos_suffix!r}")
+        for token in tokens[1:]:
+            sid_text, sep, _count = token.rpartition(":")
+            if not sep:
+                sid_text = token
+            if re.fullmatch(r"[0-9]{8}-[nvar]", sid_text) is None:
+                raise ParseError(f"line {lineno}: not a valid sense id: {sid_text!r}")
+            sense = SenseId(sid_text[:8], sid_text[9:])
+            if pos_suffix and sense.pos != pos_suffix:
+                _log.warning(
+                    "line %d: sense %s contradicts pos suffix #%s, dropped",
+                    lineno, sense, pos_suffix,
+                )
+                continue
+            if sense not in graph:
+                _log.warning("line %d: sense %s not in graph, dropped", lineno, sense)
+                continue
+            ranked = entries.setdefault((lemma, sense.pos), [])
+            if sense not in ranked:
+                ranked.append(sense)
+    return Dictionary({k: tuple(v) for k, v in entries.items() if v})
 
 
 # -- Porter stemmer ----------------------------------------------------------

@@ -3,14 +3,14 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from grouge import ParseError, SemanticGraph, SenseId, load_dictionary, load_graph
 from grouge.graph import POS_TAGS
 
 from conftest import dictionary_from, graph_from_edges, sense, sid
-from oracles import load_graph_reference
+from oracles import load_dictionary_reference, load_graph_reference
 from synth import relist_lines, symmetric_relation_lines, write_graph
 
 
@@ -63,7 +63,8 @@ class TestLoadGraph:
         once = load_graph(["u:00000001-n v:00000002-n"])
         twice = load_graph(["u:00000001-n v:00000002-n"] * 2)
         reversed_dup = load_graph(["u:00000001-n v:00000002-n", "u:00000002-n v:00000001-n"])
-        assert once == twice == reversed_dup
+        assert_same_graph(twice, once)
+        assert_same_graph(reversed_dup, once)
 
     def test_comments_blank_lines_extra_keys_ignored(self):
         g = load_graph([
@@ -294,6 +295,26 @@ class TestNodeIds:
         with pytest.raises(ValueError, match="sense 09999999-v is not in the graph"):
             graph.node_index(missing)
 
+    @settings(deadline=None)
+    @given(st.lists(st.builds(
+        lambda offset, pos: SenseId(f"{offset:08d}", pos),
+        st.one_of(st.integers(0, 12), st.integers(10**8 - 13, 10**8 - 1),
+                  st.integers(0, 10**8 - 1)),
+        st.sampled_from(POS_TAGS),
+    ), min_size=2, max_size=40, unique=True))
+    @example([SenseId(f"{offset:08d}", pos) for offset in (0, 10**8 - 1) for pos in POS_TAGS])
+    def test_keys_number_nodes_in_sense_id_order(self, senses):
+        """Both constructors turn ids into int64 keys through one codec: from
+        a sense list and from relation lines, node i must be the i-th
+        smallest id, and each id must find its own node."""
+        ranked = sorted(senses)
+        lines = [f"u:{s} v:{s}" for s in senses] + [f"u:{senses[0]} v:{senses[1]}"]
+        for graph in (SemanticGraph(senses, np.empty((0, 2), dtype=np.int64)),
+                      load_graph(lines)):
+            assert list(graph.senses()) == ranked
+            assert all(graph.node_index(graph.sense_at(i)) == i for i in range(graph.node_count))
+            assert [graph.node_index(s) for s in senses] == [ranked.index(s) for s in senses]
+
     def test_loading_builds_no_sense_id(self, acceptance_relations, monkeypatch):
         built = []
         check = SenseId.__post_init__
@@ -319,7 +340,7 @@ class TestGraphInvariants:
     def test_round_trip_through_edge_list(self):
         g = graph_from_edges([(1, 2), (2, 3), (1, 4), (4, 5)])
         lines = [f"u:{u.canonical} v:{v.canonical}" for u, v in g.edge_list()]
-        assert load_graph(lines) == g
+        assert_same_graph(load_graph(lines), g)
 
 
 class TestDictionary:
@@ -365,3 +386,81 @@ class TestDictionary:
         g = graph_from_edges([(1, 2)])
         d = dictionary_from(g, {"word": [1]})
         assert d.senses_of("WoRd") == [sense(1)]
+
+
+# Dictionary senses: in the graph below (one of each pos), missing from it,
+# and malformed (a short offset, a bad pos letter, no dash, non-ASCII
+# digits, an extra part, an empty id).
+_DICT_GRAPH_LINES = ["u:00000001-n v:00000002-v", "u:00000003-a v:00000004-r",
+                     "u:00000001-n v:00000004-r"]
+_DICT_IDS = ["00000001-n", "00000002-v", "00000003-a", "00000004-r", "09999999-n", "00000005-v"]
+_DICT_BAD_IDS = ["0000001-n", "00000001-x", "00000001n", "\u0661" * 8 + "-n", "00000001-n-n", ""]
+
+
+@st.composite
+def dictionary_line(draw, fault: str | None = None) -> str:
+    """One dictionary line: an entry, a comment or a blank line, or, given
+    a fault, an entry with a bad id, a bad pos suffix or no sense. An
+    entry's suffix may match or contradict its senses' pos, and its senses
+    may repeat, lack a count or be missing from the graph."""
+    kind = draw(st.sampled_from(["entry"] if fault else ["entry"] * 4 + ["comment", "blank"]))
+    if kind == "comment":
+        return draw(st.sampled_from(["#x", "  # x", "#n 00000001-n:1", "\t#"]))
+    if kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t"]))
+    suffix = draw(st.sampled_from(["", "", "#n", "#v", "#a", "#r", "#"]))
+    if fault == "bad-suffix":
+        suffix = draw(st.sampled_from(["#x", "#nv", "#N1"]))
+    lemma = draw(st.sampled_from(["fire", "Fire", "word", "w000"])) + suffix
+    ids = draw(st.lists(st.sampled_from(_DICT_IDS), min_size=1, max_size=5))
+    if fault == "bad-id":
+        ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(_DICT_BAD_IDS)))
+    tokens = [draw(st.sampled_from([i, f"{i}:1", f"{i}:12", f"{i}:"])) for i in ids]
+    if fault == "no-sense":
+        tokens = []
+    return draw(st.sampled_from([" ", "\t", "  "])).join([lemma] + tokens)
+
+
+@st.composite
+def dictionary_text(draw) -> str:
+    """The text of a dictionary file; about half of the files also hold
+    one faulty line, which the loader must refuse."""
+    lines = draw(st.lists(dictionary_line(), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        fault = draw(st.sampled_from(["bad-id", "bad-suffix", "no-sense"]))
+        lines.insert(draw(st.integers(0, len(lines))), draw(dictionary_line(fault)))
+    text = "".join(line + draw(st.sampled_from(["\n", "\n", "\r\n"])) for line in lines)
+    return text if draw(st.booleans()) else text.removesuffix("\n").removesuffix("\r")
+
+
+class TestDictionaryOracle:
+    """load_dictionary reads its source whole and splits it into lines;
+    the entries and warnings, or the first error, must be those of the
+    line-by-line reader."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return load_graph(_DICT_GRAPH_LINES)
+
+    @staticmethod
+    def _loaded(load, source, graph, caplog):
+        caplog.clear()
+        try:
+            entries = load(source, graph).entries
+        except ParseError as exc:
+            return f"ParseError: {exc}"
+        return list(entries.items()), [(r.levelname, r.getMessage()) for r in caplog.records]
+
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dictionary_text())
+    @example("  # x\r\n\r\nfire#n 00000001-n:1 00000002-v 00000001-n\r\n")
+    def test_entries_and_warnings_match_reference_from_every_source(
+        self, graph, tmp_path_factory, caplog, text,
+    ):
+        expected = self._loaded(load_dictionary_reference, text.split("\n"), graph, caplog)
+        path = tmp_path_factory.getbasetemp() / "mixed-dictionary.txt"
+        path.write_bytes(text.encode("utf-8"))
+        sources = [path, str(path), io.StringIO(text), io.StringIO(text).readlines(),
+                   text.split("\n")]
+        for source in sources:
+            assert self._loaded(load_dictionary, source, graph, caplog) == expected, source
