@@ -7,11 +7,19 @@ first-seen order. Matching is clipped: a gram's matches never exceed the
 smaller of its model and peer occurrence counts. Recall over several
 references (the ``r*`` variants of ``grouge.scorer.grouge_score``) sums
 these counts over the models.
+
+A ``GramIndex`` holds one family's grams of all of a topic's models, so a
+peer is matched against every model at once: each peer gram is looked up
+once, and the clipped counts of all models come from one integer matrix.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import repeat
+from typing import Sequence
+
+import numpy as np
 
 from .text import SummaryText
 
@@ -51,8 +59,29 @@ def grams_for(text: SummaryText, variant: str) -> Counter[tuple[str, ...]]:
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def clipped_matches(model: Counter[tuple[str, ...]], peer: Counter[tuple[str, ...]]) -> int:
-    """Total clipped matches: sum over the shared grams of min(model, peer)
-    counts. The total is an integer, so the order of the sum is immaterial."""
-    shared = model.keys() & peer.keys()
-    return sum(map(min, map(model.__getitem__, shared), map(peer.__getitem__, shared)))
+class GramIndex:
+    """Clipped matching of peers against a fixed list of model gram counts.
+
+    Each distinct model gram has a row of ``counts``, an int64 matrix of
+    rows × models, and one more row of zeros stands for every gram no
+    model has. ``totals`` holds each model's gram total.
+    """
+
+    def __init__(self, models: Sequence[Counter[tuple[str, ...]]]) -> None:
+        rows: dict[tuple[str, ...], int] = {}
+        for model in models:
+            for gram in model:
+                rows.setdefault(gram, len(rows))
+        self.counts = np.zeros((len(rows) + 1, len(models)), np.int64)
+        for j, model in enumerate(models):
+            self.counts[[rows[gram] for gram in model], j] = list(model.values())
+        self.totals = self.counts.sum(axis=0)
+        self._rows = rows
+
+    def matches(self, peer: Counter[tuple[str, ...]]) -> np.ndarray:
+        """Each model's total clipped matches with peer: the sum over grams
+        of min(model, peer) counts, as an int64 array in model order."""
+        absent = repeat(len(self._rows), len(peer))
+        rows = np.fromiter(map(self._rows.get, peer, absent), np.intp, len(peer))
+        peer_counts = np.fromiter(peer.values(), np.int64, len(peer))
+        return np.minimum(self.counts[rows], peer_counts[:, None]).sum(axis=0)

@@ -13,7 +13,9 @@ total model gram count, so beta = 1 reduces exactly to plain recall.
 Each peer is scored from one plan (``parts_by_family``): its pairs are
 disambiguated from one similarity table, and each distinct walk vector
 and each distinct (gram vector, peer vector) overlap is computed once for
-all of its models and gram families.
+all of its models and gram families. Its clipped matches with all of the
+models come from one ``GramIndex`` per gram family, which ``score_batch``
+builds once per topic.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .disambiguation import AssignedWord, SimilarityTable, build_word_types, dis
 from .fileio import csv_bytes, write_atomic
 from .graph import Dictionary, SemanticGraph, SenseId
 from .ppr import PprEngine, PprVector
-from .rouge import clipped_matches, content_terms, grams_for
+from .rouge import GramIndex, content_terms, grams_for
 from .similarity import insert_oov, sim_sem
 from .text import SummaryText, tokenize
 
@@ -139,16 +141,18 @@ def parts_by_family(
     oov_enabled: bool = True,
     gram_sets: Mapping[SummaryText, Mapping[str, Counter[tuple[str, ...]]]] | None = None,
     debug: list[list[str]] | None = None,
-    gram_totals: Mapping[SummaryText, Mapping[str, int]] | None = None,
+    indexes: Mapping[str, GramIndex] | None = None,
 ) -> dict[str, ScoreParts]:
     """Score parts of one peer per gram family, summed over its models.
 
     gram_sets maps every text to its gram counts by family; without it
-    they are extracted here. gram_totals maps each model to the total of
-    each of its gram counts; without it the totals are summed here.
-    Without an engine only the lexical parts are computed. When debug is
-    given, each pair's sense assignment lines are appended to it, one list
-    per model.
+    they are extracted here. indexes maps each family to a ``GramIndex``
+    of the models' grams, in the order of models, which gives the peer's
+    clipped matches with every model at once and the models' gram totals;
+    without it one is built here per family, and one built for another
+    number of models is a ``ValueError``. Without an engine only the
+    lexical parts are computed. When debug is given, each pair's sense
+    assignment lines are appended to it, one list per model.
 
     This is the whole plan of a peer. Every candidate sense of the peer
     and its models is walked in one batch, then one ``SimilarityTable`` of
@@ -169,6 +173,10 @@ def parts_by_family(
             text: {family: grams_for(text, family) for family in families}
             for text in (peer, *models)
         }
+    if indexes is None:
+        indexes = {f: GramIndex([gram_sets[model][f] for model in models]) for f in families}
+    elif any(len(indexes[f].totals) != len(models) for f in families):
+        raise ValueError(f"gram indexes must be built for the {len(models)} models given")
     pairs: list[tuple[tuple[AssignedWord, ...], ...] | None] = [None] * len(models)
     semantic = [dict.fromkeys(families, 0.0) for _ in models]
     if engine is not None and peer.token_count:
@@ -207,16 +215,14 @@ def parts_by_family(
                         sig = None if peer_sig is None else signature(keys[gram])
                         overlaps[both] = 0.0 if sig is None else sim_sem(sig, peer_sig)
                     semantic[i][family] += mc * overlaps[both]
-    peer_grams = gram_sets[peer]
+    matches = {f: indexes[f].matches(gram_sets[peer][f]) for f in families}
     out = {family: ScoreParts() for family in families}
-    for i, model in enumerate(models):
+    for i in range(len(models)):
         if debug is not None:
             debug.append(_debug_lines(pairs[i]))
         for family in families:
-            grams = gram_sets[model][family]
-            lexical = float(clipped_matches(grams, peer_grams[family]))
-            total = grams.total() if gram_totals is None else gram_totals[model][family]
-            out[family] += ScoreParts(lexical, semantic[i][family], float(total))
+            out[family] += ScoreParts(float(matches[family][i]), semantic[i][family],
+                                      float(indexes[family].totals[i]))
     return out
 
 
@@ -339,8 +345,7 @@ def score_batch(
     systems = sorted({system for _, system in peers})
     for topic, texts in topic_models.items():
         model_grams = {text: {f: grams_for(text, f) for f in families} for text in texts}
-        model_totals = {text: {f: grams[f].total() for f in families}
-                        for text, grams in model_grams.items()}
+        indexes = {f: GramIndex([model_grams[text][f] for text in texts]) for f in families}
         for system in systems:
             parts: dict[str, ScoreParts] = {}
             path = peers.get((topic, system))
@@ -351,7 +356,7 @@ def score_batch(
                 parts = parts_by_family(
                     peer, texts, families, engine, dictionary, oov_enabled=cfg.oov_enabled,
                     gram_sets={**model_grams, peer: {f: grams_for(peer, f) for f in families}},
-                    debug=pair_lines, gram_totals=model_totals,
+                    debug=pair_lines, indexes=indexes,
                 )
                 header = f"# topic={topic} system={system}"
                 report.debug_lines.extend(

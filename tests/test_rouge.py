@@ -1,7 +1,7 @@
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grouge import (
@@ -12,7 +12,7 @@ from grouge import (
     grouge_score,
     tokenize,
 )
-from grouge.rouge import clipped_matches, grams_for
+from grouge.rouge import GramIndex, grams_for
 
 from oracles import clipped_match_total, consumed_matches, recall_oracle, su4_pairs
 
@@ -27,10 +27,27 @@ def recall(peer, models, family: str) -> float:
 
 
 token_lists = st.lists(st.sampled_from("abcdef"), min_size=0, max_size=12)
-# grams of one or two terms from a small alphabet, so grams repeat
-gram_lists = st.lists(
-    st.lists(st.sampled_from("abc"), min_size=1, max_size=2).map(tuple), max_size=30
+# one to six models of three terms, so grams repeat within and across
+# models; peers also draw "d", a term no model has
+model_token_lists = st.lists(
+    st.lists(st.sampled_from("abc"), max_size=12), min_size=1, max_size=6
 )
+peer_tokens = st.lists(st.sampled_from("abcd"), max_size=12)
+
+
+def family_grams(tokens: list[str], family: str) -> list[tuple[str, ...]]:
+    """Every gram occurrence of a one-sentence token list, enumerated directly."""
+    if family == "1":
+        return [(t,) for t in tokens]
+    if family == "2":
+        return list(zip(tokens, tokens[1:]))
+    return su4_pairs(tokens, BOS_MARKER)
+
+
+def matches(model, peer) -> int:
+    """Clipped matches of one model's gram counts with a peer's."""
+    (count,) = GramIndex([model]).matches(peer).tolist()
+    return count
 
 
 class TestExtractNgrams:
@@ -107,16 +124,16 @@ class TestCountMatch:
         model = extract_ngrams(text_of("the the"), 1)
         peer = extract_ngrams(text_of("the cat"), 1)
         assert consumed_matches(["the", "the"], ["the", "cat"]) == [1, 0]
-        assert clipped_matches(model, peer) == 1
+        assert matches(model, peer) == 1
 
     def test_absent_gram_is_zero(self):
         peer = extract_ngrams(text_of("the cat"), 1)
-        assert clipped_matches(extract_ngrams(text_of("dog"), 1), peer) == 0
+        assert matches(extract_ngrams(text_of("dog"), 1), peer) == 0
 
     def test_hand_count_total(self):
         model = extract_ngrams(text_of("the cat sat"), 1)
         peer = extract_ngrams(text_of("the cat ran"), 1)
-        assert clipped_matches(model, peer) == 2
+        assert matches(model, peer) == 2
 
     @settings(max_examples=200, deadline=None)
     @given(token_lists, token_lists)
@@ -125,22 +142,30 @@ class TestCountMatch:
         peer_text = text_of(" ".join(p_tokens) or "other")
         model = extract_ngrams(model_text, 1)
         peer = extract_ngrams(peer_text, 1)
-        clipped = clipped_matches(model, peer)
+        clipped = matches(model, peer)
         assert clipped == sum(consumed_matches(model_text.tokens, peer_text.tokens))
         assert clipped == clipped_match_total(model_text.tokens, peer_text.tokens)
-        su4 = clipped_matches(extract_su4(model_text), extract_su4(peer_text))
+        su4 = matches(extract_su4(model_text), extract_su4(peer_text))
         assert su4 == clipped_match_total(
             su4_pairs(model_text.tokens, BOS_MARKER), su4_pairs(peer_text.tokens, BOS_MARKER)
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(gram_lists, gram_lists)
-    def test_matches_oracle_on_gram_lists(self, model, peer):
-        """Repeated grams, disjoint vocabularies and empty sides."""
-        disjoint = [tuple(t.upper() for t in g) for g in peer]
-        for a, b in ((model, peer), (model, disjoint), (model, []), ([], peer)):
-            assert clipped_matches(Counter(a), Counter(b)) == clipped_match_total(a, b)
-        assert clipped_match_total(model, disjoint) == 0
+    @given(model_token_lists, peer_tokens)
+    # an empty model, two models with the same text, and a peer gram no model has
+    @example([list("abca"), [], list("bab"), list("abca")], list("abdcab"))
+    @example([list("ab"), list("ba")], [])  # an empty peer
+    def test_matches_oracle_on_gram_lists(self, models, peer):
+        """Each column of a topic's index holds its model's clipped matches,
+        in every gram family."""
+        for family in ("1", "2", "su4"):
+            index = GramIndex([grams_for(text_of(" ".join(m)), family) for m in models])
+            got = index.matches(grams_for(text_of(" ".join(peer)), family))
+            assert got.tolist() == [
+                clipped_match_total(family_grams(m, family), family_grams(peer, family))
+                for m in models
+            ]
+            assert index.totals.tolist() == [len(family_grams(m, family)) for m in models]
 
 
 class TestRougeScore:

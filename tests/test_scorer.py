@@ -18,7 +18,7 @@ from grouge import (
 )
 from grouge.cli import _system_table
 from grouge.ppr import DEFAULT_CACHE_CAPACITY
-from grouge.rouge import content_terms, grams_for
+from grouge.rouge import GramIndex, content_terms, grams_for
 from grouge.disambiguation import SimilarityTable, build_word_types, disambiguate_pair
 from grouge.scorer import (
     ScoreParts,
@@ -379,6 +379,16 @@ class TestGrougeScore:
         with pytest.raises(ValueError):
             grouge_score(tokenize("w0"), [], cfg_for(), engine, dictionary)
 
+    def test_index_for_another_model_count_rejected(self, setting):
+        graph, dictionary, engine = setting
+        models, peers = self._texts()
+        for built_for in (models[:1], [*models, models[0]]):
+            indexes = {"1": GramIndex([grams_for(m, "1") for m in built_for])}
+            for engine_or_none in (engine, None):
+                with pytest.raises(ValueError, match="2 models"):
+                    parts_by_family(peers[0], models, ("1",), engine_or_none, dictionary,
+                                    indexes=indexes)
+
     def test_oov_disabled_drops_oov_credit(self, setting):
         graph, dictionary, engine = setting
         model = tokenize("xshare w0")
@@ -618,24 +628,32 @@ class TestScoreBatch:
         assert any(p.semantic for p in parts[0].values())
         assert building
 
-    def test_model_gram_totals_summed_once_per_topic(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("n_systems", [2, 5])
+    def test_gram_index_built_once_per_topic_and_family(self, tmp_path, monkeypatch, n_systems):
         world = build_synthetic_eval(
-            tmp_path, n_nodes=300, n_words=40, n_systems=3, n_models=2, seed=5,
+            tmp_path, n_nodes=300, n_words=40, n_systems=n_systems, n_models=2, seed=5,
             topics=("d1001", "d1002"),
         )
         variants = ("r1", "r2", "rsu4")
+        builds = []
+
+        class CountedIndex(grouge.scorer.GramIndex):
+            def __init__(self, models):
+                builds.append(len(models))
+                super().__init__(models)
+
+        monkeypatch.setattr(grouge.scorer, "GramIndex", CountedIndex)
         per_peer = grouge.scorer.parts_by_family
-        monkeypatch.setattr(grouge.scorer, "parts_by_family",  # sums the totals per peer
-                            lambda *args, gram_totals, **kwargs: per_peer(*args, **kwargs))
-        expected = score_batch(world["peers"], world["models"], cfg_for(), None, None,
-                               variants=variants).parts
-        monkeypatch.undo()
-        totals = []
-        total = Counter.total
-        monkeypatch.setattr(Counter, "total", lambda c: totals.append(c) or total(c))
+        with monkeypatch.context() as patch:  # builds the indexes per peer
+            patch.setattr(grouge.scorer, "parts_by_family",
+                          lambda *args, indexes, **kwargs: per_peer(*args, **kwargs))
+            expected = score_batch(world["peers"], world["models"], cfg_for(), None, None,
+                                   variants=variants).parts
+        assert len(builds) == 2 * 3 * (1 + n_systems)  # per topic, then again per peer
+        builds.clear()
         parts = score_batch(world["peers"], world["models"], cfg_for(), None, None,
                             variants=variants).parts
-        assert len(totals) == 2 * 2 * 3  # topics x models x families, whatever the systems
+        assert builds == [2] * (2 * 3)  # topics x families, whatever the systems
         assert parts == expected
 
     def test_csv_shape_and_precision(self, tmp_path, setting):
