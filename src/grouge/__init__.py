@@ -32,6 +32,7 @@ from .scorer import (
     GrougeConfig,
     ScoreParts,
     ScoreReport,
+    TopicModels,
     grouge_score,
     parts_by_family,
     score_batch,
@@ -66,6 +67,7 @@ __all__ = [
     "SemanticGraph",
     "SenseId",
     "SummaryText",
+    "TopicModels",
     "WilliamsResult",
     "WordType",
     "align_disambiguate",

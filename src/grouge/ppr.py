@@ -49,6 +49,11 @@ So each walk pass is split by columns, and each batch of composed sets by
 set, into one share per CPU the process may run on (``_by_share``); the
 calling thread computes one share, and only it touches the cache.
 
+An engine caches vectors in one map keyed by seed set, in least recently
+used order, and counts its lookups, evictions and bytes in one
+``CacheStats`` record; ``PprEngine.stats`` returns a copy of it, so a
+snapshot keeps its values while the engine goes on.
+
 A cache file (``save_cache``) holds the walked vectors only, the basis that
 every composed vector is built from; a run that loads it composes the other
 sets again. It is an uncompressed ``.npz`` archive of plain arrays, read
@@ -64,7 +69,7 @@ import zipfile
 import zlib
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -301,55 +306,16 @@ def _compose(
     return _compress(graph, total, weights)
 
 
-class _LruCache:
-    """LRU map of walk vectors with hit/miss/eviction counters.
-
-    stored_bytes is the summed nbytes() of the cached vectors.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._data: OrderedDict[tuple[int, ...], PprVector] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.stored_bytes = 0
-
-    def get(self, key: tuple[int, ...]) -> PprVector | None:
-        value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self._data.move_to_end(key)
-        return value
-
-    def peek(self, key: tuple[int, ...]) -> PprVector | None:
-        """The cached vector, without counting a lookup or refreshing it."""
-        return self._data.get(key)
-
-    def put(self, key: tuple[int, ...], vec: PprVector) -> None:
-        if self.capacity <= 0 or key in self._data:
-            return
-        self._data[key] = vec
-        self.stored_bytes += vec.nbytes()
-        while len(self._data) > self.capacity:
-            _, evicted = self._data.popitem(last=False)
-            self.evictions += 1
-            self.stored_bytes -= evicted.nbytes()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def items(self) -> list[tuple[tuple[int, ...], PprVector]]:
-        return list(self._data.items())
-
-
 @dataclass
 class CacheStats:
     """An engine's cache counters over its whole life. A hit on a vector
     loaded from a file counts like any other; ``save_cache`` stores these
-    counts in the file, where ``cache-stats`` reads them."""
+    counts in the file, where ``cache-stats`` reads them.
+
+    ``memory_bytes`` is the summed ``PprVector.nbytes`` of the cached
+    vectors. An engine updates one record in place as it looks vectors up,
+    stores and evicts them; ``PprEngine.stats`` hands out copies of it.
+    """
 
     enabled: bool
     hits: int = 0
@@ -371,6 +337,12 @@ class PprEngine:
     capacity decides only which vectors outlive a call. Every output is a
     pure function of (graph, config, seeds). Walked vectors keep their
     weights; composed vectors are rank-only, never holding their weights.
+
+    The cache is ``_vectors``, an ordered map from seed key to vector with
+    the least recently used first, and its counters are one ``CacheStats``
+    record. ``_get`` counts a lookup as a hit or a miss and refreshes a hit;
+    ``_put`` stores a vector it does not hold yet and evicts from the front
+    past the capacity.
     """
 
     def __init__(
@@ -381,7 +353,9 @@ class PprEngine:
     ):
         self.graph = graph
         self.cfg = cfg
-        self._vectors = _LruCache(self.check_capacity(cache_capacity))
+        capacity = self.check_capacity(cache_capacity)
+        self._vectors: OrderedDict[tuple[int, ...], PprVector] = OrderedDict()
+        self._counts = CacheStats(enabled=capacity > 0, capacity=capacity)
         self._sim_memo: dict[tuple[int, int], float] = {}
 
     @staticmethod
@@ -389,6 +363,25 @@ class PprEngine:
         if capacity < 0:  # 0 caches nothing
             raise ValueError(f"cache_capacity must be >= 0, got {capacity}")
         return capacity
+
+    def _get(self, key: tuple[int, ...]) -> PprVector | None:
+        vec = self._vectors.get(key)
+        if vec is None:
+            self._counts.misses += 1
+        else:
+            self._counts.hits += 1
+            self._vectors.move_to_end(key)
+        return vec
+
+    def _put(self, key: tuple[int, ...], vec: PprVector) -> None:
+        counts = self._counts
+        if counts.capacity <= 0 or key in self._vectors:
+            return
+        self._vectors[key] = vec
+        counts.memory_bytes += vec.nbytes()
+        while len(self._vectors) > counts.capacity:
+            counts.evictions += 1
+            counts.memory_bytes -= self._vectors.popitem(last=False)[1].nbytes()
 
     # -- vector access ------------------------------------------------
 
@@ -408,7 +401,7 @@ class PprEngine:
         """
         graph = self.graph
         keys = [_seed_key(graph, seeds) for seeds in seed_sets]
-        vectors = {key: self._vectors.get(key) for key in dict.fromkeys(keys)}
+        vectors = {key: self._get(key) for key in dict.fromkeys(keys)}
         missing = [key for key, vec in vectors.items() if vec is None]
         singles: dict[int, PprVector] = {}
         walks: dict[tuple[int, ...], None] = {}
@@ -418,7 +411,7 @@ class PprEngine:
                 continue
             for i in key:
                 if i not in singles:
-                    vec = self._vectors.peek((i,))
+                    vec = self._vectors.get((i,))
                     if vec is None:
                         walks[(i,)] = None
                     else:
@@ -436,10 +429,10 @@ class PprEngine:
         )))
         for key, vec in computed.items():  # the singles walked only to compose a set
             if key not in vectors:
-                self._vectors.put(key, vec)
+                self._put(key, vec)
         for key in missing:
             vectors[key] = computed[key]
-            self._vectors.put(key, vectors[key])
+            self._put(key, vectors[key])
         return [vectors[key] for key in keys]
 
     def vector_for_seeds(self, seeds: Iterable[SenseId]) -> PprVector:
@@ -472,16 +465,8 @@ class PprEngine:
     # -- cache administration ------------------------------------------
 
     def stats(self) -> CacheStats:
-        c = self._vectors
-        return CacheStats(
-            enabled=c.capacity > 0,
-            hits=c.hits,
-            misses=c.misses,
-            evictions=c.evictions,
-            size=len(c),
-            capacity=c.capacity,
-            memory_bytes=c.stored_bytes,
-        )
+        """A snapshot of the cache counters, which later calls leave as is."""
+        return replace(self._counts, size=len(self._vectors))
 
     def walked_keys(self) -> frozenset[tuple[int, ...]]:
         """Seed keys of the cached vectors that keep their weights: the
@@ -528,7 +513,7 @@ class PprEngine:
         keys, key_sizes, indices, sizes, weights = members.values()
         entries = zip(_split(keys, key_sizes), _split(indices, sizes), _split(weights, sizes))
         for key, idx, w in entries:
-            self._vectors.put(tuple(key.tolist()), PprVector(self.graph, idx, w.copy()))
+            self._put(tuple(key.tolist()), PprVector(self.graph, idx, w.copy()))
         return True
 
 

@@ -10,18 +10,18 @@ clipped lexical match with the rank overlap of the two vectors:
 Corpus scores aggregate gram scores over all models and divide by the
 total model gram count, so beta = 1 reduces exactly to plain recall.
 
-Each peer is scored from one plan (``parts_by_family``): its pairs are
-disambiguated from one similarity table, and each distinct walk vector
-and each distinct (gram vector, peer vector) overlap is computed once for
-all of its models and gram families. Its clipped matches with all of the
-models come from one ``GramIndex`` per gram family, which ``score_batch``
-builds once per topic.
+A topic's model side is built once for all of its peers
+(``TopicModels``): each model's gram counts by family, one ``GramIndex``
+per family, which gives a peer's clipped matches with every model at once,
+and each model's word types. Each peer is then scored from one plan
+(``parts_by_family``): its pairs are disambiguated from one similarity
+table, and each distinct walk vector and each distinct (gram vector, peer
+vector) overlap is computed once for all of its models and gram families.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -132,27 +132,46 @@ def _debug_lines(pair: tuple[tuple[AssignedWord, ...], ...] | None) -> list[str]
     return lines
 
 
+class TopicModels:
+    """The model side of a topic, built once and shared by all its peers.
+
+    ``grams`` holds each model's gram counts by family, in model order, and
+    ``indexes`` one ``GramIndex`` per family over them, which gives a
+    peer's clipped matches with every model and the models' gram totals.
+    Given a dictionary, ``word_types`` holds each model's word types (empty
+    for an empty model); without one it is None and the topic can be
+    scored lexically only. An empty model list is a ``ValueError``.
+    """
+
+    def __init__(self, texts: Sequence[SummaryText], families: Sequence[str],
+                 dictionary: Dictionary | None = None) -> None:
+        if not texts:
+            raise ValueError("at least one model summary is required")
+        self.texts = tuple(texts)
+        self.families = tuple(families)
+        self.grams = [{f: grams_for(text, f) for f in families} for text in texts]
+        self.indexes = {f: GramIndex([grams[f] for grams in self.grams]) for f in families}
+        self.word_types = None if dictionary is None else [
+            build_word_types(text, dictionary) if text.token_count else [] for text in texts
+        ]
+
+
 def parts_by_family(
     peer: SummaryText,
-    models: Sequence[SummaryText],
-    families: Sequence[str],
+    topic: TopicModels,
     engine: PprEngine | None,
     dictionary: Dictionary | None,
     oov_enabled: bool = True,
-    gram_sets: Mapping[SummaryText, Mapping[str, Counter[tuple[str, ...]]]] | None = None,
     debug: list[list[str]] | None = None,
-    indexes: Mapping[str, GramIndex] | None = None,
 ) -> dict[str, ScoreParts]:
-    """Score parts of one peer per gram family, summed over its models.
+    """Score parts of one peer per gram family of topic, summed over the
+    topic's models.
 
-    gram_sets maps every text to its gram counts by family; without it
-    they are extracted here. indexes maps each family to a ``GramIndex``
-    of the models' grams, in the order of models, which gives the peer's
-    clipped matches with every model at once and the models' gram totals;
-    without it one is built here per family, and one built for another
-    number of models is a ``ValueError``. Without an engine only the
-    lexical parts are computed. When debug is given, each pair's sense
-    assignment lines are appended to it, one list per model.
+    The peer's grams and word types (from dictionary) are extracted here;
+    the models' come from topic. Without an engine only the lexical parts
+    are computed; with one, topic must have been built with a dictionary.
+    When debug is given, each pair's sense assignment lines are appended to
+    it, one list per model.
 
     This is the whole plan of a peer. Every candidate sense of the peer
     and its models is walked in one batch, then one ``SimilarityTable`` of
@@ -166,37 +185,26 @@ def parts_by_family(
     and the table, and so a peer's memory; the engine's cache decides only
     which vectors outlive the peer.
     """
-    if not models:
-        raise ValueError("at least one model summary is required")
-    if gram_sets is None:
-        gram_sets = {
-            text: {family: grams_for(text, family) for family in families}
-            for text in (peer, *models)
-        }
-    if indexes is None:
-        indexes = {f: GramIndex([gram_sets[model][f] for model in models]) for f in families}
-    elif any(len(indexes[f].totals) != len(models) for f in families):
-        raise ValueError(f"gram indexes must be built for the {len(models)} models given")
-    pairs: list[tuple[tuple[AssignedWord, ...], ...] | None] = [None] * len(models)
-    semantic = [dict.fromkeys(families, 0.0) for _ in models]
+    families = topic.families
+    peer_grams = {family: grams_for(peer, family) for family in families}
+    pairs: list[tuple[tuple[AssignedWord, ...], ...] | None] = [None] * len(topic.texts)
+    semantic = [dict.fromkeys(families, 0.0) for _ in topic.texts]
     if engine is not None and peer.token_count:
-        word_types = {
-            text: build_word_types(text, dictionary)
-            for text in (peer, *models) if text.token_count
-        }
-        engine.prime_senses(s for words in word_types.values() for w in words for s in w.senses)
-        model_words = [w for model in models if model.token_count for w in word_types[model]]
-        table = SimilarityTable(model_words, word_types[peer], engine)
+        if topic.word_types is None:
+            raise ValueError("semantic parts need topic models built with a dictionary")
+        peer_words = build_word_types(peer, dictionary)
+        model_words = [w for words in topic.word_types for w in words]
+        engine.prime_senses(s for w in (*peer_words, *model_words) for s in w.senses)
+        table = SimilarityTable(model_words, peer_words, engine)
         plans = []  # (model index, peer key, {gram: key}) of each disambiguated pair
-        for i, model in enumerate(models):
+        for i, (model, grams) in enumerate(zip(topic.texts, topic.grams)):
             if not model.token_count:
                 continue
-            pairs[i] = disambiguate_pair(word_types[model], word_types[peer], table)
+            pairs[i] = disambiguate_pair(topic.word_types[i], peer_words, table)
             model_senses, peer_senses = ({e.word.stem: e.sense for e in side} for side in pairs[i])
-            grams = dict.fromkeys(g for f in families for g in gram_sets[model][f])
             plans.append((i, _signature_key(list(peer_senses), peer_senses, oov_enabled), {
                 gram: _signature_key(content_terms(gram), model_senses, oov_enabled)
-                for gram in grams
+                for gram in dict.fromkeys(g for f in families for g in grams[f])
             }))
         seed_sets = list(dict.fromkeys(
             seeds for _, peer_key, keys in plans for seeds, _ in (peer_key, *keys.values()) if seeds
@@ -209,20 +217,20 @@ def parts_by_family(
         for i, peer_key, keys in plans:
             peer_sig = signature(peer_key)
             for family in families:
-                for gram, mc in gram_sets[models[i]][family].items():
+                for gram, mc in topic.grams[i][family].items():
                     both = keys[gram], peer_key
                     if both not in overlaps:
                         sig = None if peer_sig is None else signature(keys[gram])
                         overlaps[both] = 0.0 if sig is None else sim_sem(sig, peer_sig)
                     semantic[i][family] += mc * overlaps[both]
-    matches = {f: indexes[f].matches(gram_sets[peer][f]) for f in families}
+    matches = {f: topic.indexes[f].matches(peer_grams[f]) for f in families}
     out = {family: ScoreParts() for family in families}
-    for i in range(len(models)):
+    for i in range(len(topic.texts)):
         if debug is not None:
             debug.append(_debug_lines(pairs[i]))
         for family in families:
             out[family] += ScoreParts(float(matches[family][i]), semantic[i][family],
-                                      float(indexes[family].totals[i]))
+                                      float(topic.indexes[family].totals[i]))
     return out
 
 
@@ -243,9 +251,9 @@ def grouge_score(
     if semantic and (engine is None or dictionary is None):
         raise ValueError(f"variant {cfg.variant} needs an engine and a dictionary")
     family = variant_family(cfg.variant)
+    topic = TopicModels(models, (family,), dictionary if semantic else None)
     parts = parts_by_family(
-        peer, models, (family,), engine if semantic else None, dictionary,
-        oov_enabled=cfg.oov_enabled,
+        peer, topic, engine if semantic else None, dictionary, oov_enabled=cfg.oov_enabled
     )
     return variant_score(cfg.variant, parts[family], cfg.beta)[1]
 
@@ -316,7 +324,7 @@ def score_batch(
     """
     families = sorted({variant_family(v) for v in variants})
     if not any(variant_is_semantic(v) for v in variants):
-        engine = None
+        engine = dictionary = None
     elif engine is None or dictionary is None:
         raise ValueError("semantic variants need an engine and a dictionary")
     report = ScoreReport(variants=tuple(variants))
@@ -344,8 +352,7 @@ def score_batch(
 
     systems = sorted({system for _, system in peers})
     for topic, texts in topic_models.items():
-        model_grams = {text: {f: grams_for(text, f) for f in families} for text in texts}
-        indexes = {f: GramIndex([model_grams[text][f] for text in texts]) for f in families}
+        side = TopicModels(texts, families, dictionary)
         for system in systems:
             parts: dict[str, ScoreParts] = {}
             path = peers.get((topic, system))
@@ -354,9 +361,7 @@ def score_batch(
             elif (peer := read_text(path)) is not None:
                 pair_lines: list[list[str]] | None = [] if collect_debug else None
                 parts = parts_by_family(
-                    peer, texts, families, engine, dictionary, oov_enabled=cfg.oov_enabled,
-                    gram_sets={**model_grams, peer: {f: grams_for(peer, f) for f in families}},
-                    debug=pair_lines, indexes=indexes,
+                    peer, side, engine, dictionary, oov_enabled=cfg.oov_enabled, debug=pair_lines
                 )
                 header = f"# topic={topic} system={system}"
                 report.debug_lines.extend(

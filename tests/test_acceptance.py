@@ -398,7 +398,8 @@ def test_peer_table_assignments_match_per_cell_loop(big_world, monkeypatch):
         return out
 
     monkeypatch.setattr(grouge.scorer, "disambiguate_pair", recorded)
-    grouge.scorer.parts_by_family(peer, models, ("1",), PprEngine(graph), dictionary)
+    topic = grouge.scorer.TopicModels(models, ("1",), dictionary)
+    grouge.scorer.parts_by_family(peer, topic, PprEngine(graph), dictionary)
     assert len(seen) == 4
     assert seen[0][2] is not None and all(table is seen[0][2] for _, _, table, _ in seen)
     loop_engine = PprEngine(graph)

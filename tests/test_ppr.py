@@ -541,6 +541,19 @@ class TestEngine:
         assert stats.size == 2
         assert stats.evictions == 1
 
+    def test_stats_is_a_snapshot(self, path_graph):
+        engine = PprEngine(path_graph, cache_capacity=2)
+        first = engine.ppr_for_sense(sense(1))
+        before = engine.stats()
+        taken = before.as_dict()
+        assert taken == dict(enabled=True, hits=0, misses=1, evictions=0, size=1, capacity=2,
+                             memory_bytes=first.nbytes())
+        for i in (1, 2, 3):  # a hit, then two misses, the second evicting
+            engine.ppr_for_sense(sense(i))
+        assert before.as_dict() == taken
+        after = engine.stats()
+        assert (after.hits, after.misses, after.evictions, after.size) == (1, 3, 1, 2)
+
     def test_memory_counts_rank_tables_and_weights_of_cached_vectors(
         self, tmp_path, path_graph
     ):

@@ -18,10 +18,11 @@ from grouge import (
 )
 from grouge.cli import _system_table
 from grouge.ppr import DEFAULT_CACHE_CAPACITY
-from grouge.rouge import GramIndex, content_terms, grams_for
+from grouge.rouge import content_terms, grams_for
 from grouge.disambiguation import SimilarityTable, build_word_types, disambiguate_pair
 from grouge.scorer import (
     ScoreParts,
+    TopicModels,
     _signature,
     parts_by_family,
     variant_family,
@@ -93,9 +94,8 @@ class Plan:
         monkeypatch.setattr(engine, "prime_seed_sets", recording_prime)
         monkeypatch.setattr(grouge.scorer, "_signature", recording_signature)
         monkeypatch.setattr(grouge.scorer, "sim_sem", recording_sim_sem)
-        self.parts = parts_by_family(
-            tokenize(peer), [tokenize(m) for m in models], families, engine, dictionary, **kwargs
-        )
+        topic = TopicModels([tokenize(m) for m in models], families, dictionary)
+        self.parts = parts_by_family(tokenize(peer), topic, engine, dictionary, **kwargs)
 
     def signature(self, seeds=(), oov=()):
         [vec] = [vec for key, vec in self.built if key == (frozenset(seeds), frozenset(oov))]
@@ -175,8 +175,7 @@ class TestSignatures:
         graph, dictionary, engine = setting
         model, peer = tokenize("w0 w1 xq1 w0. w2 poly0 w1"), tokenize("w2 w3 poly0")
         families = ("1", "2", "su4")
-        grams = {text: {family: grams_for(text, family) for family in families}
-                 for text in (model, peer)}
+        grams = {family: grams_for(model, family) for family in families}
         calls = []
 
         def counted(gram):
@@ -184,8 +183,8 @@ class TestSignatures:
             return content_terms(gram)
 
         monkeypatch.setattr(grouge.scorer, "content_terms", counted)
-        parts_by_family(peer, [model], families, engine, dictionary, gram_sets=grams)
-        distinct = {gram for family in families for gram in grams[model][family]}
+        parts_by_family(peer, TopicModels([model], families, dictionary), engine, dictionary)
+        distinct = {gram for family in families for gram in grams[family]}
         assert sorted(calls, key=repr) == sorted(distinct, key=repr)
 
     def test_grams_with_one_seed_key_share_a_signature(self, setting, monkeypatch):
@@ -270,8 +269,10 @@ class TestOverlapPlan:
 def single_gram_parts(peer, model, gram, engine, dictionary) -> ScoreParts:
     """Unigram parts of one occurrence of gram of model against peer, both
     texts disambiguated in full."""
-    gram_sets = {model: {"1": Counter([gram])}, peer: {"1": grams_for(peer, "1")}}
-    return parts_by_family(peer, [model], ("1",), engine, dictionary, gram_sets=gram_sets)["1"]
+    with pytest.MonkeyPatch.context() as patch:  # the model's unigrams: gram, once
+        patch.setattr(grouge.scorer, "grams_for", lambda text, family: Counter([gram]))
+        topic = TopicModels([model], ("1",), dictionary)
+    return parts_by_family(peer, topic, engine, dictionary)["1"]
 
 
 class TestSimLs:
@@ -378,16 +379,6 @@ class TestGrougeScore:
         graph, dictionary, engine = setting
         with pytest.raises(ValueError):
             grouge_score(tokenize("w0"), [], cfg_for(), engine, dictionary)
-
-    def test_index_for_another_model_count_rejected(self, setting):
-        graph, dictionary, engine = setting
-        models, peers = self._texts()
-        for built_for in (models[:1], [*models, models[0]]):
-            indexes = {"1": GramIndex([grams_for(m, "1") for m in built_for])}
-            for engine_or_none in (engine, None):
-                with pytest.raises(ValueError, match="2 models"):
-                    parts_by_family(peers[0], models, ("1",), engine_or_none, dictionary,
-                                    indexes=indexes)
 
     def test_oov_disabled_drops_oov_credit(self, setting):
         graph, dictionary, engine = setting
@@ -629,31 +620,45 @@ class TestScoreBatch:
         assert building
 
     @pytest.mark.parametrize("n_systems", [2, 5])
-    def test_gram_index_built_once_per_topic_and_family(self, tmp_path, monkeypatch, n_systems):
+    def test_topic_models_built_once_per_topic(self, tmp_path, monkeypatch, n_systems):
+        """One ``TopicModels`` per topic, whatever its systems: word types are
+        built once per model per topic and once per peer, and the same parts
+        come out as when every peer builds its topic's models again."""
         world = build_synthetic_eval(
             tmp_path, n_nodes=300, n_words=40, n_systems=n_systems, n_models=2, seed=5,
             topics=("d1001", "d1002"),
         )
-        variants = ("r1", "r2", "rsu4")
-        builds = []
+        graph = load_graph(world["graph"])
+        dictionary = load_dictionary(world["dict"], graph)
+        builds, word_types = [], []
 
-        class CountedIndex(grouge.scorer.GramIndex):
-            def __init__(self, models):
-                builds.append(len(models))
-                super().__init__(models)
+        class CountedTopic(TopicModels):
+            def __init__(self, texts, *args):
+                builds.append(len(texts))
+                super().__init__(texts, *args)
 
-        monkeypatch.setattr(grouge.scorer, "GramIndex", CountedIndex)
+        def counted_word_types(text, dictionary):
+            word_types.append(text)
+            return build_word_types(text, dictionary)
+
+        def score():
+            builds.clear()
+            word_types.clear()
+            return score_batch(world["peers"], world["models"], cfg_for(), PprEngine(graph),
+                               dictionary, variants=("g1", "g2", "rsu4")).parts
+
+        monkeypatch.setattr(grouge.scorer, "TopicModels", CountedTopic)
+        monkeypatch.setattr(grouge.scorer, "build_word_types", counted_word_types)
         per_peer = grouge.scorer.parts_by_family
-        with monkeypatch.context() as patch:  # builds the indexes per peer
-            patch.setattr(grouge.scorer, "parts_by_family",
-                          lambda *args, indexes, **kwargs: per_peer(*args, **kwargs))
-            expected = score_batch(world["peers"], world["models"], cfg_for(), None, None,
-                                   variants=variants).parts
-        assert len(builds) == 2 * 3 * (1 + n_systems)  # per topic, then again per peer
-        builds.clear()
-        parts = score_batch(world["peers"], world["models"], cfg_for(), None, None,
-                            variants=variants).parts
-        assert builds == [2] * (2 * 3)  # topics x families, whatever the systems
+        with monkeypatch.context() as patch:  # builds the topic's models again per peer
+            patch.setattr(grouge.scorer, "parts_by_family", lambda peer, topic, *args, **kwargs:
+                          per_peer(peer, CountedTopic(topic.texts, topic.families, dictionary),
+                                   *args, **kwargs))
+            expected = score()
+        assert builds == [2] * (2 * (1 + n_systems))  # per topic, then again per peer
+        parts = score()
+        assert builds == [2, 2]
+        assert len(word_types) == 2 * (2 + n_systems)  # the models per topic, then each peer
         assert parts == expected
 
     def test_csv_shape_and_precision(self, tmp_path, setting):
