@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: score, meta-eval, sweep-beta, ppr, cache-stats. Exit codes:
-0 success, 1 fatal error, 2 partial failure (some files skipped), 64 usage
-error. Relative data paths fall back to $GROUGE_DATA_DIR when not found in
+0 success, 1 fatal error (a ``ValueError`` or ``OSError``, printed as
+``error: ...``), 2 partial failure (some files skipped), 64 usage error. Relative data paths fall back to $GROUGE_DATA_DIR when not found in
 the working directory. A ``--config`` file of ``key = value`` lines supplies
 defaults that explicit flags override; unknown keys are rejected.
 
@@ -74,10 +74,6 @@ class UsageError(Exception):
     pass
 
 
-class CliError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # usage problems exit 64, not argparse's 2
         raise UsageError(message)
@@ -106,7 +102,7 @@ def _resolve(path_text: str) -> Path:
 def _require(path_text: str, what: str) -> Path:
     path = _resolve(path_text)
     if not path.exists():
-        raise CliError(f"{what} not found: {path_text}")
+        raise ValueError(f"{what} not found: {path_text}")
     return path
 
 
@@ -333,12 +329,12 @@ def _run_scoring(args, settings: RunSettings, write: Callable[[ScoreReport, dict
     code of the command's outputs; the provenance is the settings the
     corpus was scored with and, for a semantic run, the graph and
     dictionary checksums. A persisted cache is saved after ``write``, even
-    when it fails, unless the run loaded it and walked and evicted nothing;
-    a cache that cannot be saved is a warning."""
+    when it fails (``PprEngine.save_cache`` leaves a file it loaded as it
+    was when the run walked and evicted nothing); a cache that cannot be
+    saved is a warning."""
     engine = None
     dictionary = None
     checksums: dict = {}
-    loaded = None  # the walked vectors' keys, once read from the file
     if any(variant_is_semantic(v) for v in args.variant):
         graph, dictionary, graph_path, dict_path = _load_resources(args)
         checksums = {"graph_sha256": _sha256(graph_path), "dict_sha256": _sha256(dict_path)}
@@ -347,7 +343,6 @@ def _run_scoring(args, settings: RunSettings, write: Callable[[ScoreReport, dict
             try:
                 if engine.load_cache(args.cache_persist, checksums):
                     log.info("loaded persisted cache from %s", args.cache_persist)
-                    loaded = engine.walked_keys()
                 else:
                     log.warning("persisted cache %s does not match graph/dict/walk settings,"
                                 " ignored", args.cache_persist)
@@ -367,13 +362,10 @@ def _run_scoring(args, settings: RunSettings, write: Callable[[ScoreReport, dict
     provenance = {**asdict(settings.blend), **asdict(settings.walk), **checksums,
                   "variants": list(args.variant), "stemming": not args.no_stem,
                   "remove_stopwords": args.remove_stopwords}
-    del provenance["variant"]  # the run scores every entry of "variants"
     try:
         return write(report, provenance)
     finally:
-        if engine is not None and args.cache_persist and (
-            loaded != engine.walked_keys() or engine.stats().evictions
-        ):
+        if engine is not None and args.cache_persist:
             try:
                 engine.save_cache(args.cache_persist, checksums)
             except OSError as exc:
@@ -429,11 +421,11 @@ def _system_table(
         for system in scored:
             missing = [t for t in topics if (t, system, variant) not in rows]
             if missing:
-                raise CliError(f"system {system} has no {variant} score for topic {missing[0]}")
+                raise ValueError(f"system {system} has no {variant} score for topic {missing[0]}")
             means[variant, system] = sum(rows[t, system, variant] for t in topics) / len(topics)
     systems = [s for s in ids if s in scored]
     if not systems:
-        raise CliError("no systems shared between scores and judgments")
+        raise ValueError("no systems shared between scores and judgments")
     index = [ids.index(s) for s in systems]
     human = {name: col[index] for name, col in columns.items()}
     auto = {
@@ -449,19 +441,19 @@ def _read_score_rows(path: Path) -> dict[tuple[str, str, str], float]:
     header = next(records, (0, []))[1]
     required = {"topic", "system", "variant", "score"}
     if not required.issubset(header):
-        raise CliError(f"{path}: expected columns {sorted(required)}")
+        raise ValueError(f"{path}: expected columns {sorted(required)}")
     for line, record in records:
         if not record:
             continue
         row = dict(zip_longest(header, record))  # None for the fields of a short row
         key = (row["topic"], row["system"], row["variant"])
         if key in rows:
-            raise CliError(f"{path}:{line}: repeated row for topic {key[0]}, "
-                           f"system {key[1]}, variant {key[2]}")
+            raise ValueError(f"{path}:{line}: repeated row for topic {key[0]}, "
+                             f"system {key[1]}, variant {key[2]}")
         try:
             rows[key] = float(row["score"])
         except (TypeError, ValueError):
-            raise CliError(f"{path}:{line}: non-numeric score {row['score']!r}") from None
+            raise ValueError(f"{path}:{line}: non-numeric score {row['score']!r}") from None
     return rows
 
 
@@ -504,11 +496,11 @@ def run_ppr(args, settings: RunSettings) -> int:
     graph, dictionary, _, _ = _load_resources(args)
     senses = dictionary.senses_of(args.lemma, args.pos)
     if not senses:
-        raise CliError(f"no senses for lemma {args.lemma!r}"
-                       + (f" with pos {args.pos}" if args.pos else ""))
+        raise ValueError(f"no senses for lemma {args.lemma!r}"
+                         + (f" with pos {args.pos}" if args.pos else ""))
     if args.sense is not None:
         if args.sense > len(senses):
-            raise CliError(f"sense rank {args.sense} out of range 1..{len(senses)}")
+            raise ValueError(f"sense rank {args.sense} out of range 1..{len(senses)}")
         senses = senses[args.sense - 1 : args.sense]
     for key, weight in compute_ppr(graph, senses, settings.walk).top(args.top):
         print(f"{key}\t{weight:.12g}")
@@ -516,6 +508,8 @@ def run_ppr(args, settings: RunSettings) -> int:
 
 
 def run_cache_stats(args, settings: None) -> int:
+    """Print the checksums and the saving run's counters from a cache
+    file's header, one ``name: value`` line each."""
     path = _require(args.cache, "cache file")
     header, _ = read_cache_file(path)
     meta, stats = header["meta"], header["stats"]
@@ -528,6 +522,8 @@ def run_cache_stats(args, settings: None) -> int:
     print(f"misses: {stats.get('misses', 0)}")
     print(f"vectors: {stats.get('size', 0)}")
     print(f"memory: {stats.get('memory_bytes', 0)} bytes")
+    print(f"evictions: {stats.get('evictions', 0)}")
+    print(f"capacity: {stats.get('capacity', 0)}")
     return EX_OK
 
 
@@ -547,9 +543,9 @@ def _check_output_dirs(args) -> None:
     for option in ("out", "cache_persist"):
         path = getattr(args, option, None)
         if path and not Path(path).parent.is_dir():
-            raise CliError(f"no directory for --{option.replace('_', '-')} {path}")
+            raise ValueError(f"no directory for --{option.replace('_', '-')} {path}")
     if getattr(args, "out", None) and Path(args.out).is_dir():
-        raise CliError(f"--out {args.out} is a directory")
+        raise ValueError(f"--out {args.out} is a directory")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -577,9 +573,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_FATAL
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_FATAL

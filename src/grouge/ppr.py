@@ -58,7 +58,8 @@ A cache file (``save_cache``) holds the walked vectors only, the basis that
 every composed vector is built from; a run that loads it composes the other
 sets again. It is an uncompressed ``.npz`` archive of plain arrays, read
 with ``np.load``, which refuses object arrays, so opening it runs no code
-from it.
+from it. The engine alone decides whether a save writes: one that loaded a
+file and then walked and evicted nothing leaves that file as it was.
 """
 
 from __future__ import annotations
@@ -357,6 +358,9 @@ class PprEngine:
         self._vectors: OrderedDict[tuple[int, ...], PprVector] = OrderedDict()
         self._counts = CacheStats(enabled=capacity > 0, capacity=capacity)
         self._sim_memo: dict[tuple[int, int], float] = {}
+        # (path, seed keys) of the last cache file loaded, which save_cache
+        # need not write again while it would hold the same vectors
+        self._loaded: tuple[str, frozenset[tuple[int, ...]]] | None = None
 
     @staticmethod
     def check_capacity(capacity: int) -> int:
@@ -468,11 +472,6 @@ class PprEngine:
         """A snapshot of the cache counters, which later calls leave as is."""
         return replace(self._counts, size=len(self._vectors))
 
-    def walked_keys(self) -> frozenset[tuple[int, ...]]:
-        """Seed keys of the cached vectors that keep their weights: the
-        walked ones, which ``save_cache`` writes."""
-        return frozenset(key for key, vec in self._vectors.items() if len(vec.weights))
-
     def _cache_meta(self, meta: dict) -> dict:
         """meta plus the walk settings and the node count, which are part of
         a cache's identity: vectors are stored by node index."""
@@ -485,8 +484,18 @@ class PprEngine:
         singles is cheaper than a walk. The members are a JSON header, flat
         int32 seed keys, int32 node indices in rank order and float64
         weights, with int32 per-entry sizes; their bytes do not depend on
-        when the file was written."""
+        when the file was written.
+
+        A save to the path this engine last loaded, while it holds the
+        walked vectors of that file and no others and has evicted none,
+        leaves the file as it is, bytes and modification time: it would
+        write the same vectors again. The file then keeps the counters of
+        the run that wrote it."""
         walked = [(key, vec) for key, vec in self._vectors.items() if len(vec.weights)]
+        if not self._counts.evictions and self._loaded == (
+            os.fspath(path), frozenset(key for key, _ in walked)
+        ):
+            return
         header = {"meta": self._cache_meta(meta), "stats": self.stats().as_dict()}
         members = {
             "header": np.array(json.dumps(header)),
@@ -506,14 +515,18 @@ class PprEngine:
         when the stored meta (graph/dict fingerprints) or walk settings
         differ from expect_meta and this engine's. A file that
         ``read_cache_file`` refuses raises CacheFileError. Each vector gets
-        its own copy of its weights."""
+        its own copy of its weights. A successful load records the path
+        and the file's seed keys for ``save_cache``; any other outcome
+        clears that record, so the next save writes."""
+        self._loaded = None
         header, members = read_cache_file(path)
         if header["meta"] != self._cache_meta(expect_meta):
             return False
         keys, key_sizes, indices, sizes, weights = members.values()
-        entries = zip(_split(keys, key_sizes), _split(indices, sizes), _split(weights, sizes))
-        for key, idx, w in entries:
-            self._put(tuple(key.tolist()), PprVector(self.graph, idx, w.copy()))
+        stored = [tuple(key.tolist()) for key in _split(keys, key_sizes)]
+        for key, idx, w in zip(stored, _split(indices, sizes), _split(weights, sizes)):
+            self._put(key, PprVector(self.graph, idx, w.copy()))
+        self._loaded = os.fspath(path), frozenset(stored)
         return True
 
 

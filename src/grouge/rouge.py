@@ -24,6 +24,7 @@ import numpy as np
 from .text import SummaryText
 
 BOS_MARKER = "<s>"
+SU_MAX_GAP = 4  # the largest skip of an SU4 skip-bigram
 
 
 def content_terms(gram: tuple[str, ...]) -> tuple[str, ...]:
@@ -38,13 +39,13 @@ def extract_ngrams(text: SummaryText, n: int) -> Counter[tuple[str, ...]]:
     return Counter(sent[i : i + n] for sent in text.sentences for i in range(len(sent) - n + 1))
 
 
-def extract_su4(text: SummaryText, max_gap: int = 4) -> Counter[tuple[str, ...]]:
-    """Skip-bigrams with gap <= max_gap plus marker-paired unigrams."""
+def extract_su4(text: SummaryText) -> Counter[tuple[str, ...]]:
+    """Skip-bigrams with gap <= ``SU_MAX_GAP`` plus marker-paired unigrams."""
     grams = []
     for sent in text.sentences:
         for i, token in enumerate(sent):
             grams.append((BOS_MARKER, token))
-            for j in range(i + 1, min(i + max_gap, len(sent) - 1) + 1):
+            for j in range(i + 1, min(i + SU_MAX_GAP, len(sent) - 1) + 1):
                 grams.append((token, sent[j]))
     return Counter(grams)
 

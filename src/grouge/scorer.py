@@ -9,6 +9,8 @@ clipped lexical match with the rank overlap of the two vectors:
 
 Corpus scores aggregate gram scores over all models and divide by the
 total model gram count, so beta = 1 reduces exactly to plain recall.
+The blend settings are one ``GrougeConfig``; the variants a call scores
+(``grouge_score``'s one, ``score_batch``'s list) are its own arguments.
 
 A topic's model side is built once for all of its peers
 (``TopicModels``): each model's gram counts by family, one ``GramIndex``
@@ -52,14 +54,15 @@ def variant_is_semantic(variant: str) -> bool:
 
 @dataclass(frozen=True)
 class GrougeConfig:
-    variant: str = "g1"
+    """The blend settings of a run; which variants it scores is the
+    caller's choice (``grouge_score``, ``score_batch``)."""
+
     beta: float = 0.5
     oov_enabled: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        variant_family(self.variant)
 
 
 @dataclass(frozen=True)
@@ -237,25 +240,26 @@ def parts_by_family(
 def grouge_score(
     peer: SummaryText,
     models: list[SummaryText],
-    cfg: GrougeConfig,
+    variant: str,
+    cfg: GrougeConfig = GrougeConfig(),
     engine: PprEngine | None = None,
     dictionary: Dictionary | None = None,
 ) -> float:
-    """Corpus-level score of one peer against its models.
+    """Corpus-level score of one peer against its models under variant.
 
     A ``g*`` variant blends lexical and semantic parts with cfg.beta and
     needs an engine and a dictionary; an ``r*`` variant is plain clipped
-    recall and needs neither.
+    recall and needs neither. An unknown variant is a ``ValueError``.
     """
-    semantic = variant_is_semantic(cfg.variant)
+    family = variant_family(variant)
+    semantic = variant_is_semantic(variant)
     if semantic and (engine is None or dictionary is None):
-        raise ValueError(f"variant {cfg.variant} needs an engine and a dictionary")
-    family = variant_family(cfg.variant)
+        raise ValueError(f"variant {variant} needs an engine and a dictionary")
     topic = TopicModels(models, (family,), dictionary if semantic else None)
     parts = parts_by_family(
         peer, topic, engine if semantic else None, dictionary, oov_enabled=cfg.oov_enabled
     )
-    return variant_score(cfg.variant, parts[family], cfg.beta)[1]
+    return variant_score(variant, parts[family], cfg.beta)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +269,6 @@ def grouge_score(
 
 @dataclass
 class ScoreReport:
-    variants: tuple[str, ...]
     rows: dict[tuple[str, str, str], float] = field(default_factory=dict)
     parts: dict[tuple[str, str, str], ScoreParts] = field(default_factory=dict)
     flagged: list[str] = field(default_factory=list)
@@ -327,7 +330,7 @@ def score_batch(
         engine = dictionary = None
     elif engine is None or dictionary is None:
         raise ValueError("semantic variants need an engine and a dictionary")
-    report = ScoreReport(variants=tuple(variants))
+    report = ScoreReport()
     peers = _scan_corpus_dir(Path(peers_dir), report.errors)
     models = _scan_corpus_dir(Path(models_dir), report.errors)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -371,28 +371,30 @@ class CorrelationRow:
     significant: bool | None
 
 
+def _values(value) -> tuple:
+    """A row field's cell values: an interval's two ends, else the value."""
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _cell(value) -> str:
+    """A correlation CSV cell: floats to 12 significant digits, None
+    empty, booleans in lower case."""
+    if value is None or isinstance(value, bool):
+        return "" if value is None else str(value).lower()
+    return f"{value:.12g}" if isinstance(value, float) else str(value)
+
+
 @dataclass
 class CorrelationReport:
     rows: list[CorrelationRow] = field(default_factory=list)
 
     def to_csv_bytes(self) -> bytes:
-        rows: list[list] = [[
-            "auto_metric", "human_metric", "n",
-            "pearson", "pearson_ci_lo", "pearson_ci_hi",
-            "spearman", "spearman_ci_lo", "spearman_ci_hi",
-            "kendall", "kendall_ci_lo", "kendall_ci_hi",
-            "williams_p", "significant",
-        ]]
-        for r in self.rows:
-            rows.append([
-                r.auto_metric, r.human_metric, r.n,
-                f"{r.pearson:.12g}", f"{r.pearson_ci[0]:.12g}", f"{r.pearson_ci[1]:.12g}",
-                f"{r.spearman:.12g}", f"{r.spearman_ci[0]:.12g}", f"{r.spearman_ci[1]:.12g}",
-                f"{r.kendall:.12g}", f"{r.kendall_ci[0]:.12g}", f"{r.kendall_ci[1]:.12g}",
-                "" if r.williams_p is None else f"{r.williams_p:.12g}",
-                "" if r.significant is None else str(r.significant).lower(),
-            ])
-        return csv_bytes(rows)
+        """One column per ``CorrelationRow`` field in field order, except
+        that an ``x_ci`` interval is two, ``x_ci_lo`` and ``x_ci_hi``."""
+        names = [f.name for f in fields(CorrelationRow)]
+        header = [c for n in names for c in ((n + "_lo", n + "_hi") if n.endswith("_ci") else (n,))]
+        rows = ([_cell(v) for n in names for v in _values(getattr(r, n))] for r in self.rows)
+        return csv_bytes([header, *rows])
 
     def write_csv(self, path: str | Path) -> None:
         write_atomic(path, self.to_csv_bytes())
@@ -403,12 +405,12 @@ def correlate(
     significance_against: str | None = None,
     alpha: float = 0.05,
     resamples: int = 1000,
-    confidence: float = 0.95,
     seed: int = 42,
     kendall_variant: str = "b",
 ) -> CorrelationReport:
-    """All three coefficients per (auto, human) column pair, with bootstrap
-    intervals, plus Williams significance against a baseline auto column.
+    """All three coefficients per (auto, human) column pair, with 95%
+    bootstrap intervals, plus Williams significance against a baseline
+    auto column.
 
     The Williams test compares Pearson correlations, its classical setting.
     A row whose three correlations the test rejects (a column equal to the
@@ -438,13 +440,12 @@ def correlate(
                 human_metric=human_name,
                 n=table.n,
                 pearson=r_pearson,
-                pearson_ci=bootstrap_ci(a, h, "pearson", resamples, confidence, seed),
+                pearson_ci=bootstrap_ci(a, h, "pearson", resamples, seed=seed),
                 spearman=r_spearman,
-                spearman_ci=bootstrap_ci(a, h, "spearman", resamples, confidence, seed),
+                spearman_ci=bootstrap_ci(a, h, "spearman", resamples, seed=seed),
                 kendall=r_kendall,
-                kendall_ci=bootstrap_ci(
-                    a, h, "kendall", resamples, confidence, seed, kendall_variant
-                ),
+                kendall_ci=bootstrap_ci(a, h, "kendall", resamples, seed=seed,
+                                        kendall_variant=kendall_variant),
                 williams_p=williams_p,
                 significant=significant,
             ))

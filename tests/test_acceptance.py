@@ -179,7 +179,7 @@ def test_c04_rouge_reduction_at_beta_one(small_world):
             rows += 1
     assert rows == 2 * 10 * 3  # topics x systems x semantic variants
     assert grouge_score(
-        tokenize("the cat ran"), [tokenize("the cat sat")], GrougeConfig(variant="r1")
+        tokenize("the cat ran"), [tokenize("the cat sat")], "r1"
     ) == 2.0 / 3.0
     print(f"\nACCEPTANCE 4 beta=1 reduces to plain recall ({rows} rows): PASS")
 
@@ -217,7 +217,7 @@ def test_c06_paraphrase_direction_on_wordnet():
     model = tokenize("They strolled around the city")
     peer = tokenize("They took a walk to explore the town")
     lexical = recall_oracle(peer.sentences, [model.sentences], "1", BOS_MARKER)
-    blended = grouge_score(peer, [model], GrougeConfig(variant="g1", beta=0.5),
+    blended = grouge_score(peer, [model], "g1", GrougeConfig(beta=0.5),
                            engine, dictionary)
     assert blended > lexical
 

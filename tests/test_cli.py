@@ -1030,6 +1030,28 @@ class TestCacheWorkflow:
             "memory": stats.memory_bytes,
         }
 
+    def test_cache_stats_reports_evictions_and_capacity(self, tmp_path, capsys, monkeypatch):
+        """A run at --cache-capacity 400 on a world with more vectors than
+        that evicts; cache-stats prints its evictions and capacity after
+        the other lines, and the scores are the default capacity's."""
+        world = build_synthetic_eval(tmp_path / "world", n_nodes=1000, n_systems=10, seed=7)
+        engines = record_engines(monkeypatch)
+        cache = tmp_path / "cache.npz"
+        default, small = tmp_path / "default.csv", tmp_path / "small.csv"
+        assert main(score_args(world, default, variant="g1,g2,gsu4")) == EX_OK
+        assert main(score_args(world, small, variant="g1,g2,gsu4", extra=(
+            "--cache-capacity", "400", "--cache-persist", str(cache)))) == EX_OK
+        stats = engines[-1].stats()
+        assert stats.evictions > 0 and stats.size == 400
+        assert small.read_bytes() == default.read_bytes()
+        capsys.readouterr()
+        assert main(["cache-stats", "--cache", str(cache)]) == EX_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "cache", "graph", "hits", "misses", "vectors", "memory", "evictions", "capacity",
+        ]
+        assert lines[-2:] == [f"evictions: {stats.evictions}", "capacity: 400"]
+
     def test_cache_not_reused_across_walk_settings(self, world, tmp_path, capsys):
         cache = tmp_path / "cache.npz"
         assert main(score_args(world, tmp_path / "r.csv", variant="g1",

@@ -1,3 +1,4 @@
+import os
 import pickle
 import tempfile
 import threading
@@ -727,6 +728,111 @@ class TestEngine:
             engine.save_cache(cache_file, {"graph_sha256": "abc"})
         assert cache_file.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["cache.npz"]
+
+
+class TestUnchangedCacheFile:
+    """``save_cache`` to the path the engine loaded leaves the file as it
+    was while the engine holds the same walked vectors and evicted none;
+    any other save writes."""
+
+    META = {"graph_sha256": "abc"}
+
+    @staticmethod
+    def stamp(path: Path) -> tuple[bytes, int]:
+        """The file's bytes, after setting an mtime that any rewrite replaces."""
+        os.utime(path, ns=(10**18, 10**18))
+        return path.read_bytes(), path.stat().st_mtime_ns
+
+    def saved(self, tmp_path, graph, singles=(1, 2, 3)) -> Path:
+        engine = PprEngine(graph)
+        engine.prime_senses(sense(i) for i in singles)
+        cache_file = tmp_path / "cache.npz"
+        engine.save_cache(cache_file, self.META)
+        return cache_file
+
+    def test_load_then_save_with_nothing_new_keeps_bytes_and_mtime(self, tmp_path, path_graph):
+        cache_file = self.saved(tmp_path, path_graph)
+        before = self.stamp(cache_file)
+        engine = PprEngine(path_graph)
+        assert engine.load_cache(cache_file, self.META)
+        # hits move loaded keys within the LRU order; composed sets are not saved
+        engine.prime_seed_sets([[sense(3)], [sense(1)], [sense(1), sense(2)]])
+        assert engine.stats().hits == 2
+        engine.save_cache(cache_file, self.META)
+        assert (cache_file.read_bytes(), cache_file.stat().st_mtime_ns) == before
+        engine.save_cache(str(cache_file), self.META)  # the same path as a string
+        assert (cache_file.read_bytes(), cache_file.stat().st_mtime_ns) == before
+
+    def test_new_walk_rewrites_the_file(self, tmp_path, path_graph):
+        cache_file = self.saved(tmp_path, path_graph)
+        before = self.stamp(cache_file)
+        engine = PprEngine(path_graph)
+        assert engine.load_cache(cache_file, self.META)
+        engine.ppr_for_sense(sense(5))
+        engine.save_cache(cache_file, self.META)
+        assert cache_file.stat().st_mtime_ns != before[1]
+        assert len(read_cache_file(cache_file)[1]["sizes"]) == 4
+
+    def test_eviction_rewrites_the_file(self, tmp_path, path_graph):
+        cache_file = self.saved(tmp_path, path_graph)
+        before = self.stamp(cache_file)
+        engine = PprEngine(path_graph, cache_capacity=4)
+        assert engine.load_cache(cache_file, self.META)
+        engine.ppr_for_sense_set([sense(1), sense(2)])
+        engine.prime_senses(sense(i) for i in (1, 2, 3))  # the composed set is now oldest
+        engine.ppr_for_sense_set([sense(1), sense(3)])  # and evicted
+        assert engine.stats().evictions == 1
+        engine.save_cache(cache_file, self.META)
+        assert cache_file.stat().st_mtime_ns != before[1]
+        assert read_cache_file(cache_file)[0]["stats"]["evictions"] == 1
+        # the same walked vectors as before, with the counts of the run that evicted
+        assert read_cache_file(cache_file)[1]["keys"].tolist() == [
+            path_graph.node_index(sense(i)) for i in (1, 2, 3)
+        ]
+
+    def test_eviction_while_loading_rewrites_the_file(self, tmp_path, path_graph):
+        cache_file = self.saved(tmp_path, path_graph)
+        before = self.stamp(cache_file)
+        engine = PprEngine(path_graph, cache_capacity=2)
+        assert engine.load_cache(cache_file, self.META)
+        engine.save_cache(cache_file, self.META)
+        assert cache_file.stat().st_mtime_ns != before[1]
+        assert len(read_cache_file(cache_file)[1]["sizes"]) == 2
+
+    def test_save_to_another_path_always_writes(self, tmp_path, path_graph):
+        cache_file = self.saved(tmp_path, path_graph)
+        engine = PprEngine(path_graph)
+        assert engine.load_cache(cache_file, self.META)
+        other = tmp_path / "other.npz"
+        engine.save_cache(other, self.META)
+        assert read_cache_file(other)[1]["keys"].tolist() == (
+            read_cache_file(cache_file)[1]["keys"].tolist()
+        )
+        # an engine that loaded nothing writes too
+        before = self.stamp(cache_file)
+        PprEngine(path_graph).save_cache(cache_file, self.META)
+        assert cache_file.stat().st_mtime_ns != before[1]
+
+    def test_file_is_overwritten_after_a_mismatched_load(self, tmp_path, path_graph):
+        cache_file = self.saved(tmp_path, path_graph)
+        before = self.stamp(cache_file)
+        engine = PprEngine(path_graph)
+        assert engine.load_cache(cache_file, self.META)
+        assert not engine.load_cache(cache_file, {"graph_sha256": "zzz"})
+        engine.save_cache(cache_file, {"graph_sha256": "zzz"})
+        assert cache_file.stat().st_mtime_ns != before[1]
+        assert read_cache_file(cache_file)[0]["meta"]["graph_sha256"] == "zzz"
+
+    @pytest.mark.parametrize("damage", CACHE_DAMAGES)
+    def test_file_is_overwritten_after_a_refused_load(self, tmp_path, path_graph, damage):
+        cache_file = self.saved(tmp_path, path_graph)
+        engine = PprEngine(path_graph)
+        assert engine.load_cache(cache_file, self.META)
+        damage_cache_file(cache_file, damage)
+        with pytest.raises(CacheFileError):
+            engine.load_cache(cache_file, self.META)
+        engine.save_cache(cache_file, self.META)
+        assert len(read_cache_file(cache_file)[1]["sizes"]) == 3
 
 
 class TestLineOrder:

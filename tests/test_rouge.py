@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from grouge import (
     BOS_MARKER,
-    GrougeConfig,
     extract_ngrams,
     extract_su4,
     grouge_score,
@@ -23,7 +22,7 @@ def text_of(*sentences: str):
 
 def recall(peer, models, family: str) -> float:
     """Lexical recall: the r* variant of grouge_score, without an engine."""
-    return grouge_score(peer, models, GrougeConfig(variant="r" + family))
+    return grouge_score(peer, models, "r" + family)
 
 
 token_lists = st.lists(st.sampled_from("abcdef"), min_size=0, max_size=12)
@@ -188,7 +187,7 @@ class TestRougeScore:
 
     def test_semantic_variant_requires_engine_and_dictionary(self):
         with pytest.raises(ValueError):
-            grouge_score(text_of("a"), [text_of("a")], GrougeConfig(variant="g1"))
+            grouge_score(text_of("a"), [text_of("a")], "g1")
 
     def test_superset_peer_scores_one(self):
         models = [text_of("a a b"), text_of("c d")]

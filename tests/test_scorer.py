@@ -49,8 +49,8 @@ def setting():
     return graph, dictionary, PprEngine(graph)
 
 
-def cfg_for(variant="g1", beta=0.5):
-    return GrougeConfig(variant=variant, beta=beta)
+def cfg_for(beta=0.5):
+    return GrougeConfig(beta=beta)
 
 
 def content(vec):
@@ -316,13 +316,13 @@ class TestGrougeScore:
         for peer in peers:
             for family in ("1", "2", "su4"):
                 blended = grouge_score(
-                    peer, models, cfg_for("g" + family, beta=1.0), engine, dictionary
+                    peer, models, "g" + family, cfg_for(1.0), engine, dictionary
                 )
                 expected = recall_oracle(
                     peer.sentences, [m.sentences for m in models], family, BOS_MARKER
                 )
                 assert blended == pytest.approx(expected, abs=1e-12)
-                assert grouge_score(peer, models, cfg_for("r" + family)) == expected
+                assert grouge_score(peer, models, "r" + family) == expected
 
     def test_identical_peer_scores_one_when_grams_share_text_seeds(self, setting):
         # both tokens map to the same single sense, so every gram vector
@@ -332,7 +332,7 @@ class TestGrougeScore:
         for beta in (0.0, 0.5, 1.0):
             for variant in ("g1", "g2", "gsu4"):
                 assert grouge_score(
-                    text, [text], cfg_for(variant, beta), engine, dictionary
+                    text, [text], variant, cfg_for(beta), engine, dictionary
                 ) == pytest.approx(1.0, abs=0)
 
     def test_identical_peer_beta_one_scores_one_for_any_text(self, setting):
@@ -340,7 +340,7 @@ class TestGrougeScore:
         text = tokenize("w0 w1 poly0 xz9")
         for variant in ("g1", "g2", "gsu4"):
             assert grouge_score(
-                text, [text], cfg_for(variant, 1.0), engine, dictionary
+                text, [text], variant, cfg_for(1.0), engine, dictionary
             ) == 1.0
 
     def test_bounds_and_semantic_floor(self, setting):
@@ -348,11 +348,11 @@ class TestGrougeScore:
         models, peers = self._texts()
         for peer in peers:
             for variant in ("g1", "g2", "gsu4"):
-                lexical = grouge_score(peer, models, cfg_for(variant, 1.0), engine, dictionary)
+                lexical = grouge_score(peer, models, variant, cfg_for(1.0), engine, dictionary)
                 for beta in (0.0, 0.25, 0.5, 0.75, 1.0):
-                    score = grouge_score(peer, models, cfg_for(variant, beta), engine, dictionary)
+                    score = grouge_score(peer, models, variant, cfg_for(beta), engine, dictionary)
                     assert 0.0 <= score <= 1.0
-                half = grouge_score(peer, models, cfg_for(variant, 0.5), engine, dictionary)
+                half = grouge_score(peer, models, variant, cfg_for(0.5), engine, dictionary)
                 assert half >= 0.5 * lexical
 
     def test_affine_in_beta(self, setting):
@@ -360,9 +360,9 @@ class TestGrougeScore:
         models, peers = self._texts()
         for peer in peers:
             for variant in ("g1", "g2", "gsu4"):
-                s0 = grouge_score(peer, models, cfg_for(variant, 0.0), engine, dictionary)
-                s5 = grouge_score(peer, models, cfg_for(variant, 0.5), engine, dictionary)
-                s1 = grouge_score(peer, models, cfg_for(variant, 1.0), engine, dictionary)
+                s0 = grouge_score(peer, models, variant, cfg_for(0.0), engine, dictionary)
+                s5 = grouge_score(peer, models, variant, cfg_for(0.5), engine, dictionary)
+                s1 = grouge_score(peer, models, variant, cfg_for(1.0), engine, dictionary)
                 assert s5 == pytest.approx((s0 + s1) / 2.0, abs=1e-12)
 
     def test_paraphrase_scores_above_lexical_baseline(self, setting):
@@ -372,22 +372,22 @@ class TestGrougeScore:
         model = tokenize("w0 w2")
         peer = tokenize("w1 w2")
         lexical = recall_oracle(peer.sentences, [model.sentences], "1", BOS_MARKER)
-        blended = grouge_score(peer, [model], cfg_for("g1", 0.5), engine, dictionary)
+        blended = grouge_score(peer, [model], "g1", cfg_for(0.5), engine, dictionary)
         assert blended > lexical
 
     def test_requires_models(self, setting):
         graph, dictionary, engine = setting
         with pytest.raises(ValueError):
-            grouge_score(tokenize("w0"), [], cfg_for(), engine, dictionary)
+            grouge_score(tokenize("w0"), [], "g1", cfg_for(), engine, dictionary)
 
     def test_oov_disabled_drops_oov_credit(self, setting):
         graph, dictionary, engine = setting
         model = tokenize("xshare w0")
         peer = tokenize("xshare w1")
-        with_oov = grouge_score(peer, [model], cfg_for("g1", 0.0), engine, dictionary)
+        with_oov = grouge_score(peer, [model], "g1", cfg_for(0.0), engine, dictionary)
         without = grouge_score(
             peer, [model],
-            GrougeConfig(variant="g1", beta=0.0, oov_enabled=False),
+            "g1", GrougeConfig(beta=0.0, oov_enabled=False),
             engine, dictionary,
         )
         assert with_oov > without
@@ -409,7 +409,7 @@ class TestGrougeScore:
                 overlap = single_gram_parts(peer, model, gram, engine, dictionary).semantic
                 total += beta * match + (1.0 - beta) * overlap
                 denom += 1
-        direct = grouge_score(peer, models, cfg_for("g1", beta), engine, dictionary)
+        direct = grouge_score(peer, models, "g1", cfg_for(beta), engine, dictionary)
         assert direct == pytest.approx(total / denom, abs=1e-12)
 
 
@@ -435,8 +435,8 @@ class TestVariantNames:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GrougeConfig(beta=1.5)
-        with pytest.raises(ValueError):
-            GrougeConfig(variant="x1")
+        with pytest.raises(ValueError, match="unknown variant"):
+            grouge_score(tokenize("w0"), [tokenize("w0")], "x1")
 
 
 class TestScoreBatch:
